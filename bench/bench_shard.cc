@@ -121,7 +121,7 @@ struct Burster {
   uint64_t sent = 0;
   size_t burst = 4;
   size_t burst_max = 2048;
-  std::vector<TcpSegment> batch;
+  std::vector<TcpSegment> batch{};
 
   void fire() {
     const size_t n =

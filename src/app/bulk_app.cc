@@ -1,5 +1,6 @@
 #include "app/bulk_app.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mptcp {
@@ -30,8 +31,8 @@ void BulkSender::fill() {
       want = static_cast<size_t>(
           std::min<uint64_t>(want, total_ - written_));
     }
-    const auto chunk = pattern_bytes(written_, want);
-    const size_t n = sock_.write(chunk);
+    const size_t n = sock_.write_shared(
+        pattern_payload(written_, std::min(want, sock_.send_space())));
     written_ += n;
     if (n < want) return;  // buffer full; resume on on_send_space
   }

@@ -112,9 +112,13 @@ void TwoHostRig::set_path_up(size_t i, bool up) {
   paths_[i].down->set_up(up);
 }
 
-std::vector<uint8_t> pattern_bytes(uint64_t offset, size_t n) {
-  std::vector<uint8_t> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = pattern_byte(offset + i);
+void fill_pattern(uint64_t offset, std::span<uint8_t> out) {
+  for (size_t i = 0; i < out.size(); ++i) out[i] = pattern_byte(offset + i);
+}
+
+Payload pattern_payload(uint64_t offset, size_t n) {
+  Payload out = Payload::uninitialized(n);
+  fill_pattern(offset, {out.mutable_data(), n});
   return out;
 }
 

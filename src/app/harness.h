@@ -9,9 +9,11 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "net/payload.h"
 #include "sim/link.h"
 #include "sim/network.h"
 #include "sim/trace.h"
@@ -109,7 +111,13 @@ inline uint8_t pattern_byte(uint64_t i) {
   return static_cast<uint8_t>((i * 0x9e3779b97f4a7c15ULL) >> 56);
 }
 
-/// Fills `out` with the pattern for stream offsets [offset, offset+n).
-std::vector<uint8_t> pattern_bytes(uint64_t offset, size_t n);
+/// Writes the pattern for stream offsets [offset, offset+out.size()).
+void fill_pattern(uint64_t offset, std::span<uint8_t> out);
+
+/// The pattern for stream offsets [offset, offset+n) in one fresh
+/// (pooled) Payload. Senders size `n` by StreamSocket::send_space() and
+/// pass the result to write_shared(), so every byte is generated once, in
+/// the buffer the transport keeps.
+Payload pattern_payload(uint64_t offset, size_t n);
 
 }  // namespace mptcp

@@ -254,21 +254,33 @@ size_t MptcpConnection::usable_subflow_count() const {
   return n;
 }
 
-size_t MptcpConnection::write(std::span<const uint8_t> bytes) {
+size_t MptcpConnection::fallback_room() const {
+  // The subflow's own send buffer is sized "never the bottleneck"
+  // (kSubflowSendBufCap) because the meta level normally governs; with
+  // the meta bypassed, impose the plain-TCP buffer limit here or the
+  // application sees a sink that accepts terabytes without backpressure.
+  const size_t used = subflows_[0]->snd_buf_in_use();
+  return config_.tcp.snd_buf_max > used ? config_.tcp.snd_buf_max - used : 0;
+}
+
+size_t MptcpConnection::send_space() const {
   if (data_fin_pending_ || data_fin_allocated_) return 0;
   if (mode_ == MptcpMode::kFallbackTcp) {
     if (subflows_.empty()) return 0;
-    // The subflow's own send buffer is sized "never the bottleneck"
-    // (kSubflowSendBufCap) because the meta level normally governs; with
-    // the meta bypassed, impose the plain-TCP buffer limit here or the
-    // application sees a sink that accepts terabytes without
-    // backpressure.
-    const size_t used = subflows_[0]->snd_buf_in_use();
-    const size_t room =
-        config_.tcp.snd_buf_max > used ? config_.tcp.snd_buf_max - used : 0;
-    return subflows_[0]->write(bytes.first(std::min(bytes.size(), room)));
+    return std::min(fallback_room(), subflows_[0]->send_space());
   }
-  const size_t n = meta_snd_.append(bytes, meta_snd_capacity_);
+  return meta_snd_.space(meta_snd_capacity_);
+}
+
+size_t MptcpConnection::write_shared(Payload bytes) {
+  if (data_fin_pending_ || data_fin_allocated_) return 0;
+  if (mode_ == MptcpMode::kFallbackTcp) {
+    if (subflows_.empty()) return 0;
+    bytes.truncate(fallback_room());
+    return subflows_[0]->write_shared(std::move(bytes));
+  }
+  const size_t n =
+      meta_snd_.append_shared(std::move(bytes), meta_snd_capacity_);
   meta_snd_end_ = meta_snd_.end_seq();
   if (n > 0) schedule();
   return n;
@@ -380,12 +392,12 @@ void MptcpConnection::fallback_to_tcp(const char* reason) {
 
 void MptcpConnection::wire_fallback_send_space() {
   // Backpressure in fallback runs through the surviving subflow's buffer
-  // (see write()): surface its ACK-driven frees as application send
-  // space, gated by the same plain-TCP limit write() enforces.
+  // (see write_shared()): surface its ACK-driven frees as application
+  // send space, gated by the same plain-TCP limit.
   if (subflows_.empty()) return;
   subflows_[0]->on_send_space = [this] {
     if (on_send_space != nullptr && !subflows_.empty() &&
-        subflows_[0]->snd_buf_in_use() < config_.tcp.snd_buf_max) {
+        fallback_room() > 0) {
       on_send_space();
     }
   };

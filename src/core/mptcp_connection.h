@@ -63,7 +63,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   void accept_join(const TcpSegment& syn);
 
   // --- StreamSocket ----------------------------------------------------------
-  size_t write(std::span<const uint8_t> bytes) override;
+  size_t send_space() const override;
+  size_t write_shared(Payload bytes) override;
   size_t read(std::span<uint8_t> out) override;
   /// Zero-copy scatter read over the meta receive queue's chunks.
   size_t peek_views(std::span<std::span<const uint8_t>> out) const override {
@@ -237,6 +238,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   /// Hooks the surviving subflow's send-space signal up to the
   /// application once fallback writes bypass the meta send buffer.
   void wire_fallback_send_space();
+  /// Fallback writes' room under the plain-TCP send-buffer limit
+  /// (requires a subflow).
+  size_t fallback_room() const;
   void deliver_in_order(Payload bytes);
   void drain_meta_ooo();
   void check_data_fin_consumption();

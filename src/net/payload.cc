@@ -107,6 +107,14 @@ void Payload::pool_reset() {
   g_pool.stats = PoolStats{};
 }
 
+Payload Payload::uninitialized(size_t n) {
+  Payload out;
+  if (n == 0) return out;
+  out.buf_ = alloc_buf(n);
+  out.len_ = n;
+  return out;
+}
+
 void Payload::assign(size_t n, uint8_t value) {
   release();
   sum_valid_ = false;

@@ -47,6 +47,10 @@ class Payload {
   Payload(std::initializer_list<uint8_t> bytes) {
     assign(std::span<const uint8_t>(bytes.begin(), bytes.size()));
   }
+  /// A fresh, unshared `n`-byte buffer whose contents the caller writes
+  /// through mutable_data() (which then neither copies nor clears): lets a
+  /// generator build bytes directly in the block the transport keeps.
+  static Payload uninitialized(size_t n);
 
   Payload(const Payload& o)
       : buf_(o.buf_), off_(o.off_), len_(o.len_), sum_(o.sum_),

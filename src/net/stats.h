@@ -265,7 +265,7 @@ class StatsRegistry {
     std::unique_ptr<Histogram> hist;
     SampleFn fn;
     GroupFn group;
-    std::unique_ptr<FineHistogram> fine;
+    std::unique_ptr<FineHistogram> fine{};  // {}: Entry{...} may omit it
   };
 
   Entry& entry(std::string_view name);

@@ -32,24 +32,17 @@ class SendBuffer {
     size_ = 0;
   }
 
-  /// Appends up to `capacity - size()` bytes; returns bytes accepted.
-  /// The accepted bytes are copied once into a fresh chunk (the
-  /// application keeps ownership of its span).
-  size_t append(std::span<const uint8_t> bytes, size_t capacity) {
-    const size_t space = capacity > size_ ? capacity - size_ : 0;
-    const size_t n = std::min(space, bytes.size());
-    if (n == 0) return 0;
-    push_chunk(Payload(bytes.first(n)));
-    return n;
+  /// Bytes append_shared() would accept under `capacity`.
+  size_t space(size_t capacity) const {
+    return capacity > size_ ? capacity - size_ : 0;
   }
 
   /// Appends an already-refcounted chunk without copying (truncated to
-  /// the available space); returns bytes accepted. This is how mapped
-  /// data pushed from the MPTCP meta level shares one buffer all the way
-  /// to the wire.
+  /// space(capacity)); returns bytes accepted. Application writes and
+  /// mapped data pushed down from the MPTCP meta level both arrive this
+  /// way, so one buffer is shared all the way to the wire.
   size_t append_shared(Payload bytes, size_t capacity) {
-    const size_t space = capacity > size_ ? capacity - size_ : 0;
-    const size_t n = std::min(space, bytes.size());
+    const size_t n = std::min(space(capacity), bytes.size());
     if (n == 0) return 0;
     bytes.truncate(n);
     push_chunk(std::move(bytes));

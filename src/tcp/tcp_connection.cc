@@ -179,13 +179,6 @@ void TcpConnection::send_synack() {
 // Application API.
 // --------------------------------------------------------------------------
 
-size_t TcpConnection::write(std::span<const uint8_t> bytes) {
-  if (fin_pending_ || fin_sent_) return 0;
-  const size_t n = snd_buf_.append(bytes, snd_buf_capacity_);
-  try_send();
-  return n;
-}
-
 size_t TcpConnection::write_shared(Payload bytes) {
   if (fin_pending_ || fin_sent_) return 0;
   const size_t n = snd_buf_.append_shared(std::move(bytes), snd_buf_capacity_);

@@ -59,13 +59,15 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   /// Passive open from a listener-delivered SYN.
   void accept_syn(const TcpSegment& syn);
 
-  /// Queues bytes for transmission; returns how many were accepted
-  /// (bounded by send-buffer space).
-  size_t write(std::span<const uint8_t> bytes) override;
+  /// Send-buffer space, or 0 once close() has queued the FIN.
+  size_t send_space() const override {
+    return fin_pending_ || fin_sent_ ? 0 : snd_buf_space();
+  }
 
-  /// Like write(), but shares an already-refcounted buffer instead of
-  /// copying (used by MPTCP to push mapped data down to subflows).
-  size_t write_shared(Payload bytes);
+  /// Appends (a prefix of) `bytes` to the send buffer as one shared chunk
+  /// and pushes what the windows allow. MPTCP pushes mapped data down to
+  /// its subflows through this too.
+  size_t write_shared(Payload bytes) override;
 
   /// Reads up to out.size() in-order bytes; returns bytes read.
   size_t read(std::span<uint8_t> out) override;
@@ -139,11 +141,7 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   }
   size_t snd_buf_capacity() const { return snd_buf_capacity_; }
   size_t rcv_buf_capacity() const { return rcv_buf_capacity_; }
-  size_t snd_buf_space() const {
-    return snd_buf_capacity_ > snd_buf_.size()
-               ? snd_buf_capacity_ - snd_buf_.size()
-               : 0;
-  }
+  size_t snd_buf_space() const { return snd_buf_.space(snd_buf_capacity_); }
 
   /// Receiver-side RTT estimate (from echoed timestamps), used by
   /// receive-buffer autotuning.

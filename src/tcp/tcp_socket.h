@@ -6,9 +6,12 @@
 // link. All workloads in src/app are written against this interface only.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <span>
+
+#include "net/payload.h"
 
 namespace mptcp {
 
@@ -16,8 +19,23 @@ class StreamSocket {
  public:
   virtual ~StreamSocket() = default;
 
-  /// Queues bytes for transmission; returns how many were accepted.
-  virtual size_t write(std::span<const uint8_t> bytes) = 0;
+  /// Bytes write() or write_shared() would accept right now; 0 once the
+  /// send direction is closed.
+  virtual size_t send_space() const = 0;
+
+  /// Queues an already-refcounted buffer for transmission without copying
+  /// it: the transport keeps a share of the first send_space() bytes and
+  /// returns how many it accepted. Writers that generate their payload
+  /// build exactly that many bytes, in place, and hand them over here.
+  virtual size_t write_shared(Payload bytes) = 0;
+
+  /// Queues bytes for transmission; returns how many were accepted. Only
+  /// the accepted prefix is copied, once, into the buffer the transport
+  /// keeps.
+  size_t write(std::span<const uint8_t> bytes) {
+    return write_shared(
+        Payload(bytes.first(std::min(bytes.size(), send_space()))));
+  }
 
   /// Reads up to out.size() in-order bytes; returns bytes read.
   virtual size_t read(std::span<uint8_t> out) = 0;

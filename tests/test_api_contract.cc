@@ -9,6 +9,7 @@
 #include "app/http_app.h"
 #include "app/workload.h"
 #include "core/mptcp_stack.h"
+#include "middlebox/option_stripper.h"
 
 namespace mptcp {
 namespace {
@@ -45,8 +46,7 @@ struct ApiRig {
 TEST(ApiContract, WriteBeforeEstablishmentIsBuffered) {
   ApiRig r;
   // Nothing has flowed yet; writes must be accepted into the buffer.
-  const auto data = pattern_bytes(0, 10000);
-  EXPECT_EQ(r.cconn->write(data), 10000u);
+  EXPECT_EQ(r.cconn->write(pattern_payload(0, 10000).span()), 10000u);
   r.rig.loop().run_until(1 * kSecond);
   ASSERT_NE(r.sconn, nullptr);
   EXPECT_EQ(r.sconn->readable_bytes(), 10000u);
@@ -60,18 +60,9 @@ TEST(ApiContract, ReadOnEmptySocketReturnsZero) {
   EXPECT_FALSE(r.sconn->at_eof());
 }
 
-TEST(ApiContract, WriteAfterCloseReturnsZero) {
-  ApiRig r;
-  r.rig.loop().run_until(500 * kMillisecond);
-  r.cconn->close();
-  const auto data = pattern_bytes(0, 100);
-  EXPECT_EQ(r.cconn->write(data), 0u);
-}
-
 TEST(ApiContract, EofOnlyAfterAllDataRead) {
   ApiRig r;
-  const auto data = pattern_bytes(0, 5000);
-  r.cconn->write(data);
+  r.cconn->write(pattern_payload(0, 5000).span());
   r.cconn->close();
   r.rig.loop().run_until(1 * kSecond);
   ASSERT_NE(r.sconn, nullptr);
@@ -112,8 +103,7 @@ TEST(ApiContract, OnSendSpaceFiresWhenBufferDrains) {
   MptcpConnection& cc = cs.connect(rig.client_addr(0),
                                    {rig.server_addr(), 80});
   // Fill the buffer completely.
-  const auto big = pattern_bytes(0, 40 * 1000);
-  const size_t first = cc.write(big);
+  const size_t first = cc.write(pattern_payload(0, 40 * 1000).span());
   EXPECT_LE(first, 20u * 1000u);
   int space_events = 0;
   cc.on_send_space = [&] { ++space_events; };
@@ -127,8 +117,7 @@ TEST(ApiContract, CallbacksClearableWithoutCrash) {
   r.cconn->on_readable = nullptr;
   r.cconn->on_send_space = nullptr;
   r.cconn->on_closed = nullptr;
-  const auto data = pattern_bytes(0, 1000);
-  r.cconn->write(data);
+  r.cconn->write(pattern_payload(0, 1000).span());
   r.cconn->close();
   r.rig.loop().run_until(2 * kSecond);  // must not crash
   SUCCEED();
@@ -139,6 +128,81 @@ TEST(ApiContract, ZeroByteWriteIsANoOp) {
   EXPECT_EQ(r.cconn->write({}), 0u);
   r.rig.loop().run_until(500 * kMillisecond);
   EXPECT_TRUE(r.cconn->established());
+}
+
+// --- send_space() / write_shared(): the writer's half of the contract ---
+
+enum class Backing { kTcp, kMptcp, kMptcpFallback };
+
+/// An established client socket on one WiFi path. The checks below never
+/// advance the clock, so nothing gets acknowledged and the send space
+/// only shrinks.
+struct WriterRig {
+  explicit WriterRig(Backing b) {
+    rig.add_path(wifi_path());
+    // Without MP_CAPABLE on its SYN the server answers as plain TCP and
+    // the client falls back during the handshake.
+    if (b == Backing::kMptcpFallback) rig.splice_up(0, strip);
+    TransportConfig tc;
+    tc.kind = b == Backing::kTcp ? TransportKind::kTcp : TransportKind::kMptcp;
+    tc.with_buffers(64 * 1024, 64 * 1024);
+    cf = std::make_unique<SocketFactory>(rig.client(), tc);
+    sf = std::make_unique<SocketFactory>(rig.server(), tc);
+    sf->listen(80, [](StreamSocket&) {});
+    sock = &cf->connect(rig.client_addr(0), {rig.server_addr(), 80});
+    rig.loop().run_until(500 * kMillisecond);
+  }
+  OptionStripper strip{OptionStripper::Scope::kSynOnly,
+                       OptionStripper::What::kMpCapable};
+  TwoHostRig rig;
+  std::unique_ptr<SocketFactory> cf, sf;
+  StreamSocket* sock = nullptr;
+};
+
+/// Runs `check` on a fresh socket of each backing: plain TCP, MPTCP, and
+/// MPTCP after fallback, whose writes bypass the meta send buffer.
+template <typename Fn>
+void for_each_backing(Fn check) {
+  for (Backing b : {Backing::kTcp, Backing::kMptcp, Backing::kMptcpFallback}) {
+    SCOPED_TRACE(static_cast<int>(b));
+    WriterRig w(b);
+    ASSERT_TRUE(w.sock->established());
+    const MptcpConnection* m = w.cf->as_mptcp(*w.sock);
+    ASSERT_EQ(m != nullptr, b != Backing::kTcp);
+    if (m != nullptr) {
+      ASSERT_EQ(m->mode() == MptcpMode::kFallbackTcp,
+                b == Backing::kMptcpFallback);
+    }
+    check(*w.sock);
+  }
+}
+
+TEST(ApiContract, WritesAcceptExactlySendSpace) {
+  for_each_backing([](StreamSocket& s) {
+    const size_t space = s.send_space();
+    ASSERT_GT(space, 1000u);
+    // write() copies what fits...
+    EXPECT_EQ(s.write(pattern_payload(0, 1000).span()), 1000u);
+    EXPECT_EQ(s.send_space(), space - 1000);
+    // ...write_shared() keeps a share of exactly the rest (a socket that
+    // copied the bytes would hold no reference to the caller's buffer)...
+    const Payload big = pattern_payload(1000, space);
+    const uint32_t refs = big.buffer_refs();
+    EXPECT_EQ(s.write_shared(big), space - 1000);
+    EXPECT_EQ(s.send_space(), 0u);
+    EXPECT_GT(big.buffer_refs(), refs);
+    // ...and a full socket takes nothing.
+    EXPECT_EQ(s.write(big.span()), 0u);
+  });
+}
+
+TEST(ApiContract, WriteAfterCloseReturnsZero) {
+  for_each_backing([](StreamSocket& s) {
+    ASSERT_GT(s.send_space(), 0u);
+    s.close();
+    EXPECT_EQ(s.send_space(), 0u);
+    EXPECT_EQ(s.write(pattern_payload(0, 100).span()), 0u);
+  });
 }
 
 // --- SocketFactory: one app, either transport ---------------------------

@@ -77,11 +77,31 @@ TEST(HttpRobustness, ManySmallRequestsChurnConnectionsCleanly) {
 }
 
 TEST(HarnessUtil, PatternBytesAreDeterministicAndOffsetExact) {
-  const auto a = pattern_bytes(1000, 64);
-  const auto b = pattern_bytes(1032, 32);
+  const Payload pa = pattern_payload(1000, 64);
+  const Payload pb = pattern_payload(1032, 32);
+  const std::span<const uint8_t> a = pa.span();
+  const std::span<const uint8_t> b = pb.span();
   ASSERT_EQ(a.size(), 64u);
   for (size_t i = 0; i < 32; ++i) EXPECT_EQ(a[32 + i], b[i]);
   EXPECT_EQ(a[0], pattern_byte(1000));
+
+  // pattern_payload() equals the per-byte definition at every short
+  // length, at the MSS and app chunk sizes, and at offsets where the
+  // 64-bit products wrap.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 65; ++n) lengths.push_back(n);
+  for (size_t n : {1460, 16384, 65536}) lengths.push_back(n);
+  for (uint64_t off : {uint64_t{0}, (uint64_t{1} << 32) - 3,
+                       (uint64_t{1} << 56) - 3}) {
+    for (size_t n : lengths) {
+      const Payload p = pattern_payload(off, n);
+      ASSERT_EQ(p.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(p[i], pattern_byte(off + i))
+            << "offset " << off << " length " << n << " byte " << i;
+      }
+    }
+  }
 }
 
 TEST(HarnessUtil, PathFactoriesMatchPaperParameters) {

@@ -14,10 +14,10 @@ namespace {
 
 TEST(SendBuffer, AppendRespectsCapacity) {
   SendBuffer buf(1000);
-  std::vector<uint8_t> data(100, 7);
-  EXPECT_EQ(buf.append(data, 150), 100u);
-  EXPECT_EQ(buf.append(data, 150), 50u);
-  EXPECT_EQ(buf.append(data, 150), 0u);
+  const Payload data(100, 7);
+  EXPECT_EQ(buf.append_shared(data, 150), 100u);
+  EXPECT_EQ(buf.append_shared(data, 150), 50u);
+  EXPECT_EQ(buf.append_shared(data, 150), 0u);
   EXPECT_EQ(buf.size(), 150u);
   EXPECT_EQ(buf.end_seq(), 1150u);
 }
@@ -28,14 +28,13 @@ TEST(SendBuffer, SliceOutReturnsCorrectRange) {
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>('a' + i);
   }
-  buf.append(data, 100);
+  buf.append_shared(Payload(data), 100);
   EXPECT_EQ(buf.slice_out(505, 3), (Payload{'f', 'g', 'h'}));
 }
 
 TEST(SendBuffer, SliceOutWithinOneChunkSharesTheBuffer) {
   SendBuffer buf(0);
-  std::vector<uint8_t> data(100, 9);
-  buf.append(data, 100);
+  buf.append_shared(Payload(100, 9), 100);
   const Payload a = buf.slice_out(10, 20);
   const Payload b = buf.slice_out(30, 20);
   EXPECT_TRUE(a.shares_buffer_with(b));  // both views of the one chunk
@@ -45,8 +44,8 @@ TEST(SendBuffer, SliceOutAcrossChunksAssembles) {
   SendBuffer buf(0);
   std::vector<uint8_t> data(50);
   for (size_t i = 0; i < 50; ++i) data[i] = static_cast<uint8_t>(i);
-  buf.append(std::span(data).first(20), 100);   // chunk [0,20)
-  buf.append(std::span(data).subspan(20), 100);  // chunk [20,50)
+  buf.append_shared(Payload(std::span(data).first(20)), 100);    // [0,20)
+  buf.append_shared(Payload(std::span(data).subspan(20)), 100);  // [20,50)
   const Payload out = buf.slice_out(15, 10);
   ASSERT_EQ(out.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
@@ -58,7 +57,7 @@ TEST(SendBuffer, FreeThroughAdvancesBase) {
   SendBuffer buf(0);
   std::vector<uint8_t> data(100);
   for (size_t i = 0; i < 100; ++i) data[i] = static_cast<uint8_t>(i);
-  buf.append(data, 100);
+  buf.append_shared(Payload(data), 100);
   buf.free_through(40);
   EXPECT_EQ(buf.base_seq(), 40u);
   EXPECT_EQ(buf.size(), 60u);

@@ -140,7 +140,7 @@ TEST(PayloadCow, ModifierRewriteLeavesSendBufferIntact) {
   // than corrupt the copy the sender would retransmit from.
   SendBuffer snd(0);
   const std::vector<uint8_t> original = pattern(1000);
-  snd.append(original, original.size());
+  snd.append_shared(Payload(original), original.size());
 
   TcpSegment seg;
   seg.tuple = {{IpAddr(10, 0, 0, 1), 1}, {IpAddr(10, 0, 0, 2), 2}};
