@@ -1,5 +1,8 @@
 #include "app/harness.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace mptcp {
 
 namespace {
@@ -112,11 +115,39 @@ void TwoHostRig::set_path_up(size_t i, bool up) {
   paths_[i].down->set_up(up);
 }
 
-void fill_pattern(uint64_t offset, std::span<uint8_t> out) {
+namespace {
+
+void generate_pattern(uint64_t offset, std::span<uint8_t> out) {
   for (size_t i = 0; i < out.size(); ++i) out[i] = pattern_byte(offset + i);
 }
 
+/// Built on first use (thread-safe static initialization) and frozen, so
+/// any shard's thread may take views of it.
+const Payload& pattern_tape() {
+  static const Payload tape = [] {
+    Payload p = Payload::uninitialized(kPatternTapeBytes);
+    generate_pattern(0, {p.mutable_data(), kPatternTapeBytes});
+    p.freeze();
+    return p;
+  }();
+  return tape;
+}
+
+}  // namespace
+
+void fill_pattern(uint64_t offset, std::span<uint8_t> out) {
+  size_t taped = 0;
+  if (offset < kPatternTapeBytes && !out.empty()) {
+    taped = std::min<size_t>(out.size(), kPatternTapeBytes - offset);
+    std::memcpy(out.data(), pattern_tape().data() + offset, taped);
+  }
+  generate_pattern(offset + taped, out.subspan(taped));
+}
+
 Payload pattern_payload(uint64_t offset, size_t n) {
+  if (offset <= kPatternTapeBytes && n <= kPatternTapeBytes - offset) {
+    return pattern_tape().subview(offset, n);
+  }
   Payload out = Payload::uninitialized(n);
   fill_pattern(offset, {out.mutable_data(), n});
   return out;

@@ -37,9 +37,10 @@ constexpr size_t kLargeMax = 2048;
 
 // One pool per thread: payload refcounts are non-atomic and a buffer must
 // never be shared across threads (the sharded engine deep-copies payloads
-// at shard boundaries, see sim/shard.h), so each shard worker recycles
-// blocks through its own free lists with no synchronization. Blocks drain
-// back to the heap when the thread exits.
+// at shard boundaries, see sim/shard.h; frozen buffers, which are never
+// freed, cross as they are), so each shard worker recycles blocks through
+// its own free lists with no synchronization. Blocks drain back to the
+// heap when the thread exits.
 struct Pool {
   std::vector<void*> free_small;
   std::vector<void*> free_large;
@@ -148,7 +149,7 @@ Payload Payload::subview(size_t off, size_t n) const {
   Payload out;
   if (n == 0 || buf_ == nullptr) return out;
   out.buf_ = buf_;
-  ++buf_->refs;
+  retain(buf_);
   out.off_ = off_ + off;
   out.len_ = n;
   if (off == 0 && n == len_) {
@@ -214,6 +215,11 @@ uint8_t* Payload::mutable_data() {
   }
   sum_valid_ = false;
   return buf_->bytes() + off_;
+}
+
+void Payload::freeze() {
+  assert((buf_ == nullptr || buf_->refs == 1) && "freeze() of a shared buffer");
+  if (buf_ != nullptr) buf_->refs = kFrozenRefs;
 }
 
 uint16_t Payload::folded_sum() const {

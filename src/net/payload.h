@@ -16,6 +16,9 @@
 //     by design and payloads must not cross threads. A segment handed to
 //     another shard is detached first -- ShardChannel::send (sim/shard.h)
 //     deep-copies the view into a fresh buffer owned by nobody else.
+//     The one exception is a frozen buffer (freeze()): it lives for the
+//     whole process and its refcount is never touched again, so its views
+//     may be made and dropped on any thread and cross shards as they are.
 //
 // Each view caches the folded RFC 1071 ones-complement sum of its bytes.
 // That makes the paper's shared-checksum trick (section 3.3.6) structural:
@@ -55,7 +58,7 @@ class Payload {
   Payload(const Payload& o)
       : buf_(o.buf_), off_(o.off_), len_(o.len_), sum_(o.sum_),
         sum_valid_(o.sum_valid_) {
-    if (buf_ != nullptr) ++buf_->refs;
+    retain(buf_);
   }
   Payload(Payload&& o) noexcept
       : buf_(o.buf_), off_(o.off_), len_(o.len_), sum_(o.sum_),
@@ -66,7 +69,7 @@ class Payload {
   }
   Payload& operator=(const Payload& o) {
     if (this != &o) {
-      if (o.buf_ != nullptr) ++o.buf_->refs;
+      retain(o.buf_);
       release();
       buf_ = o.buf_;
       off_ = o.off_;
@@ -136,9 +139,20 @@ class Payload {
   static Payload concat(std::span<const Payload> parts);
 
   /// Copy-on-write: returns a writable pointer to this view's bytes,
-  /// copying them into a private buffer first if the buffer is shared.
+  /// copying them into a private buffer first if the buffer is shared or
+  /// frozen.
   /// Invalidates the cached checksum.
   uint8_t* mutable_data();
+
+  /// Makes this view's buffer immutable for the life of the process. The
+  /// buffer must be unshared (buffer_refs() == 1). From then on copies,
+  /// subviews and releases never touch its refcount, so its views may be
+  /// made and dropped on any thread, and the buffer is never freed.
+  /// mutable_data() on a view of it still copies on write.
+  void freeze();
+  bool is_frozen() const {
+    return buf_ != nullptr && buf_->refs == kFrozenRefs;
+  }
 
   /// Folded (non-inverted) RFC 1071 ones-complement sum of the view's
   /// bytes, computed on first use and cached. Shared between the TCP wire
@@ -175,6 +189,10 @@ class Payload {
   bool operator!=(const Payload& o) const { return !(*this == o); }
 
  private:
+  /// The refcount of a frozen buffer: never incremented, decremented or
+  /// freed.
+  static constexpr uint32_t kFrozenRefs = UINT32_MAX;
+
   /// Refcounted header immediately followed by the bytes themselves
   /// (single allocation). Non-atomic: single-threaded simulator.
   struct Buf {
@@ -188,8 +206,13 @@ class Payload {
 
   static Buf* alloc_buf(size_t n);
   static void free_buf(Buf* b);
+  static void retain(Buf* b) {
+    if (b != nullptr && b->refs != kFrozenRefs) ++b->refs;
+  }
   void release() {
-    if (buf_ != nullptr && --buf_->refs == 0) free_buf(buf_);
+    if (buf_ != nullptr && buf_->refs != kFrozenRefs && --buf_->refs == 0) {
+      free_buf(buf_);
+    }
   }
 
   Buf* buf_ = nullptr;

@@ -14,8 +14,9 @@ void ShardChannel::send(SimTime arrival, TcpSegment seg) {
   // Detach the payload before it crosses threads: refcounts are
   // non-atomic and the backing block came from the producer thread's
   // pool, so the consumer must never see a buffer anyone else still
-  // references.
-  if (!seg.payload.empty()) {
+  // references. A frozen buffer (the app pattern tape) is exempt: its
+  // refcount is never touched and it is never freed.
+  if (!seg.payload.empty() && !seg.payload.is_frozen()) {
     seg.payload = Payload(seg.payload.span());
   }
   ++pushed_;

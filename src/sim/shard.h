@@ -53,7 +53,9 @@
 // before/after). Payload buffers are refcounted *non-atomically*, so
 // ShardChannel::send() detaches the payload -- one copy into a fresh
 // buffer -- before a segment crosses threads; this is the only byte copy
-// the handoff costs.
+// the handoff costs. Frozen buffers (Payload::freeze(), e.g. the app
+// pattern tape) are exempt: their refcount is never touched, so their
+// views cross without a copy.
 #pragma once
 
 #include <atomic>
@@ -72,7 +74,8 @@
 namespace mptcp {
 
 /// One segment in flight between shards: delivery time plus the segment
-/// itself (payload already detached from producer-shard buffers).
+/// itself (payload already detached from producer-shard buffers, or a
+/// view of a frozen one).
 struct HandoffItem {
   SimTime arrival = 0;
   TcpSegment seg;
@@ -106,9 +109,10 @@ class ShardChannel {
   void set_target(PacketSink* t) { target_ = t; }
 
   /// Producer side: hands a segment off for delivery at `arrival`.
-  /// Detaches the payload (non-atomic refcounts must not cross threads)
-  /// and spills to the overflow vector when the ring is full -- the ring
-  /// cannot drain mid-epoch, so blocking here would deadlock the epoch.
+  /// Detaches the payload unless its buffer is frozen (non-atomic
+  /// refcounts must not cross threads) and spills to the overflow vector
+  /// when the ring is full -- the ring cannot drain mid-epoch, so blocking
+  /// here would deadlock the epoch.
   void send(SimTime arrival, TcpSegment seg);
 
   /// Consumer side, barrier-only: moves every queued segment (ring

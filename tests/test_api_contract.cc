@@ -186,7 +186,7 @@ TEST(ApiContract, WritesAcceptExactlySendSpace) {
     EXPECT_EQ(s.send_space(), space - 1000);
     // ...write_shared() keeps a share of exactly the rest (a socket that
     // copied the bytes would hold no reference to the caller's buffer)...
-    const Payload big = pattern_payload(1000, space);
+    const Payload big(space, 0x5a);
     const uint32_t refs = big.buffer_refs();
     EXPECT_EQ(s.write_shared(big), space - 1000);
     EXPECT_EQ(s.send_space(), 0u);

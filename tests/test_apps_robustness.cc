@@ -2,7 +2,9 @@
 // failure, plus harness utility coverage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "app/bulk_app.h"
 #include "app/harness.h"
@@ -102,6 +104,32 @@ TEST(HarnessUtil, PatternBytesAreDeterministicAndOffsetExact) {
       }
     }
   }
+
+  // Around the tape's end: a range ending exactly there is a view of the
+  // tape; ranges straddling it, beyond it, or wrapping past 2^64 are
+  // generated. Both routes give the per-byte definition.
+  struct Range {
+    uint64_t off;
+    bool taped;
+  };
+  constexpr size_t kLen = 1460;
+  const uint64_t end = kPatternTapeBytes;
+  for (const Range r : {Range{end - kLen, true}, Range{end - 700, false},
+                        Range{end, false}, Range{end + 12345, false},
+                        Range{UINT64_MAX - 2, false}}) {
+    const Payload p = pattern_payload(r.off, kLen);
+    std::vector<uint8_t> filled(kLen);
+    fill_pattern(r.off, filled);
+    ASSERT_EQ(p.size(), kLen);
+    EXPECT_EQ(p.is_frozen(), r.taped) << "offset " << r.off;
+    for (size_t i = 0; i < kLen; ++i) {
+      ASSERT_EQ(p[i], pattern_byte(r.off + i)) << "offset " << r.off;
+      ASSERT_EQ(filled[i], pattern_byte(r.off + i)) << "offset " << r.off;
+    }
+  }
+  // Every in-tape payload is a view of the one tape buffer.
+  EXPECT_TRUE(pattern_payload(0, 10).shares_buffer_with(
+      pattern_payload(end - 10, 10)));
 }
 
 TEST(HarnessUtil, PathFactoriesMatchPaperParameters) {

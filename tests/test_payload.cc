@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
+#include "app/harness.h"
 #include "core/meta_recv.h"
 #include "middlebox/payload_modifier.h"
 #include "net/checksum.h"
@@ -124,6 +126,72 @@ TEST(PayloadPool, ResetZeroesStatsAndRecyclesHotSizes) {
   Payload::pool_reset();
   EXPECT_EQ(Payload::pool_stats().hits, 0u);
   EXPECT_EQ(Payload::pool_stats().misses, 0u);
+}
+
+// --- Frozen buffers: the process-wide pattern tape --------------------------
+
+TEST(PayloadFrozen, CopiesSubviewsAndDestructionLeaveTheRefcountAlone) {
+  const Payload tape = pattern_payload(0, kPatternTapeBytes);
+  ASSERT_TRUE(tape.is_frozen());
+  const uint32_t refs = tape.buffer_refs();
+  {
+    const Payload copy = tape;
+    const Payload sub = tape.subview(100, 200);
+    Payload assigned;
+    assigned = sub;
+    const Payload moved = std::move(assigned);
+    EXPECT_TRUE(copy.is_frozen());
+    EXPECT_TRUE(sub.is_frozen());
+    EXPECT_TRUE(moved.shares_buffer_with(tape));
+    EXPECT_EQ(tape.buffer_refs(), refs);
+  }
+  EXPECT_EQ(tape.buffer_refs(), refs);
+  EXPECT_TRUE(tape.is_frozen());
+}
+
+TEST(PayloadFrozen, MutableDataCopiesAndLeavesTheTapeIntact) {
+  Payload v = pattern_payload(1000, 100);
+  ASSERT_TRUE(v.is_frozen());
+  const uint8_t* tape_bytes = v.data();
+  uint8_t* w = v.mutable_data();
+  EXPECT_NE(w, tape_bytes);  // copied on write
+  w[0] = static_cast<uint8_t>(~pattern_byte(1000));
+  EXPECT_FALSE(v.is_frozen());
+  EXPECT_EQ(v.buffer_refs(), 1u);
+  for (size_t i = 1; i < v.size(); ++i) EXPECT_EQ(v[i], pattern_byte(1000 + i));
+  EXPECT_EQ(tape_bytes[0], pattern_byte(1000));
+  EXPECT_EQ(pattern_payload(1000, 1)[0], pattern_byte(1000));
+}
+
+TEST(PayloadFrozen, FoldedSumStaysPerView) {
+  const Payload a = pattern_payload(0, 1460);
+  const Payload b = pattern_payload(1460, 1460);
+  ASSERT_TRUE(a.shares_buffer_with(b));
+  EXPECT_EQ(a.folded_sum(), ones_complement_sum(a.span()));
+  EXPECT_FALSE(b.sum_cached());  // a's sum is not the shared buffer's
+  EXPECT_EQ(b.folded_sum(), ones_complement_sum(b.span()));
+  EXPECT_FALSE(pattern_payload(0, 1460).sum_cached());
+}
+
+TEST(PayloadFrozen, TwoThreadsCopyAndDropViewsAtOnce) {
+  // Both threads may build the tape (first use) and then make and drop
+  // views of it concurrently: its refcount is never written.
+  const auto churn = [] {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < 20000; ++i) {
+      const Payload view = pattern_payload(i % 4096, 1460);
+      const Payload copy = view.subview(10, 100);
+      sum += copy[0];
+    }
+    return sum;
+  };
+  uint64_t other = 0;
+  std::thread peer([&] { other = churn(); });
+  const uint64_t mine = churn();
+  peer.join();
+  EXPECT_EQ(mine, other);
+  // Any write to the sentinel refcount would have unfrozen the buffer.
+  EXPECT_TRUE(pattern_payload(0, 1).is_frozen());
 }
 
 // --- The COW property the retransmit path depends on ------------------------

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "app/digest.h"
+#include "app/harness.h"
 #include "app/scenario.h"
 #include "app/workload.h"
 #include "net/stats.h"
@@ -261,6 +262,45 @@ TEST(ShardChannel, OverflowSpillPreservesFifo) {
   loop.run_until(2 * kMillisecond);
   ASSERT_EQ(sink.seqs.size(), 10u);
   for (uint32_t i = 0; i < 10; ++i) EXPECT_EQ(sink.seqs[i], i);
+}
+
+/// Keeps every delivered segment.
+class SegmentCollector : public PacketSink {
+ public:
+  void deliver(TcpSegment seg) override { segs.push_back(std::move(seg)); }
+  std::vector<TcpSegment> segs;
+};
+
+TEST(ShardChannel, FrozenPayloadCrossesSharedPooledOneIsDetached) {
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop, /*ring_capacity=*/16);
+  SegmentCollector sink;
+  ch.set_target(&sink);
+
+  Payload pooled_src;  // owned by the producer shard's thread while it runs
+  std::thread producer([&] {
+    pooled_src = Payload(1460, 0x5a);
+    TcpSegment frozen;
+    frozen.seq = 0;
+    frozen.payload = pattern_payload(0, 1460);
+    TcpSegment pooled;
+    pooled.seq = 1;
+    pooled.payload = pooled_src;
+    ch.send(kMillisecond, std::move(frozen));
+    ch.send(kMillisecond, std::move(pooled));
+  });
+  producer.join();
+  EXPECT_EQ(pooled_src.buffer_refs(), 1u);  // the channel holds no share
+
+  ASSERT_EQ(ch.drain(), 2u);
+  loop.run_until(2 * kMillisecond);
+  ASSERT_EQ(sink.segs.size(), 2u);
+  const Payload& frozen = sink.segs[0].payload;
+  EXPECT_TRUE(frozen.is_frozen());
+  EXPECT_TRUE(frozen.shares_buffer_with(pattern_payload(0, 1)));
+  const Payload& pooled = sink.segs[1].payload;
+  EXPECT_FALSE(pooled.shares_buffer_with(pooled_src));
+  EXPECT_EQ(pooled, pooled_src);
 }
 
 // ---------------------------------------------------------------------------
