@@ -1,6 +1,7 @@
 // Prints the determinism digest of a fixed-seed scenario (see
-// src/app/digest.h). CI runs this twice and diffs the output; a mismatch
-// means the simulation is no longer a pure function of its seed.
+// src/app/digest.h) and the schema hash of its stats keys. CI runs this
+// twice and diffs the output; a mismatch means the simulation is no
+// longer a pure function of its seed.
 //
 // Usage: sim_digest [--scenario two-host|capacity|pingpong|fleet|serving]
 //                   [--seed N]
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--scenario two-host|capacity|pingpong|fleet|serving] "
                    "[--seed N] [--duration-ms M] [--stats FILE] "
-                   "[--shards N]\n",
+                   "[--shards N] "
+                   "[--scheduler lowest-rtt|round-robin|redundant|backup-aware]\n",
                    argv[0]);
       return 2;
     }
@@ -83,6 +85,7 @@ int main(int argc, char** argv) {
 
   const mptcp::DigestResult r = mptcp::run_digest_scenario(cfg);
   std::printf("digest %s\n", mptcp::digest_hex(r.digest).c_str());
+  std::printf("schema %s\n", mptcp::digest_hex(r.schema).c_str());
   std::printf("packets_hashed %llu\n",
               static_cast<unsigned long long>(r.packets_hashed));
   std::printf("bytes_delivered %llu\n",

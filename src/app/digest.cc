@@ -1,7 +1,10 @@
 #include "app/digest.h"
 
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <vector>
 
 #include "app/bulk_app.h"
@@ -63,37 +66,45 @@ class HashingTap final : public Middlebox {
   uint64_t& packets_;
 };
 
-/// True for registry keys that describe how the simulator *executed*
-/// rather than what the simulation *did*: event-loop scheduling
-/// accounting, timer-storage garbage collection, and payload-pool
-/// reuse counters. These are implementation details of the engine --
-/// swapping the timer data structure or retuning the block pool changes
-/// them without moving a single packet -- so the digest must not fold
-/// them, or every engine optimisation would re-pin the recorded
-/// constants. Run-twice determinism of these counters is still enforced
-/// by the CI job that diffs the full stats JSON of two identical runs.
-bool execution_machinery_key(const std::string& name) {
-  return name.starts_with("sim.events_") || name.starts_with("sim.heap_") ||
-         name.starts_with("sim.timer_") || name.starts_with("payload.pool.");
-}
-
-void fold_entry(uint64_t& hash, const std::string& name, double value) {
-  if (execution_machinery_key(name)) return;
-  for (char c : name) fnv_byte(hash, static_cast<uint8_t>(c));
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  for (const char* p = buf; *p != '\0'; ++p) {
-    fnv_byte(hash, static_cast<uint8_t>(*p));
+/// Folds what the applications saw, per workload class: flow and request
+/// outcomes plus the count and sum of each FCT histogram.
+void fold_outcomes(uint64_t& hash, const WorkloadEngine& e) {
+  for (size_t k = 0; k < e.class_count(); ++k) {
+    for (uint64_t v : {e.started(k), e.completed(k), e.errors(k),
+                       e.bytes_received(k), e.requests_rejected(k),
+                       e.fct_us(k).count(), e.fct_us(k).sum()}) {
+      fnv_u64(hash, v);
+    }
+    if (const FineHistogram* req = e.request_fct_us(k)) {
+      fnv_u64(hash, req->count());
+      fnv_u64(hash, req->sum());
+    }
   }
 }
 
-/// Folds the registry's final flat view into the hash: counters that
-/// drifted without changing the packet stream (protocol state, link
-/// accounting, app progress) break determinism and should be caught.
-void fold_stats(uint64_t& hash, StatsRegistry& reg) {
-  for (const auto& [name, value] : reg.flatten()) {
-    fold_entry(hash, name, value);
+/// FNV-1a over the distinct stats key names, each with the parts a run
+/// picks removed: unique_scope()'s "#<n>" instance and "@s<k>" shard
+/// suffixes, and the subflow id in ".sf<id>". What is left names what
+/// the export measures, whatever instances and shards the run used.
+uint64_t schema_hash(const std::map<std::string, double>& flat) {
+  static const std::regex kRunPicked(R"(#\d+|@s\d+|(\.sf)\d+)");
+  std::set<std::string> names;
+  for (const auto& entry : flat) {
+    names.insert(std::regex_replace(entry.first, kRunPicked, "$1"));
   }
+  uint64_t hash = kFnvOffset;
+  for (const std::string& name : names) {
+    for (char c : name) fnv_byte(hash, static_cast<uint8_t>(c));
+    fnv_byte(hash, '\n');
+  }
+  return hash;
+}
+
+/// Records a topology's stats export and its schema hash.
+void record_stats(DigestResult& out, Topology& topo) {
+  out.stats_json = topo.dump_stats();
+  out.schema =
+      schema_hash(StatsRegistry::merged_flatten(topo.shard_stats()));
 }
 
 DigestResult run_two_host_digest(const DigestConfig& cfg) {
@@ -140,7 +151,8 @@ DigestResult run_two_host_digest(const DigestConfig& cfg) {
 
   out.bytes_delivered = rx != nullptr ? rx->bytes_received() : 0;
   out.stats_json = rig.dump_stats();
-  fold_stats(hash, rig.stats());
+  out.schema = schema_hash(rig.stats().flatten());
+  fnv_u64(hash, out.bytes_delivered);
 
   out.digest = hash;
   return out;
@@ -199,8 +211,8 @@ DigestResult run_capacity_digest(const DigestConfig& cfg) {
   topo.loop().run_until(cfg.duration);
 
   out.bytes_delivered = engine.bytes_received(0);
-  out.stats_json = topo.dump_stats();
-  fold_stats(hash, topo.stats());
+  record_stats(out, topo);
+  fold_outcomes(hash, engine);
 
   out.digest = hash;
   return out;
@@ -211,10 +223,10 @@ DigestResult run_capacity_digest(const DigestConfig& cfg) {
 /// cross-cell class whose every byte traverses the ring -- i.e. the
 /// SPSC/epoch-barrier handoff path when shards > 1. Each tap owns its
 /// hash (taps on different shards run on different threads); the final
-/// digest folds the per-tap hashes in tap creation order, then the
-/// deterministic merged stats export. Bit-stable for a fixed shard
-/// count; *not* comparable across shard counts (cross-cell arrivals tie-
-/// break differently against same-timestamp local events).
+/// digest folds the per-tap hashes in tap creation order, then every
+/// engine's outcomes. Bit-stable for a fixed shard count; *not*
+/// comparable across shard counts (cross-cell arrivals tie-break
+/// differently against same-timestamp local events).
 DigestResult run_sharded_capacity_digest(const DigestConfig& cfg) {
   DigestResult out;
 
@@ -289,13 +301,12 @@ DigestResult run_sharded_capacity_digest(const DigestConfig& cfg) {
     fnv_u64(hash, packets[i]);
     out.packets_hashed += packets[i];
   }
-  const auto merged = StatsRegistry::merged_flatten(topo.shard_stats());
-  for (const auto& [name, value] : merged) {
-    fold_entry(hash, name, value);
+  for (size_t i = 0; i < workload.engine_count(); ++i) {
+    fold_outcomes(hash, workload.engine(i));
   }
 
   out.bytes_delivered = workload.bytes_received();
-  out.stats_json = topo.dump_stats();
+  record_stats(out, topo);
   out.digest = hash;
   return out;
 }
@@ -304,10 +315,8 @@ DigestResult run_sharded_capacity_digest(const DigestConfig& cfg) {
 /// responses back to back. With shards >= 2 the hosts sit in different
 /// shards and every packet rides the handoff path; traffic is strictly
 /// sequential, so arrival timestamps -- and therefore the per-tap hashes
-/// -- must be identical to the single-shard run. The digest folds only
-/// the tap hashes (per-loop bookkeeping like event counts legitimately
-/// differs across shard counts), so digest(shards=1) == digest(shards=2)
-/// is the epoch-barrier lockstep contract the tests pin.
+/// -- must be identical to the single-shard run, so digest(shards=1) ==
+/// digest(shards=2) is the epoch-barrier lockstep contract the tests pin.
 DigestResult run_pingpong_digest(const DigestConfig& cfg) {
   DigestResult out;
   const size_t shards = cfg.shards == 0 ? 1 : cfg.shards;
@@ -350,18 +359,17 @@ DigestResult run_pingpong_digest(const DigestConfig& cfg) {
   for (uint64_t p : {pkts_ab, pkts_ba}) fnv_u64(hash, p);
   out.packets_hashed = pkts_ab + pkts_ba;
   out.bytes_delivered = server.bytes_served();
-  out.stats_json = topo.dump_stats();
+  record_stats(out, topo);
   out.digest = hash;
   return out;
 }
 
 /// Fleet digest: a small heterogeneous population (middlebox gauntlet +
 /// mobility events all enabled) with both directions of every island's
-/// server wire tapped. Like the ping-pong digest it folds only the
-/// per-tap hashes plus the fleet's aggregate outcome counters -- never
-/// per-loop bookkeeping -- because islands are pinned whole to shards:
-/// the per-island packet streams, and therefore this digest, must be
-/// identical for --shards 1, 2 and 4.
+/// server wire tapped; the digest folds the per-tap hashes plus the
+/// fleet's aggregate outcome counters. Islands are pinned whole to
+/// shards, so the per-island packet streams, and therefore this digest,
+/// must be identical for --shards 1, 2 and 4.
 DigestResult run_fleet_digest(const DigestConfig& cfg) {
   DigestResult out;
 
@@ -421,7 +429,7 @@ DigestResult run_fleet_digest(const DigestConfig& cfg) {
   }
 
   out.bytes_delivered = m.bytes_received;
-  out.stats_json = topo.dump_stats();
+  record_stats(out, topo);
   out.digest = hash;
   return out;
 }
@@ -431,9 +439,8 @@ DigestResult run_fleet_digest(const DigestConfig& cfg) {
 /// framed requests with Pareto sizes over connection pools against an
 /// overload-aware ServerApp with a tight admission cap, so the reject
 /// path is exercised too. Single-loop; both bottleneck directions are
-/// tapped and the full stats export (including the fine request-FCT
-/// histogram keys) is folded, pinning the whole serving stack's wire
-/// *and* accounting behavior bit for bit.
+/// tapped, and the class's request outcomes (rejects, request-FCT count
+/// and sum) are folded with its flow outcomes.
 DigestResult run_serving_digest(const DigestConfig& cfg) {
   DigestResult out;
   uint64_t hash = kFnvOffset;
@@ -489,8 +496,8 @@ DigestResult run_serving_digest(const DigestConfig& cfg) {
   topo.loop().run_until(cfg.duration);
 
   out.bytes_delivered = engine.bytes_received(0);
-  out.stats_json = topo.dump_stats();
-  fold_stats(hash, topo.stats());
+  record_stats(out, topo);
+  fold_outcomes(hash, engine);
 
   out.digest = hash;
   return out;

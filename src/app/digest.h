@@ -1,14 +1,19 @@
-// Determinism digest: a fixed-seed run of the paper's Fig. 6 scenario
-// (WiFi + weak lossy 3G, Mechanisms 1+2) with every packet that crosses
-// any link folded into one order-sensitive 64-bit hash, together with the
-// final stats export.
+// Determinism digest: a fixed-seed scenario run with every packet that
+// crosses a tapped link folded, in delivery order, into one
+// order-sensitive 64-bit hash, together with what the applications saw
+// (bytes received, flow and request outcomes).
 //
 // The simulator is a deterministic discrete-event system: same build +
-// same seed must produce byte-identical event streams. CI runs this
+// same seed must produce byte-identical event streams. CI runs each
 // scenario twice and compares digests; any nondeterminism (iteration over
 // pointer-keyed containers, uninitialised reads, wall-clock leakage into
 // the simulation) shows up as a digest mismatch long before it produces a
 // flaky test.
+//
+// The digest pins behaviour, not the stats export: adding, renaming or
+// removing a counter leaves it unchanged. The export's key set is
+// reported separately as the schema hash, which nothing pins; CI's
+// run-twice diffs of the full stats JSON catch counter nondeterminism.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +40,7 @@ enum class DigestScenario : uint8_t {
   kServing,    ///< layered serving stack: open-loop framed requests over
                ///< connection pools against an overload-aware ServerApp
                ///< (app/server_app.h + app/client_pool.h), heavy-tailed
-               ///< sizes, single-loop, bottlenecks tapped + stats folded
+               ///< sizes, single-loop, bottlenecks tapped
 };
 
 struct DigestConfig {
@@ -57,7 +62,15 @@ struct DigestConfig {
 };
 
 struct DigestResult {
-  uint64_t digest = 0;          ///< FNV-1a 64 over packets + final stats
+  /// FNV-1a 64 over the tapped packet streams plus the applications'
+  /// outcomes. The pinned contract.
+  uint64_t digest = 0;
+  /// FNV-1a 64 over the distinct stats key names, with the instance,
+  /// shard and subflow numbers a run picks removed. Reported, not pinned:
+  /// it moves when a counter is added or renamed (and, in the fleet
+  /// scenario, with the seed, which draws the islands' paths), but not
+  /// with the shard count.
+  uint64_t schema = 0;
   uint64_t packets_hashed = 0;  ///< link crossings folded into the digest
   uint64_t bytes_delivered = 0;
   std::string stats_json;       ///< the run's full stats export

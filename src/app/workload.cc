@@ -99,9 +99,10 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
     reg.sampled(cs.scope + ".fct_p99_us",
                 [h] { return static_cast<double>(h->approx_percentile(0.99)); });
   }
-  // Serving-stack keys exist only for serving-mode classes: legacy
-  // scenarios keep a byte-identical stats export (the determinism digests
-  // fold the export, so a new key on a pinned path would break the pins).
+  // Serving-stack keys exist only for serving-mode classes: the request
+  // FCT FineHistogram is ~15 KiB per class, and the fleet workload runs
+  // 400 single-class engines, so registering it for every class would
+  // add ~6 MB of zeros.
   for (size_t k = 0; k < classes_.size(); ++k) {
     ClassState& cs = classes_[k];
     if (cs.spec.app_mode == FlowClass::AppMode::kConnectionPerTransfer) {

@@ -324,9 +324,8 @@ class WorkloadEngine {
     uint64_t errors = 0;
     uint64_t bytes = 0;
     Histogram* fct_us = nullptr;  ///< completion times, microseconds
-    // Serving-stack extras (kServing / kStreaming only; their stats keys
-    // are registered only for those modes, so legacy scenarios' exports
-    // -- and the digests folded over them -- are untouched).
+    // Serving-stack extras (kServing / kStreaming only; their stats keys,
+    // and the request-FCT histogram's memory, exist only for those modes).
     uint64_t rejected = 0;   ///< server answered a reject frame
     uint64_t rebuffers = 0;  ///< kStreaming: segment FCT > duration
     uint64_t ladder_up = 0;

@@ -101,21 +101,12 @@ void MptcpConnection::register_stats() {
     out.emit("rx_app_queue_bytes", static_cast<double>(app_rx_.size()));
     out.emit("subflows", static_cast<double>(subflows_.size()));
     out.emit("mode", static_cast<double>(mode_));
+    const std::string sched =
+        "sched." + std::string(to_string(scheduler_->policy()));
+    out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
+    out.emit(sched + ".state_entries",
+             static_cast<double>(scheduler_->state_entries()));
   });
-
-  // Per-policy scheduler counters live in their own child scope (removed
-  // with the parent by remove_scope). Opt-in: the determinism digests
-  // fold the whole registry, so the keys must not appear by default.
-  if (config_.sched_stats) {
-    const std::string scope = stats_scope_ + ".sched." +
-                              std::string(to_string(config_.scheduler));
-    reg.sampled_group(scope, [this](SampleSink& out) {
-      out.emit("picks", static_cast<double>(scheduler_->picks()));
-      out.emit("allocs", static_cast<double>(scheduler_->allocs()));
-      out.emit("state_entries",
-               static_cast<double>(scheduler_->state_entries()));
-    });
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -67,11 +67,6 @@ struct MptcpConfig {
   /// by default, plain per-subflow NewReno for ablation.
   CcAlgo cc_algo = CcAlgo::kLia;
 
-  /// Export per-policy scheduler counters under "<conn>.sched.<policy>".
-  /// Off by default: the determinism digests fold the full stats export,
-  /// so new registry keys must be opted into per run.
-  bool sched_stats = false;
-
   /// Scheduler allocation batch, in segments: contiguous data-sequence
   /// runs handed to one subflow at a time (enables receive shortcuts).
   uint32_t batch_segments = 8;

@@ -78,7 +78,6 @@ void Scheduler::run(SchedulerHost& h) {
       }
       Payload bytes = h.sched_slice(begin, static_cast<size_t>(n));
       h.sched_count_reinjected(n);
-      ++picks_;
       h.sched_note_pick(*sf);
       allocate(begin, n, *sf);
       sf->push_mapped(begin, std::move(bytes));
@@ -109,7 +108,6 @@ void Scheduler::run(SchedulerHost& h) {
 
     Payload bytes = h.sched_slice(snd_nxt, static_cast<size_t>(n));
     h.sched_record_alloc(snd_nxt, n, sf->id());
-    ++picks_;
     h.sched_note_pick(*sf);
     allocate(snd_nxt, n, *sf);
     sf->push_mapped(snd_nxt, std::move(bytes));
@@ -207,7 +205,6 @@ class RedundantScheduler final : public Scheduler {
         } else {
           h.sched_count_reinjected(n);  // a duplicate copy
         }
-        ++picks_;
         h.sched_note_pick(*sf);
         allocate(ptr, n, *sf);
         sf->push_mapped(ptr, std::move(bytes));

@@ -120,9 +120,8 @@ class Scheduler {
   /// pre-subflow baseline after subflow churn (leak tripwire for tests).
   virtual size_t state_entries() const;
 
-  // --- observability (exported under "<conn>.sched.<policy>" when
-  // MptcpConfig::sched_stats is set) -----------------------------------
-  uint64_t picks() const { return picks_; }
+  /// Chunks allocated through allocate(); exported with state_entries()
+  /// as "<conn>.sched.<policy>.*" by the connection's stats group.
   uint64_t allocs() const { return allocs_; }
 
   static std::unique_ptr<Scheduler> make(SchedulerPolicy policy);
@@ -138,7 +137,6 @@ class Scheduler {
                                        uint64_t min_space,
                                        bool spill_on_block);
 
-  uint64_t picks_ = 0;   ///< successful picks taken by run()
   uint64_t allocs_ = 0;  ///< chunks allocated through allocate()
 };
 

@@ -67,8 +67,8 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
     }
     ++admitted;
     qb += size;
-    // The occupancy histogram samples the depth after every individual
-    // enqueue (it feeds the determinism digests), so it cannot be batched.
+    // The occupancy histogram is defined per enqueue: it samples the depth
+    // after every individual segment, so it cannot be batched.
     occupancy_hist_->record(qb);
     queue_.push_back(std::move(segs[i]));
   }

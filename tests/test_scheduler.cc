@@ -5,14 +5,12 @@
 //    pre-existing policy, in both digest scenarios. These constants are
 //    the refactoring safety net -- a send-path change that claims to be
 //    behavior-preserving must reproduce every one of them bit for bit.
-//    (The constants hold across gcc/clang and Debug/Release: the build
-//    uses no -march/-ffast-math, so IEEE double arithmetic is identical.)
-//    The pinned values were re-recorded once when the digest's stats
-//    fold learned to skip execution-machinery counters (sim.events_*,
-//    timer-storage GC, payload-pool reuse); the packet streams and every
-//    behavior-relevant counter were verified byte-identical across that
-//    re-pin, and the binary-heap -> timing-wheel event loop swap then
-//    reproduced these exact values.
+//    A digest covers the tapped packet streams and what the applications
+//    saw, not the stats export, so adding or renaming a counter leaves
+//    it unchanged. The constants hold across gcc/clang, Debug/Release
+//    and the sanitizer builds: the build uses no -march/-ffast-math, so
+//    IEEE double arithmetic is identical, and compiling out the payload
+//    pool under the sanitizers moves only its own counters.
 //  * Behavior tests for the backup-aware policy, the one policy the old
 //    monolith could not express: MP_PRIO priorities still rank the paths,
 //    but data spills to a backup whenever every primary is blocked.
@@ -27,32 +25,13 @@
 #include "core/mptcp_stack.h"
 #include "core/scheduler.h"
 
-// The pinned digest constants hold only for uninstrumented builds: under
-// ASan the payload block pool is compiled out (net/payload.cc), its
-// payload.pool.* counters change, and the digest folds the full stats
-// export. The sanitize CI job gets its coverage from the behavior tests
-// below; run-twice digest equality is a separate CI job on Release.
-#if defined(__SANITIZE_ADDRESS__)
-#define MPTCP_DIGEST_CONSTANTS_HOLD 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MPTCP_DIGEST_CONSTANTS_HOLD 0
-#endif
-#endif
-#ifndef MPTCP_DIGEST_CONSTANTS_HOLD
-#define MPTCP_DIGEST_CONSTANTS_HOLD 1
-#endif
-
 namespace mptcp {
 namespace {
 
 // --- equivalence suite ------------------------------------------------------
 
-void expect_digest(DigestScenario scenario, SchedulerPolicy policy,
-                   uint64_t digest, uint64_t packets) {
-#if !MPTCP_DIGEST_CONSTANTS_HOLD
-  GTEST_SKIP() << "digest constants are defined for uninstrumented builds";
-#endif
+DigestResult expect_digest(DigestScenario scenario, SchedulerPolicy policy,
+                           uint64_t digest, uint64_t packets) {
   DigestConfig cfg;  // seed 1, 5 s -- the recorded baseline configuration
   cfg.scenario = scenario;
   cfg.scheduler = policy;
@@ -62,39 +41,48 @@ void expect_digest(DigestScenario scenario, SchedulerPolicy policy,
       << to_string(policy);
   EXPECT_EQ(r.packets_hashed, packets);
   EXPECT_GT(r.bytes_delivered, 0u);
+  return r;
 }
 
 TEST(SchedulerEquivalence, TwoHostLowestRtt) {
   expect_digest(DigestScenario::kTwoHost, SchedulerPolicy::kLowestRtt,
-                0x8e8a9159d05c70e8ULL, 4917);
+                0x88bacd265a82bde0ULL, 4917);
 }
 
 TEST(SchedulerEquivalence, TwoHostRoundRobin) {
   // Identical to the lowest-RTT digest: on this seed the weak 3G subflow
   // never has window space at pick time, so both policies make the same
   // choices. The capacity scenario below does tell them apart.
-  expect_digest(DigestScenario::kTwoHost, SchedulerPolicy::kRoundRobin,
-                0x8e8a9159d05c70e8ULL, 4917);
+  const DigestResult rr =
+      expect_digest(DigestScenario::kTwoHost, SchedulerPolicy::kRoundRobin,
+                    0x88bacd265a82bde0ULL, 4917);
+  // The stats keys name the policy (<conn>.sched.<policy>.*), so the
+  // schema differs while the pinned digest does not.
+  DigestConfig cfg;
+  cfg.scheduler = SchedulerPolicy::kLowestRtt;
+  const DigestResult lowest = run_digest_scenario(cfg);
+  EXPECT_EQ(digest_hex(rr.digest), digest_hex(lowest.digest));
+  EXPECT_NE(digest_hex(rr.schema), digest_hex(lowest.schema));
 }
 
 TEST(SchedulerEquivalence, TwoHostRedundant) {
   expect_digest(DigestScenario::kTwoHost, SchedulerPolicy::kRedundant,
-                0x330b499cda3bd391ULL, 4975);
+                0x3447b5fc78bdfdbeULL, 4975);
 }
 
 TEST(SchedulerEquivalence, CapacityLowestRtt) {
   expect_digest(DigestScenario::kCapacity, SchedulerPolicy::kLowestRtt,
-                0xd77345f1fcdf05e8ULL, 250516);
+                0x63f5f366cf908aa0ULL, 250516);
 }
 
 TEST(SchedulerEquivalence, CapacityRoundRobin) {
   expect_digest(DigestScenario::kCapacity, SchedulerPolicy::kRoundRobin,
-                0xb28cf04f52ee401fULL, 250409);
+                0xc3434bef40f86c62ULL, 250409);
 }
 
 TEST(SchedulerEquivalence, CapacityRedundant) {
   expect_digest(DigestScenario::kCapacity, SchedulerPolicy::kRedundant,
-                0x552961de9241bb06ULL, 254137);
+                0x8263488c5c2f02c6ULL, 254137);
 }
 
 // --- policy objects ---------------------------------------------------------
@@ -106,7 +94,6 @@ TEST(SchedulerFactory, MakesEveryPolicy) {
     auto s = Scheduler::make(p);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->policy(), p);
-    EXPECT_EQ(s->picks(), 0u);
     EXPECT_EQ(s->allocs(), 0u);
     EXPECT_EQ(s->state_entries(), 0u);
     EXPECT_NE(to_string(p), "?");
@@ -207,8 +194,8 @@ TEST(BackupAware, SpillsToBackupWhereLowestRttIdlesIt) {
 
 TEST(BackupAware, SelectableThroughTransportConfigAndWorkloadEngine) {
   // End-to-end: a workload class selects the policy purely through
-  // TransportConfig; the gated per-policy stats scope proves the policy
-  // object actually drove the send path of the engine's connections.
+  // TransportConfig; the per-policy stats keys prove the policy object
+  // actually drove the send path of the engine's connections.
   CapacitySpec spec;
   spec.clients = 2;
   spec.servers = 1;
@@ -225,7 +212,6 @@ TEST(BackupAware, SelectableThroughTransportConfigAndWorkloadEngine) {
   cls.arrival_rate_hz = 0;
   cls.persistent_per_client = 2;
   cls.transport.with_scheduler(SchedulerPolicy::kBackupAware);
-  cls.transport.mptcp.sched_stats = true;
   cls.transport.mptcp.tcp.seed = 7;
   wc.classes.push_back(cls);
 
@@ -234,18 +220,18 @@ TEST(BackupAware, SelectableThroughTransportConfigAndWorkloadEngine) {
   topo.loop().run_until(3 * kSecond);
 
   EXPECT_GT(engine.bytes_received(0), 0u);
-  double policy_picks = 0;
-  bool scope_seen = false;
+  double policy_allocs = 0;
+  bool key_seen = false;
   for (const auto& [name, value] : topo.stats().flatten()) {
-    if (name.find(".sched.backup-aware.picks") != std::string::npos) {
-      scope_seen = true;
-      policy_picks += value;
+    if (name.find(".sched.backup-aware.allocs") != std::string::npos) {
+      key_seen = true;
+      policy_allocs += value;
     }
     EXPECT_EQ(name.find(".sched.lowest-rtt."), std::string::npos)
         << "a connection ran the default policy instead: " << name;
   }
-  EXPECT_TRUE(scope_seen) << "no per-policy scheduler scope registered";
-  EXPECT_GT(policy_picks, 0.0);
+  EXPECT_TRUE(key_seen) << "no per-policy scheduler keys exported";
+  EXPECT_GT(policy_allocs, 0.0);
 }
 
 TEST(CongestionControl, FactorySelectsUncoupledNewReno) {

@@ -17,19 +17,6 @@
 #include "app/workload.h"
 #include "net/stats.h"
 
-// Pinned digest constants only hold on uninstrumented builds (see
-// tests/test_scheduler.cc for the rationale).
-#if defined(__SANITIZE_ADDRESS__)
-#define MPTCP_DIGEST_CONSTANTS_HOLD 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MPTCP_DIGEST_CONSTANTS_HOLD 0
-#endif
-#endif
-#ifndef MPTCP_DIGEST_CONSTANTS_HOLD
-#define MPTCP_DIGEST_CONSTANTS_HOLD 1
-#endif
-
 namespace mptcp {
 namespace {
 
@@ -455,13 +442,10 @@ TEST(ServingDigest, RunTwiceIsBitIdentical) {
 }
 
 TEST(ServingDigest, MatchesRecordedBaseline) {
-#if !MPTCP_DIGEST_CONSTANTS_HOLD
-  GTEST_SKIP() << "digest constants are defined for uninstrumented builds";
-#endif
   DigestConfig cfg;  // seed 1, 5 s -- the recorded baseline configuration
   cfg.scenario = DigestScenario::kServing;
   const DigestResult r = run_digest_scenario(cfg);
-  EXPECT_EQ(digest_hex(r.digest), "04ccc0e5253b10f6");
+  EXPECT_EQ(digest_hex(r.digest), "cff9942a0746126b");
   EXPECT_EQ(r.packets_hashed, 31604u);
   EXPECT_EQ(r.bytes_delivered, 26752182u);
 }

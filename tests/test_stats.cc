@@ -355,7 +355,28 @@ TEST(StatsDigest, DifferentSeedDifferentDigest) {
   a.duration = b.duration = 2 * kSecond;
   a.seed = 1;
   b.seed = 2;
-  EXPECT_NE(run_digest_scenario(a).digest, run_digest_scenario(b).digest);
+  const DigestResult ra = run_digest_scenario(a);
+  const DigestResult rb = run_digest_scenario(b);
+  EXPECT_NE(ra.digest, rb.digest);
+  // The seed changes the packets, not what the export measures.
+  EXPECT_EQ(digest_hex(ra.schema), digest_hex(rb.schema));
+}
+
+TEST(StatsDigest, SchemaIndependentOfShardCount) {
+  // Shard count changes the "@s<k>" and "#<n>" parts of the scope names,
+  // never the schema.
+  DigestConfig cfg;
+  cfg.scenario = DigestScenario::kCapacity;
+  cfg.seed = 3;
+  cfg.duration = 1 * kSecond;
+  cfg.shards = 1;
+  const DigestResult one = run_digest_scenario(cfg);
+  for (size_t shards : {2u, 4u}) {
+    cfg.shards = shards;
+    EXPECT_EQ(digest_hex(run_digest_scenario(cfg).schema),
+              digest_hex(one.schema))
+        << "shards=" << shards;
+  }
 }
 
 }  // namespace
