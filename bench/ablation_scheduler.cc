@@ -32,9 +32,7 @@ void scheduler_ablation(bool with_mechanisms) {
   for (SchedulerPolicy policy :
        {SchedulerPolicy::kLowestRtt, SchedulerPolicy::kRoundRobin,
         SchedulerPolicy::kRedundant}) {
-    TwoHostRig rig;
-    rig.add_path(wifi_path());
-    rig.add_path(threeg_path());
+    TwoHostRig rig({wifi_path(), threeg_path()});
     MptcpConfig cfg;
     cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 300 * 1000;
     cfg.scheduler = policy;
@@ -75,9 +73,7 @@ void fairness_ablation() {
   for (bool coupled : {true, false}) {
     // One bottleneck path; the MPTCP connection opens two subflows over
     // it from the client's two addresses, competing with a TCP flow.
-    TwoHostRig rig;
-    PathSpec bottleneck = wifi_path();
-    rig.add_path(bottleneck);
+    TwoHostRig rig({wifi_path()});
     // Second client address routed over the *same* physical path: model
     // by an identical path whose links share nothing -- instead, to truly
     // share a bottleneck, both subflows and the TCP flow use path 0 and a
@@ -135,9 +131,7 @@ void backup_ablation() {
   std::printf("%-14s %12s %14s\n", "policy", "goodput", "3G share");
   for (SchedulerPolicy policy :
        {SchedulerPolicy::kLowestRtt, SchedulerPolicy::kBackupAware}) {
-    TwoHostRig rig;
-    rig.add_path(wifi_path());
-    rig.add_path(threeg_path());
+    TwoHostRig rig({wifi_path(), threeg_path()});
     MptcpConfig cfg;
     // Buffers well above the WiFi BDP (~20 KB) keep the connection
     // cwnd-limited rather than receive-window-limited -- the regime

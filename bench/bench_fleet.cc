@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   }
 
   // A full run also performs the smoke-scale pass so the tracked
-  // baseline carries the smoke_* keys the CI fleet-smoke job gates on
+  // baseline carries the smoke_* keys the CI bench-track job gates on
   // (same pattern as bench_capacity). Fleet outcomes are deterministic
   // and shard-count-invariant, so these values match a CI --smoke run
   // regardless of either side's --shards.

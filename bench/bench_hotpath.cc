@@ -302,9 +302,7 @@ struct SchedBenchResult {
 
 SchedBenchResult bench_scheduler(uint64_t picks, uint64_t allocs) {
   SchedBenchResult out;
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
   std::unique_ptr<BulkReceiver> rx;

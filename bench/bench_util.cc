@@ -24,8 +24,7 @@ MptcpConfig make_config(const RunConfig& cfg) {
 }  // namespace
 
 RunResult run_mptcp(const RunConfig& cfg) {
-  TwoHostRig rig(cfg.seed);
-  for (const auto& p : cfg.paths) rig.add_path(p);
+  TwoHostRig rig(cfg.paths, cfg.seed);
 
   MptcpStack client_stack(rig.client(), make_config(cfg));
   MptcpStack server_stack(rig.server(), make_config(cfg));
@@ -97,8 +96,7 @@ RunResult run_mptcp(const RunConfig& cfg) {
 }
 
 RunResult run_tcp(const RunConfig& cfg, size_t path_index) {
-  TwoHostRig rig(cfg.seed);
-  for (const auto& p : cfg.paths) rig.add_path(p);
+  TwoHostRig rig(cfg.paths, cfg.seed);
 
   TransportConfig tc;
   tc.kind = TransportKind::kTcp;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "app/socket_factory.h"
 #include "core/mptcp_stack.h"
 

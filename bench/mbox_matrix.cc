@@ -35,9 +35,8 @@ struct Outcome {
 /// middlebox into the rig before traffic starts.
 Outcome run_case(size_t n_paths,
                  const std::function<void(TwoHostRig&)>& splice) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  if (n_paths > 1) rig.add_path(threeg_path());
+  TwoHostRig rig(n_paths > 1 ? std::vector{wifi_path(), threeg_path()}
+                             : std::vector{wifi_path()});
   splice(rig);
 
   MptcpConfig cfg;
@@ -137,9 +136,8 @@ int main() {
     static Nat nat(IpAddr(192, 0, 2, 1));
     Outcome o = run_case(2, [](TwoHostRig& rig) {
       rig.splice_up(1, nat.forward_sink());
-      rig.route_server_to(nat.public_addr(), 1);
-      rig.network().attach(nat.public_addr(), &nat.reverse_sink());
-      nat.reverse_sink().set_downstream(&rig.network());
+      rig.splice_down(1, nat.reverse_sink());
+      rig.topo().alias_route(nat.public_addr(), rig.client_addr(1));
     });
     report("NAT on join path", o);
   }
@@ -163,7 +161,7 @@ int main() {
     static ProactiveAcker proxy;
     Outcome o = run_case(2, [](TwoHostRig& rig) {
       rig.splice_up(0, proxy.forward_sink());
-      proxy.reverse_sink().set_downstream(&rig.network());
+      proxy.reverse_sink().set_downstream(&rig.client());
     });
     report("pro-active ACKing proxy", o);
   }

@@ -6,8 +6,8 @@
 // Build & run:  ./build/examples/datacenter_http
 #include <cstdio>
 
-#include "app/harness.h"
 #include "app/http_app.h"
+#include "app/scenario.h"
 #include "app/socket_factory.h"
 
 using namespace mptcp;
@@ -15,9 +15,8 @@ using namespace mptcp;
 namespace {
 
 double run(bool use_mptcp, uint64_t file_size) {
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9, 100 * kMicrosecond, 2 * kMillisecond));
-  rig.add_path(ethernet_path(1e9, 100 * kMicrosecond, 2 * kMillisecond));
+  const PathSpec eth = ethernet_path(1e9, 100 * kMicrosecond, 2 * kMillisecond);
+  TwoHostRig rig({eth, eth});
   Host::CpuConfig cpu;
   cpu.per_segment = 8 * kMicrosecond;  // single-core server model
   rig.server().set_cpu(cpu);

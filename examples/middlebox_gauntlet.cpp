@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/nat.h"
 #include "middlebox/payload_modifier.h"
@@ -26,18 +26,17 @@ int main() {
               "PEP proxy on path 0,\n"
               "payload-modifying ALG on path 1. One 2 MB MPTCP transfer.\n\n");
 
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
 
-  // Path 0 forward chain: splitter -> rewriter -> proxy -> network.
+  // Path 0 forward chain: proxy -> rewriter -> splitter -> gateway (the
+  // most recent splice sees packets first).
   SegmentSplitter splitter(536);
   SeqRewriter rewriter;
   ProactiveAcker proxy;
   rig.splice_up(0, splitter);
   rig.splice_up(0, rewriter.forward_sink());
   rig.splice_up(0, proxy.forward_sink());
-  proxy.reverse_sink().set_downstream(&rig.network());
+  proxy.reverse_sink().set_downstream(&rig.client());
   // Reverse chain on path 0 undoes the rewriting for ACKs.
   rig.splice_down(0, rewriter.reverse_sink());
 
@@ -46,9 +45,8 @@ int main() {
   PayloadModifier alg(/*every Nth data segment=*/4);
   rig.splice_up(1, nat.forward_sink());
   rig.splice_up(1, alg);
-  rig.route_server_to(nat.public_addr(), 1);
-  rig.network().attach(nat.public_addr(), &nat.reverse_sink());
-  nat.reverse_sink().set_downstream(&rig.network());
+  rig.splice_down(1, nat.reverse_sink());
+  rig.topo().alias_route(nat.public_addr(), rig.client_addr(1));
 
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 512 * 1024;

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 
 using namespace mptcp;
@@ -22,9 +22,7 @@ namespace {
 void run_variant(bool graceful) {
   std::printf("\n=== %s handover ===\n",
               graceful ? "graceful (REMOVE_ADDR)" : "silent (path death)");
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
 
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 512 * 1024;

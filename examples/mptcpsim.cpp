@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "sim/pcap.h"
 #include "tcp/tcp_connection.h"
@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = buffer_kb * 1000;
   cfg.enabled = !plain_tcp;
 
-  TwoHostRig rig;
-  for (const auto& name : path_names) rig.add_path(path_by_name(name));
+  std::vector<PathSpec> paths;
+  for (const auto& name : path_names) paths.push_back(path_by_name(name));
+  TwoHostRig rig(paths);
 
   std::unique_ptr<PcapWriter> pcap;
   std::unique_ptr<PcapTap> tap_up, tap_down;

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 
 using namespace mptcp;
@@ -21,9 +21,8 @@ int main() {
   std::printf("MPTCP quickstart: WiFi (8 Mbps, 20 ms) + 3G (2 Mbps, 150 ms)\n");
 
   // --- topology -----------------------------------------------------------
-  TwoHostRig rig;
-  rig.add_path(wifi_path());    // client address 10.0.0.2
-  rig.add_path(threeg_path());  // client address 10.0.1.2
+  // Client addresses 10.1.0.1 (WiFi) and 10.1.1.1 (3G); server 10.1.2.2.
+  TwoHostRig rig({wifi_path(), threeg_path()});
 
   // --- stacks ---------------------------------------------------------------
   MptcpConfig cfg;

@@ -9,8 +9,8 @@
 
 #include "app/bulk_app.h"
 #include "app/fleet.h"
-#include "app/harness.h"
 #include "app/http_app.h"
+#include "app/scenario.h"
 #include "app/workload.h"
 #include "core/mptcp_stack.h"
 #include "sim/node.h"
@@ -111,9 +111,7 @@ DigestResult run_two_host_digest(const DigestConfig& cfg) {
   DigestResult out;
   uint64_t hash = kFnvOffset;
 
-  TwoHostRig rig(cfg.seed);
-  rig.add_path(wifi_path());
-  rig.add_path(weak_threeg_path(cfg.loss));
+  TwoHostRig rig({wifi_path(), weak_threeg_path(cfg.loss)}, cfg.seed);
 
   // Tap all four link directions before any traffic flows.
   std::vector<std::unique_ptr<HashingTap>> taps;
@@ -150,8 +148,7 @@ DigestResult run_two_host_digest(const DigestConfig& cfg) {
   rig.loop().run_until(cfg.duration);
 
   out.bytes_delivered = rx != nullptr ? rx->bytes_received() : 0;
-  out.stats_json = rig.dump_stats();
-  out.schema = schema_hash(rig.stats().flatten());
+  record_stats(out, rig.topo());
   fnv_u64(hash, out.bytes_delivered);
 
   out.digest = hash;

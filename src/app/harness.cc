@@ -70,51 +70,6 @@ PathSpec capped_threeg_path(double loss) {
   return s;
 }
 
-TwoHostRig::TwoHostRig(uint64_t seed)
-    : client_(loop_, "client"), server_(loop_, "server"), seed_(seed) {
-  server_.add_interface(server_addr_, &server_out_);
-  net_.attach(server_addr_, &server_);
-}
-
-size_t TwoHostRig::add_path(const PathSpec& spec) {
-  const size_t idx = paths_.size();
-  Path p;
-  p.client_addr = IpAddr(10, 0, static_cast<uint8_t>(idx), 2);
-
-  LinkConfig up_cfg = spec.up;
-  LinkConfig down_cfg = spec.down;
-  up_cfg.loss_seed ^= seed_ * 0x9e37;
-  down_cfg.loss_seed ^= seed_ * 0x79b9;
-
-  p.up = std::make_unique<Link>(loop_, up_cfg, spec.name + "-up");
-  p.down = std::make_unique<Link>(loop_, down_cfg, spec.name + "-down");
-  p.up->set_target(&net_);
-  p.down->set_target(&net_);
-
-  client_.add_interface(p.client_addr, p.up.get());
-  net_.attach(p.client_addr, &client_);
-  server_out_.add_route(p.client_addr, p.down.get());
-
-  paths_.push_back(std::move(p));
-  return idx;
-}
-
-void TwoHostRig::splice_up(size_t i, Middlebox& element) {
-  element.set_downstream(paths_[i].up->target());
-  paths_[i].up->set_target(&element);
-}
-
-void TwoHostRig::splice_down(size_t i, Middlebox& element) {
-  element.set_downstream(paths_[i].down->target());
-  paths_[i].down->set_target(&element);
-}
-
-void TwoHostRig::set_path_up(size_t i, bool up) {
-  client_.set_interface_up(paths_[i].client_addr, up);
-  paths_[i].up->set_up(up);
-  paths_[i].down->set_up(up);
-}
-
 namespace {
 
 void generate_pattern(uint64_t offset, std::span<uint8_t> out) {

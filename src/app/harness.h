@@ -1,21 +1,18 @@
-// Canned two-host topologies shared by tests, benchmarks and examples.
+// The paper's emulated paths and the app payload pattern, shared by tests,
+// benchmarks and examples.
 //
-// A TwoHostRig wires a (possibly multihomed) client to a server through
-// one full-duplex path per client address. Middleboxes can be spliced into
-// either direction of any path. The concrete path parameters of the
-// paper's scenarios (WiFi, 3G, 1G Ethernet, ...) are provided as factory
-// functions so every experiment states its setup in the paper's own
-// vocabulary.
+// The concrete path parameters of the paper's scenarios (WiFi, 3G, 1G
+// Ethernet, ...) are provided as factory functions so every experiment
+// states its setup in the paper's own vocabulary; TwoHostRig and
+// ScenarioSpec (app/scenario.h) build networks from them. The pattern
+// functions generate the byte stream every app writes and verifies.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/payload.h"
 #include "sim/link.h"
-#include "sim/network.h"
 #include "sim/trace.h"
 
 namespace mptcp {
@@ -43,67 +40,6 @@ PathSpec capped_wifi_path();
 /// Cellular links mask most radio loss with link-layer retransmission;
 /// only a residue is visible to TCP.
 PathSpec capped_threeg_path(double loss = 0.001);
-
-class TwoHostRig {
- public:
-  explicit TwoHostRig(uint64_t seed = 1);
-
-  /// Adds a full-duplex path; the client gains address 10.0.<n>.2 and the
-  /// path is routed to/from the single server address 10.99.0.1.
-  /// Returns the path index.
-  size_t add_path(const PathSpec& spec);
-
-  /// Splices a middlebox into the client->server (up) or server->client
-  /// (down) direction of path `i`. The element's downstream is wired to
-  /// whatever the link previously delivered to, so repeated splices build
-  /// a chain in call order (closest to the link first).
-  void splice_up(size_t i, Middlebox& element);
-  void splice_down(size_t i, Middlebox& element);
-
-  EventLoop& loop() { return loop_; }
-  Host& client() { return client_; }
-  Host& server() { return server_; }
-  Network& network() { return net_; }
-
-  /// The simulation-wide stats registry (owned by the event loop). Every
-  /// component in the rig registers its counters here; see net/stats.h.
-  StatsRegistry& stats() { return loop_.stats(); }
-
-  /// Flat sorted-key JSON export of every registered stat. Benches pass
-  /// this through to --stats files so runs are machine-comparable.
-  std::string dump_stats() { return loop_.stats().to_json(); }
-
-  IpAddr client_addr(size_t i) const { return paths_[i].client_addr; }
-  IpAddr server_addr() const { return server_addr_; }
-  Link& up_link(size_t i) { return *paths_[i].up; }
-  Link& down_link(size_t i) { return *paths_[i].down; }
-  size_t path_count() const { return paths_.size(); }
-
-  /// Takes the client interface of path `i` down (mobility scenarios).
-  void set_path_up(size_t i, bool up);
-
-  /// Adds a server-side return route: traffic to `addr` leaves via path
-  /// `i`'s downlink (needed when a NAT publishes a new address).
-  void route_server_to(IpAddr addr, size_t i) {
-    server_out_.add_route(addr, paths_[i].down.get());
-  }
-
- private:
-  struct Path {
-    IpAddr client_addr;
-    std::unique_ptr<Link> up;
-    std::unique_ptr<Link> down;
-  };
-
-  EventLoop loop_;
-  Network net_;
-  Host client_;
-  Host server_;
-  Classifier server_out_;
-  IpAddr server_addr_{10, 99, 0, 1};
-  std::vector<Path> paths_;
-  uint64_t seed_;
-};
 
 /// Deterministic payload pattern used for end-to-end integrity checks:
 /// byte i of a stream is pattern_byte(i).

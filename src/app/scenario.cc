@@ -4,15 +4,6 @@
 
 namespace mptcp {
 
-size_t ScenarioSpec::shard_for(std::string_view token) const {
-  uint64_t h = 14695981039346656037ULL;
-  for (char c : token) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<size_t>(h % shards_);
-}
-
 NodeId ScenarioSpec::host(std::string name, size_t shard) {
   nodes_.push_back({std::move(name), /*is_router=*/false, shard});
   return nodes_.size() - 1;
@@ -121,8 +112,7 @@ Scenario ScenarioSpec::build() const {
   // and loss seed matches what imperative construction would produce --
   // the property that keeps pre-Scenario determinism digests pinned.
   for (const NodeDecl& n : nodes_) {
-    const size_t shard =
-        n.shard == kAutoShard ? t.shard_for_token(n.name) : n.shard;
+    const size_t shard = n.shard == kAutoShard ? shard_for(n.name) : n.shard;
     if (n.is_router) {
       t.add_router(n.name, shard);
     } else {
@@ -251,5 +241,11 @@ TwoHostShape declare_two_host(ScenarioSpec& spec,
       spec.link(shape.gw, shape.server, wire, wire, prefix + "wire");
   return shape;
 }
+
+TwoHostRig::TwoHostRig(const std::vector<PathSpec>& paths, uint64_t seed)
+    : TwoHostRig(ScenarioSpec().seed(seed), paths) {}
+
+TwoHostRig::TwoHostRig(ScenarioSpec& spec, const std::vector<PathSpec>& paths)
+    : shape_(declare_two_host(spec, paths)), scn_(spec.build()) {}
 
 }  // namespace mptcp

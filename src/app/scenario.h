@@ -1,10 +1,8 @@
 // Declarative scenario construction: one fluent spec for hosts, paths,
 // middleboxes and workloads, lowered onto the Topology engine.
 //
-// Before this layer the tree had three bespoke setup paths -- TwoHostRig
-// hand-wiring, build_capacity_topology's imperative loops, and each fig*
-// bench rolling its own graph -- and middleboxes were spliced imperatively
-// at every call site. A ScenarioSpec instead *declares* the experiment:
+// A ScenarioSpec *declares* the experiment; the capacity builders, the
+// fleet, the fig* benches and TwoHostRig (below) all build through it:
 //
 //   ScenarioSpec spec;
 //   spec.seed(7).shards(2);
@@ -116,12 +114,13 @@ class ScenarioSpec {
   uint64_t seed() const { return seed_; }
   size_t shard_count() const { return shards_; }
 
-  /// Stable token -> shard pinning, identical to
-  /// Topology::shard_for_token for this spec's shard count. Available at
+  /// shard_for_token() for this spec's shard count. Available at
   /// declaration time so a group of related nodes ("f3.client",
   /// "f3.gw", ...) can be pinned to one shard derived from a shared
   /// token.
-  size_t shard_for(std::string_view token) const;
+  size_t shard_for(std::string_view token) const {
+    return shard_for_token(token, shards_);
+  }
 
   /// Declares a host/router. Ids are assigned in declaration order and are
   /// identical to the built Topology's NodeIds.
@@ -264,9 +263,8 @@ class Scenario {
 
 /// The classic two-host shape, declared on a spec: a (possibly
 /// multihomed) client whose paths all meet one gateway router, with the
-/// server behind an effectively ideal wire -- TwoHostRig's semantics on
-/// the Topology engine, so the same experiment composes with sharding,
-/// declared middleboxes and workload groups.
+/// server behind an effectively ideal wire. Paths are declared first, so
+/// path i is link i and the wire is the last link.
 struct TwoHostShape {
   NodeId client = 0;
   NodeId gw = 0;
@@ -282,5 +280,51 @@ TwoHostShape declare_two_host(ScenarioSpec& spec,
                               const std::vector<PathSpec>& paths,
                               const std::string& prefix = "",
                               size_t shard = 0);
+
+/// One client reaching one server over a few paths -- the shape of every
+/// experiment in the paper's evaluation -- as a built declare_two_host
+/// Scenario. The rig only hides node ids and link indices: path `i` is
+/// the i-th PathSpec, the client's i-th address sits on it, and the
+/// server's one address is behind the gateway.
+class TwoHostRig {
+ public:
+  explicit TwoHostRig(const std::vector<PathSpec>& paths, uint64_t seed = 1);
+
+  /// Splices a middlebox into the client->server (up) or server->client
+  /// (down) direction of path `i`. Repeated splices nest: the most
+  /// recently spliced element sees packets first.
+  void splice_up(size_t i, Middlebox& element) {
+    topo().splice_ab(shape_.paths[i], element);
+  }
+  void splice_down(size_t i, Middlebox& element) {
+    topo().splice_ba(shape_.paths[i], element);
+  }
+
+  /// Takes path `i` and the client interface on it down or up (mobility).
+  void set_path_up(size_t i, bool up) {
+    topo().set_link_up(shape_.paths[i], up);
+  }
+
+  Topology& topo() { return scn_.topo(); }
+  EventLoop& loop() { return topo().loop(); }
+  Host& client() { return topo().host(shape_.client); }
+  Host& server() { return topo().host(shape_.server); }
+  IpAddr client_addr(size_t i) { return topo().addr(shape_.client, i); }
+  IpAddr server_addr() { return topo().addr(shape_.server); }
+  Link& up_link(size_t i) { return topo().link_ab(shape_.paths[i]); }
+  Link& down_link(size_t i) { return topo().link_ba(shape_.paths[i]); }
+  size_t path_count() const { return shape_.paths.size(); }
+
+  /// The simulation-wide stats registry and its flat sorted-key JSON
+  /// export; benches pass the export through to --stats files.
+  StatsRegistry& stats() { return loop().stats(); }
+  std::string dump_stats() { return topo().dump_stats(); }
+
+ private:
+  TwoHostRig(ScenarioSpec& spec, const std::vector<PathSpec>& paths);
+
+  TwoHostShape shape_;  ///< declared on the spec before scn_ builds it
+  Scenario scn_;
+};
 
 }  // namespace mptcp

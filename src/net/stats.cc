@@ -379,8 +379,15 @@ std::map<std::string, double> StatsRegistry::parse_flat_json(
                                            static_cast<unsigned char>(json[i]))))
       ++i;
     if (i >= n) break;
+    // strtod needs a terminated string: copy the value's own token (no
+    // number contains a delimiter), not the rest of the input.
+    size_t j = i;
+    while (j < n && json[j] != ',' && json[j] != '}' &&
+           !std::isspace(static_cast<unsigned char>(json[j]))) {
+      ++j;
+    }
     char* end = nullptr;
-    const std::string num(json.substr(i, n - i));
+    const std::string num(json.substr(i, j - i));
     const double v = std::strtod(num.c_str(), &end);
     if (end == num.c_str()) break;  // not a number: malformed, stop
     out[key] = v;

@@ -12,7 +12,7 @@
 //  * Explicit lifetime. Components that register callbacks reading their
 //    own state must remove_scope() them before dying; the registry never
 //    guesses. Scopes handed out by unique_scope() make per-instance
-//    prefixes collision-free ("sim.link.wifi-up", "sim.link.wifi-up#2").
+//    prefixes collision-free ("sim.link.wifi-ab", "sim.link.wifi-ab#2").
 #pragma once
 
 #include <array>

@@ -1,13 +1,13 @@
-// Hosts, routing and demultiplexing.
+// Hosts, routers and demultiplexing: the nodes a Topology (sim/topology.h)
+// wires together.
 //
-// Topology model: each host owns one or more interfaces, each bound to a
-// local address and an outgoing PacketSink (usually a Link, possibly with
-// middleboxes chained behind it). Hosts route outgoing segments by their
-// *source* address -- a segment sent from a given local address always
-// leaves through that address's interface, which is how MPTCP subflows pin
-// themselves to paths. A Classifier routes by destination address, used on
-// the single-homed side of asymmetric topologies, and the Network object
-// is the final hop that hands segments to the destination host.
+// Each host owns one or more interfaces, each bound to a local address and
+// an outgoing PacketSink (usually a Link, possibly with middleboxes chained
+// behind it). Hosts route outgoing segments by their *source* address -- a
+// segment sent from a given local address always leaves through that
+// address's interface, which is how MPTCP subflows pin themselves to
+// paths. Routers forward by *destination* address through the next-hop
+// tables Topology::build_routes() fills.
 //
 // Hosts also carry an optional single-core CPU model (used by the Fig. 11
 // HTTP experiment): each delivered segment occupies the CPU for a
@@ -41,23 +41,6 @@ class ListenHandler {
  public:
   virtual ~ListenHandler() = default;
   virtual void on_syn(const TcpSegment& seg) = 0;
-};
-
-/// Routes by destination address with a default route.
-class Classifier : public PacketSink {
- public:
-  void add_route(IpAddr dst, PacketSink* next) { routes_[dst] = next; }
-  void set_default(PacketSink* next) { default_ = next; }
-
-  void deliver(TcpSegment seg) override {
-    auto it = routes_.find(seg.tuple.dst.addr);
-    PacketSink* next = it != routes_.end() ? it->second : default_;
-    if (next != nullptr) next->deliver(std::move(seg));
-  }
-
- private:
-  std::unordered_map<IpAddr, PacketSink*> routes_;
-  PacketSink* default_ = nullptr;
 };
 
 class Host : public PacketSink {
@@ -154,10 +137,10 @@ class Host : public PacketSink {
 
 /// A named store-and-forward node: routes segments by destination address
 /// through a next-hop table, with an optional default route. Unlike Host a
-/// router keeps no transport state, and unlike the bare Classifier it is
-/// an observable node -- forwarded/dropped counts publish to the stats
-/// registry under "sim.router.<name>". Topologies (sim/topology.h) build
-/// graphs of hosts and routers and fill the tables via build_routes().
+/// router keeps no transport state; forwarded/dropped counts publish to
+/// the stats registry under "sim.router.<name>". Topologies
+/// (sim/topology.h) build graphs of hosts and routers and fill the tables
+/// via build_routes().
 class Router : public PacketSink {
  public:
   Router(EventLoop& loop, std::string name);
@@ -199,23 +182,6 @@ class Router : public PacketSink {
   PacketSink* default_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t dropped_no_route_ = 0;
-};
-
-/// The network core: final hop that routes to destination hosts.
-class Network : public PacketSink {
- public:
-  void attach(IpAddr addr, PacketSink* ingress) { hosts_[addr] = ingress; }
-  void attach_host(Host& host) {
-    for (IpAddr a : host.addresses()) attach(a, &host);
-  }
-
-  void deliver(TcpSegment seg) override {
-    auto it = hosts_.find(seg.tuple.dst.addr);
-    if (it != hosts_.end()) it->second->deliver(std::move(seg));
-  }
-
- private:
-  std::unordered_map<IpAddr, PacketSink*> hosts_;
 };
 
 }  // namespace mptcp

@@ -92,17 +92,13 @@ size_t Topology::connect(NodeId a, NodeId b, const LinkConfig& cfg_ab,
 
   // Host endpoints gain a fresh address in this link's /24 and send out of
   // it through the matching link direction.
-  const auto hi = static_cast<uint8_t>(1 + (idx >> 8));
-  const auto lo = static_cast<uint8_t>(idx & 0xff);
   if (!is_router(a)) {
-    const IpAddr addr_a(10, hi, lo, 1);
-    nodes_[a].host->add_interface(addr_a, rec.ab.get());
-    nodes_[a].addrs.push_back(addr_a);
+    nodes_[a].host->add_interface(link_addr(idx, 0), rec.ab.get());
+    nodes_[a].addrs.push_back(link_addr(idx, 0));
   }
   if (!is_router(b)) {
-    const IpAddr addr_b(10, hi, lo, 2);
-    nodes_[b].host->add_interface(addr_b, rec.ba.get());
-    nodes_[b].addrs.push_back(addr_b);
+    nodes_[b].host->add_interface(link_addr(idx, 1), rec.ba.get());
+    nodes_[b].addrs.push_back(link_addr(idx, 1));
   }
 
   links_.push_back(std::move(rec));
@@ -136,24 +132,23 @@ void Topology::set_link_up(size_t l, bool up) {
   LinkRec& rec = links_[l];
   rec.ab->set_up(up);
   rec.ba->set_up(up);
-  for (NodeId side : {rec.a, rec.b}) {
-    if (is_router(side)) continue;
-    // The address this host gained from link `l` is the one whose
-    // interface sends into it.
-    const auto hi = static_cast<uint8_t>(1 + (l >> 8));
-    const auto lo = static_cast<uint8_t>(l & 0xff);
-    const IpAddr addr(10, hi, lo, side == rec.a ? 1 : 2);
-    nodes_[side].host->set_interface_up(addr, up);
+  // The address a host gained from link `l` is the one whose interface
+  // sends into it.
+  if (!is_router(rec.a)) {
+    nodes_[rec.a].host->set_interface_up(link_addr(l, 0), up);
+  }
+  if (!is_router(rec.b)) {
+    nodes_[rec.b].host->set_interface_up(link_addr(l, 1), up);
   }
 }
 
-size_t Topology::shard_for_token(std::string_view token) const {
+size_t shard_for_token(std::string_view token, size_t shards) {
   uint64_t h = 14695981039346656037ULL;
   for (char c : token) {
     h ^= static_cast<uint8_t>(c);
     h *= 1099511628211ULL;
   }
-  return static_cast<size_t>(h % loops_.size());
+  return static_cast<size_t>(h % shards);
 }
 
 std::vector<const StatsRegistry*> Topology::shard_stats() const {
@@ -201,8 +196,7 @@ void Topology::build_routes() {
       const NodeId h = side == 0 ? lrec.a : lrec.b;
       const NodeId u = side == 0 ? lrec.b : lrec.a;
       if (is_router(h)) continue;
-      const IpAddr addr(10, static_cast<uint8_t>(1 + (li >> 8)),
-                        static_cast<uint8_t>(li & 0xff), side == 0 ? 1 : 2);
+      const IpAddr addr = link_addr(li, side);
       Link* toward_h = side == 0 ? lrec.ba.get() : lrec.ab.get();
 
       if (!is_router(u)) continue;  // host-to-host link: direct, no routing

@@ -1,9 +1,10 @@
 // Declarative multi-host topologies: arbitrary graphs of hosts, routers
 // and links built from a spec, with automatic addressing and routing.
 //
-// TwoHostRig (app/harness.h) hard-wires the paper's client/server shape;
-// scale-out experiments need N clients and M servers sharing bottleneck
-// links through routers. A Topology owns the event loop and every node:
+// This is the one way the tree wires hosts, routers and links, directly or
+// through ScenarioSpec (app/scenario.h): from the paper's client/server
+// shape (TwoHostRig) to N clients and M servers sharing bottleneck links
+// through routers. A Topology owns the event loop and every node:
 //
 //   Topology topo(seed);
 //   NodeId c = topo.add_host("client0");
@@ -53,6 +54,11 @@ namespace mptcp {
 
 /// Index of a node (host or router) within one Topology.
 using NodeId = size_t;
+
+/// Stable token -> shard pinning (FNV-1a mod `shards`), the helper
+/// scenario builders use to spread named entities across shards without
+/// coordinating.
+size_t shard_for_token(std::string_view token, size_t shards);
 
 class Topology {
  public:
@@ -122,10 +128,6 @@ class Topology {
   // --- sharding -----------------------------------------------------------
   size_t shard_count() const { return loops_.size(); }
   size_t shard_of(NodeId n) const { return nodes_[n].shard; }
-  /// Stable token -> shard pinning (FNV-1a mod shard count), the helper
-  /// scenario builders use to spread named entities across shards
-  /// without coordinating.
-  size_t shard_for_token(std::string_view token) const;
   /// Ring capacity for cross-shard channels created by *subsequent*
   /// connect() calls. Overflow past the ring spills to an unbounded
   /// vector, so this tunes memory/backpressure, not correctness.
@@ -166,6 +168,14 @@ class Topology {
     ShardChannel* ab_ch = nullptr;  ///< set when a and b sit in
     ShardChannel* ba_ch = nullptr;  ///< different shards
   };
+
+  /// The address the host endpoint on `side` (0 = a, 1 = b) of link `l`
+  /// gains: 10.<1 + l/256>.<l%256>.<1 + side>.
+  static IpAddr link_addr(size_t l, int side) {
+    return IpAddr(10, static_cast<uint8_t>(1 + (l >> 8)),
+                  static_cast<uint8_t>(l & 0xff),
+                  static_cast<uint8_t>(1 + side));
+  }
 
   PacketSink* sink_of(NodeId n) {
     return is_router(n) ? static_cast<PacketSink*>(nodes_[n].router.get())

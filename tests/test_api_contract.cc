@@ -5,8 +5,8 @@
 #include <type_traits>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
 #include "app/http_app.h"
+#include "app/scenario.h"
 #include "app/workload.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/option_stripper.h"
@@ -30,14 +30,13 @@ static_assert(!std::is_constructible_v<BulkSender, MptcpStack&>,
 
 struct ApiRig {
   ApiRig() {
-    rig.add_path(wifi_path());
     MptcpConfig cfg;
     cs = std::make_unique<MptcpStack>(rig.client(), cfg);
     ss = std::make_unique<MptcpStack>(rig.server(), cfg);
     ss->listen(80, [this](MptcpConnection& c) { sconn = &c; });
     cconn = &cs->connect(rig.client_addr(0), {rig.server_addr(), 80});
   }
-  TwoHostRig rig;
+  TwoHostRig rig{{wifi_path()}};
   std::unique_ptr<MptcpStack> cs, ss;
   MptcpConnection* cconn = nullptr;
   MptcpConnection* sconn = nullptr;
@@ -91,8 +90,7 @@ TEST(ApiContract, OnReadableFiresForEofAloneToo) {
 }
 
 TEST(ApiContract, OnSendSpaceFiresWhenBufferDrains) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 20 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -139,7 +137,6 @@ enum class Backing { kTcp, kMptcp, kMptcpFallback };
 /// only shrinks.
 struct WriterRig {
   explicit WriterRig(Backing b) {
-    rig.add_path(wifi_path());
     // Without MP_CAPABLE on its SYN the server answers as plain TCP and
     // the client falls back during the handshake.
     if (b == Backing::kMptcpFallback) rig.splice_up(0, strip);
@@ -154,7 +151,7 @@ struct WriterRig {
   }
   OptionStripper strip{OptionStripper::Scope::kSynOnly,
                        OptionStripper::What::kMpCapable};
-  TwoHostRig rig;
+  TwoHostRig rig{{wifi_path()}};
   std::unique_ptr<SocketFactory> cf, sf;
   StreamSocket* sock = nullptr;
 };

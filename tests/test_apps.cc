@@ -4,19 +4,17 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
 #include "app/http_app.h"
-#include "bond/bonding.h"
+#include "app/scenario.h"
 #include "app/socket_factory.h"
+#include "bond/bonding.h"
 #include "core/mptcp_stack.h"
 
 namespace mptcp {
 namespace {
 
 TEST(HttpApp, ClosedLoopServesRequestsOverMptcp) {
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9));
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({ethernet_path(1e9), ethernet_path(1e9)});
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 256 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -33,8 +31,7 @@ TEST(HttpApp, ClosedLoopServesRequestsOverMptcp) {
 }
 
 TEST(HttpApp, WorksOverPlainTcpFallback) {
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({ethernet_path(1e9)});
   TransportConfig cfg;
   cfg.kind = TransportKind::kTcp;  // plain TCP on both sides
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -48,9 +45,7 @@ TEST(HttpApp, WorksOverPlainTcpFallback) {
 }
 
 TEST(HttpApp, LargeResponsesUseBothPaths) {
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9));
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({ethernet_path(1e9), ethernet_path(1e9)});
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 512 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -67,8 +62,7 @@ TEST(HttpApp, LargeResponsesUseBothPaths) {
 }
 
 TEST(BlockApp, MeasuresApplicationDelay) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 200 * 1024;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -108,7 +102,6 @@ TEST(Bonding, SingleTcpConnectionAggregatesTwoLinksDespiteReordering) {
   // should exceed one leg's rate. (DupACK-based fast retransmit tolerates
   // the mild reordering of equal legs.)
   EventLoop loop;
-  Network net;
   Host client(loop, "client"), server(loop, "server");
   const IpAddr caddr(10, 0, 0, 2), saddr(10, 99, 0, 1);
 
@@ -118,10 +111,10 @@ TEST(Bonding, SingleTcpConnectionAggregatesTwoLinksDespiteReordering) {
   leg_cfg.buffer_bytes = 250 * 1000;
   Link up1(loop, leg_cfg, "up1"), up2(loop, leg_cfg, "up2");
   Link down1(loop, leg_cfg, "down1"), down2(loop, leg_cfg, "down2");
-  up1.set_target(&net);
-  up2.set_target(&net);
-  down1.set_target(&net);
-  down2.set_target(&net);
+  up1.set_target(&server);
+  up2.set_target(&server);
+  down1.set_target(&client);
+  down2.set_target(&client);
 
   BondDevice client_bond, server_bond;
   client_bond.add_leg(&up1);
@@ -131,8 +124,6 @@ TEST(Bonding, SingleTcpConnectionAggregatesTwoLinksDespiteReordering) {
 
   client.add_interface(caddr, &client_bond);
   server.add_interface(saddr, &server_bond);
-  net.attach(caddr, &client);
-  net.attach(saddr, &server);
 
   TcpConfig cfg;
   cfg.snd_buf_max = cfg.rcv_buf_max = 2 * 1024 * 1024;

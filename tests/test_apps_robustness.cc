@@ -7,19 +7,18 @@
 #include <vector>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
 #include "app/http_app.h"
+#include "app/scenario.h"
 #include "app/socket_factory.h"
 
 namespace mptcp {
 namespace {
 
 TEST(HttpRobustness, ClosedLoopSurvivesRandomLoss) {
-  TwoHostRig rig;
   PathSpec p = ethernet_path(100e6, 2 * kMillisecond, 10 * kMillisecond);
   p.up.loss_prob = 0.01;
   p.down.loss_prob = 0.01;
-  rig.add_path(p);
+  TwoHostRig rig({p});
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 128 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -35,9 +34,7 @@ TEST(HttpRobustness, ClosedLoopSurvivesRandomLoss) {
 }
 
 TEST(HttpRobustness, ServerSurvivesClientPathFailureMidResponse) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 256 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -56,8 +53,7 @@ TEST(HttpRobustness, ServerSurvivesClientPathFailureMidResponse) {
 TEST(HttpRobustness, ManySmallRequestsChurnConnectionsCleanly) {
   // Thousands of connections through the stack: auto-destroy must reap
   // them (live_connections stays bounded by the client count).
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({ethernet_path(1e9)});
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 64 * 1024;
   cfg.mptcp.tcp.time_wait = 5 * kMillisecond;
@@ -146,10 +142,7 @@ TEST(HarnessUtil, PathFactoriesMatchPaperParameters) {
 }
 
 TEST(HarnessUtil, RigAssignsDistinctClientAddressesPerPath) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({wifi_path(), threeg_path(), ethernet_path(1e9)});
   EXPECT_NE(rig.client_addr(0), rig.client_addr(1));
   EXPECT_NE(rig.client_addr(1), rig.client_addr(2));
   EXPECT_TRUE(rig.client().owns_address(rig.client_addr(2)));

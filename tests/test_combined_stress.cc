@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/segment_splitter.h"
 #include "middlebox/seq_rewriter.h"
@@ -19,11 +19,9 @@ TEST_P(StressAlgo, TsoPlusRewriterPlusLossPlusEveryAlgorithm) {
   // TSO resegmentation (duplicate mapping copies), ISN rewriting
   // (relative-offset mappings), 1% loss (subflow-level recovery), and the
   // chosen connection-level receive algorithm, simultaneously.
-  TwoHostRig rig;
   PathSpec wifi = wifi_path();
   wifi.up.loss_prob = 0.01;
-  rig.add_path(wifi);
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi, threeg_path()});
 
   SegmentSplitter split(536);
   SeqRewriter rewriter;
@@ -60,9 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Algos, StressAlgo,
 TEST(CombinedStress, RepeatedPathFlapping) {
   // The 3G path flaps up and down every 3 seconds; the stream must keep
   // flowing on WiFi and the flapping subflow must never corrupt it.
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 400 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -83,12 +79,10 @@ TEST(CombinedStress, RepeatedPathFlapping) {
 }
 
 TEST(CombinedStress, BothDirectionsUnderLossAndSmallBuffers) {
-  TwoHostRig rig;
   PathSpec a = wifi_path(), b = threeg_path();
   a.up.loss_prob = a.down.loss_prob = 0.005;
   b.up.loss_prob = b.down.loss_prob = 0.005;
-  rig.add_path(a);
-  rig.add_path(b);
+  TwoHostRig rig({a, b});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 120 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "tcp/tcp_connection.h"
 
@@ -14,8 +14,6 @@ namespace {
 
 struct SchedRig {
   explicit SchedRig(SchedulerPolicy policy) {
-    rig.add_path(wifi_path());
-    rig.add_path(threeg_path());
     MptcpConfig cfg;
     cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 300 * 1000;
     cfg.scheduler = policy;
@@ -27,7 +25,7 @@ struct SchedRig {
     cc = &cs->connect(rig.client_addr(0), {rig.server_addr(), 80});
     tx = std::make_unique<BulkSender>(*cc, 0);
   }
-  TwoHostRig rig;
+  TwoHostRig rig{{wifi_path(), threeg_path()}};
   std::unique_ptr<MptcpStack> cs, ss;
   MptcpConnection* cc = nullptr;
   std::unique_ptr<BulkSender> tx;
@@ -120,8 +118,7 @@ TEST(KeyPool, PooledKeyCollidingWithLiveTokenIsSkipped) {
 
 TEST(DelayedAck, RoughlyHalvesPureAckCount) {
   auto run_transfer = [](bool delayed) {
-    TwoHostRig rig;
-    rig.add_path(wifi_path());
+    TwoHostRig rig({wifi_path()});
     TcpConfig cfg;
     cfg.delayed_ack = delayed;
     std::unique_ptr<TcpConnection> sconn;
@@ -148,8 +145,7 @@ TEST(DelayedAck, RoughlyHalvesPureAckCount) {
 TEST(DelayedAck, TimerFlushesTrailingSegment) {
   // A single odd segment must still be acknowledged within the delack
   // timeout (otherwise the sender would need an RTO).
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   TcpConfig cfg;
   std::unique_ptr<TcpConnection> sconn;
   TcpListener lis(rig.server(), 80, [&](const TcpSegment& syn) {

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/middlebox.h"
 #include "middlebox/payload_modifier.h"
@@ -25,8 +25,6 @@ class Sniffer final : public SimpleMiddlebox {
 
 struct SniffedRig {
   SniffedRig() {
-    rig.add_path(wifi_path());
-    rig.add_path(threeg_path());
     rig.splice_down(0, down0);
     rig.splice_down(1, down1);
     rig.splice_up(0, up0);
@@ -41,7 +39,7 @@ struct SniffedRig {
     cc = &cs->connect(rig.client_addr(0), {rig.server_addr(), 80});
     tx = std::make_unique<BulkSender>(*cc, 0);
   }
-  TwoHostRig rig;
+  TwoHostRig rig{{wifi_path(), threeg_path()}};
   Sniffer down0, down1, up0;
   std::unique_ptr<MptcpStack> cs, ss;
   MptcpConnection* cc = nullptr;
@@ -133,9 +131,7 @@ TEST(Invariants, OptionBudgetRespectedOnEveryEmittedSegment) {
 TEST(Invariants, NoNewSubflowsAfterChecksumFailure) {
   // After a checksum-triggered subflow reset, the connection must not
   // open or accept further subflows (the path environment is hostile).
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   PayloadModifier alg(3);
   rig.splice_up(1, alg);
   MptcpConfig cfg;
@@ -172,8 +168,7 @@ TEST(Invariants, NoNewSubflowsAfterChecksumFailure) {
 TEST(Invariants, ChecksumRequiredIfEitherSideRequests) {
   // One side configured without checksums, the other with: the OR rule
   // means both must use them.
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpConfig on, off;
   on.dss_checksum = true;
   off.dss_checksum = false;

@@ -6,15 +6,14 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 
 namespace mptcp {
 namespace {
 
 struct MechRig {
-  MechRig(MptcpConfig cfg, std::vector<PathSpec> paths) {
-    for (const auto& p : paths) rig.add_path(p);
+  MechRig(MptcpConfig cfg, const std::vector<PathSpec>& paths) : rig(paths) {
     cs = std::make_unique<MptcpStack>(rig.client(), cfg);
     ss = std::make_unique<MptcpStack>(rig.server(), cfg);
     ss->listen(80, [this](MptcpConnection& c) {
@@ -144,9 +143,7 @@ TEST(MetaRtoMechanism, RecoversDataStrandedOnStalledPath) {
 
 TEST(Bidirectional, SimultaneousBlockStreamsBothDirections) {
   MptcpConfig cfg = small_buf(300);
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
   MptcpConnection* sconn = nullptr;
   std::unique_ptr<BlockReceiver> srv_rx;

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/nat.h"
 #include "middlebox/option_stripper.h"
@@ -23,11 +23,9 @@ namespace {
 constexpr uint64_t kTransfer = 400 * 1000;
 
 struct MboxFixture {
-  explicit MboxFixture(size_t n_paths = 2) {
-    for (size_t i = 0; i < n_paths; ++i) {
-      rig.add_path(i == 0 ? wifi_path() : threeg_path());
-    }
-  }
+  explicit MboxFixture(size_t n_paths = 2)
+      : rig(n_paths > 1 ? std::vector{wifi_path(), threeg_path()}
+                        : std::vector{wifi_path()}) {}
 
   /// Call after splicing middleboxes; starts the transfer.
   void start(uint64_t transfer = kTransfer) {
@@ -144,11 +142,10 @@ TEST(Middlebox, NatOnJoinPathStillJoinsByToken) {
   Nat nat(IpAddr(192, 0, 2, 1));
   f.rig.splice_up(1, nat.forward_sink());
   // Return traffic to the public address must route through the NAT: the
-  // server sends via the 3G downlink, whose far end (the network) hands
-  // it to the NAT's reverse side, which rewrites and re-injects.
-  f.rig.route_server_to(nat.public_addr(), 1);
-  f.rig.network().attach(nat.public_addr(), &nat.reverse_sink());
-  nat.reverse_sink().set_downstream(&f.rig.network());
+  // gateway sends it down the 3G path, whose reverse NAT side rewrites it
+  // for the client.
+  f.rig.splice_down(1, nat.reverse_sink());
+  f.rig.topo().alias_route(nat.public_addr(), f.rig.client_addr(1));
   f.start();
   f.run();
   EXPECT_EQ(f.client_conn->mode(), MptcpMode::kMptcp);
@@ -197,7 +194,7 @@ TEST(Middlebox, ProactiveAckerDoesNotCorruptTransfer) {
   MboxFixture f;
   ProactiveAcker proxy;
   f.rig.splice_up(0, proxy.forward_sink());
-  proxy.reverse_sink().set_downstream(&f.rig.network());
+  proxy.reverse_sink().set_downstream(&f.rig.client());
   f.start();
   f.run();
   EXPECT_GT(proxy.forged_acks(), 0u);

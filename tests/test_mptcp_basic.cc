@@ -5,16 +5,16 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 
 namespace mptcp {
 namespace {
 
 struct MptcpFixture {
-  MptcpFixture(std::vector<PathSpec> paths, MptcpConfig client_cfg,
-               MptcpConfig server_cfg, uint64_t transfer_bytes = 0) {
-    for (const auto& p : paths) rig.add_path(p);
+  MptcpFixture(const std::vector<PathSpec>& paths, MptcpConfig client_cfg,
+               MptcpConfig server_cfg, uint64_t transfer_bytes = 0)
+      : rig(paths) {
     client_stack = std::make_unique<MptcpStack>(rig.client(), client_cfg);
     server_stack = std::make_unique<MptcpStack>(rig.server(), server_cfg);
     server_stack->listen(80, [this](MptcpConnection& c) {

@@ -6,17 +6,15 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 
 namespace mptcp {
 namespace {
 
 TEST(MptcpScale, FourPathsAggregateAndDeliverIntact) {
-  TwoHostRig rig;
-  for (int i = 0; i < 4; ++i) {
-    rig.add_path(ethernet_path(50e6, 10 * kMillisecond, 40 * kMillisecond));
-  }
+  TwoHostRig rig(std::vector<PathSpec>(
+      4, ethernet_path(50e6, 10 * kMillisecond, 40 * kMillisecond)));
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 2 * 1000 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -45,9 +43,7 @@ TEST(MptcpScale, FourPathsAggregateAndDeliverIntact) {
 }
 
 TEST(MptcpScale, ReceiverMemoryBoundedByConfiguredBuffer) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 200 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -74,9 +70,7 @@ TEST(MptcpScale, ReceiverMemoryBoundedByConfiguredBuffer) {
 }
 
 TEST(MptcpScale, SlowReaderThrottlesSenderViaMetaWindow) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 100 * 1000;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -104,8 +98,7 @@ TEST(MptcpScale, SlowReaderThrottlesSenderViaMetaWindow) {
 TEST(MptcpFallback, WriteThroughPathPreservesOrderingUnderPressure) {
   // In fallback mode write() passes straight to the subflow; mixed
   // full/partial writes must keep byte order.
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpConfig tcp_only;
   tcp_only.enabled = false;
   tcp_only.tcp.snd_buf_max = 32 * 1024;  // force partial writes
@@ -128,8 +121,7 @@ TEST(MptcpFallback, WriteThroughPathPreservesOrderingUnderPressure) {
 TEST(MptcpScale, ManySequentialConnectionsReuseCleanly) {
   // 50 sequential connections on one stack pair: tokens must never
   // collide or leak.
-  TwoHostRig rig;
-  rig.add_path(ethernet_path(1e9));
+  TwoHostRig rig({ethernet_path(1e9)});
   MptcpConfig cfg;
   cfg.tcp.time_wait = 1 * kMillisecond;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/middlebox.h"
 
@@ -44,9 +44,9 @@ class JoinMacCorrupter final : public SimpleMiddlebox {
 };
 
 struct Rig2 {
-  Rig2(MptcpConfig ccfg, MptcpConfig scfg, size_t paths = 2) {
-    rig.add_path(wifi_path());
-    if (paths > 1) rig.add_path(threeg_path());
+  Rig2(MptcpConfig ccfg, MptcpConfig scfg, size_t paths = 2)
+      : rig(paths > 1 ? std::vector{wifi_path(), threeg_path()}
+                      : std::vector{wifi_path()}) {
     cs = std::make_unique<MptcpStack>(rig.client(), ccfg);
     ss = std::make_unique<MptcpStack>(rig.server(), scfg);
     ss->listen(80, [this](MptcpConnection& c) {
@@ -204,8 +204,7 @@ TEST(MptcpAuth, CorruptedJoinMacRejectsSubflow) {
 TEST(MptcpAuth, JoinToUnknownTokenIsIgnored) {
   // A join SYN whose token matches nothing must not crash or create
   // connections; the stack silently drops it.
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpStack ss(rig.server(), cfg1m());
   size_t accepted = 0;
   ss.listen(80, [&](MptcpConnection&) { ++accepted; });
@@ -288,34 +287,23 @@ TEST(MptcpPaths, BackupSubflowCarriesNothingWhilePrimaryHealthy) {
 // ---------------------------------------------------------------------------
 
 TEST(MptcpPaths, ServerAddAddrTriggersClientJoin) {
-  // Custom topology: single-homed client, dual-homed server.
-  EventLoop loop;
-  Network net;
-  Host client(loop, "client"), server(loop, "server");
-  const IpAddr caddr(10, 0, 0, 2);
-  const IpAddr saddr1(10, 99, 0, 1), saddr2(10, 99, 1, 1);
+  // Single-homed client behind a gateway; the server is dual-homed, with
+  // its WiFi address reached over the first path and its 3G address over
+  // the second.
+  ScenarioSpec spec;
+  const NodeId client = spec.host("client");
+  const NodeId gw = spec.router("gw");
+  const NodeId server = spec.host("server");
+  spec.path(client, gw, ethernet_path(1e9));
+  spec.path(gw, server, wifi_path());
+  spec.path(gw, server, threeg_path());
+  Scenario scn = spec.build();
+  Topology& t = scn.topo();
+  EventLoop& loop = t.loop();
+  const IpAddr caddr = t.addr(client);
+  const IpAddr saddr1 = t.addr(server, 0), saddr2 = t.addr(server, 1);
 
-  LinkConfig lc = wifi_path().up;
-  Link up1(loop, lc, "up1"), down1(loop, wifi_path().down, "down1");
-  Link up2(loop, threeg_path().up, "up2"),
-      down2(loop, threeg_path().down, "down2");
-  up1.set_target(&net);
-  up2.set_target(&net);
-  down1.set_target(&net);
-  down2.set_target(&net);
-
-  // Client routes to saddr1 via path 1, to saddr2 via path 2.
-  Classifier client_out;
-  client_out.add_route(saddr1, &up1);
-  client_out.add_route(saddr2, &up2);
-  client.add_interface(caddr, &client_out);
-  server.add_interface(saddr1, &down1);
-  server.add_interface(saddr2, &down2);
-  net.attach(caddr, &client);
-  net.attach(saddr1, &server);
-  net.attach(saddr2, &server);
-
-  MptcpStack cs(client, cfg1m()), ss(server, cfg1m());
+  MptcpStack cs(t.host(client), cfg1m()), ss(t.host(server), cfg1m());
   MptcpConnection* sconn = nullptr;
   std::unique_ptr<BulkReceiver> rx;
   ss.listen(80, [&](MptcpConnection& c) {

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "net/wire.h"
 #include "sim/pcap.h"
@@ -34,8 +34,7 @@ uint32_t u32le(const std::vector<uint8_t>& b, size_t off) {
 TEST(Pcap, CapturesAnMptcpTransferInValidFormat) {
   const std::string path = "/tmp/mptcplib_test.pcap";
   {
-    TwoHostRig rig;
-    rig.add_path(wifi_path());
+    TwoHostRig rig({wifi_path()});
     PcapWriter writer(path);
     ASSERT_TRUE(writer.ok());
     PcapTap tap(rig.loop(), writer);

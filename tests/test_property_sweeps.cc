@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "tcp/tcp_connection.h"
 
@@ -38,9 +38,8 @@ class TcpGrid : public ::testing::TestWithParam<TcpGridParam> {};
 
 TEST_P(TcpGrid, TransferCompletesWithIntegrity) {
   const auto [mbps, rtt_ms, loss] = GetParam();
-  TwoHostRig rig;
-  rig.add_path(make_path(mbps * 1e6, rtt_ms * kMillisecond,
-                         100 * kMillisecond, loss, 42));
+  TwoHostRig rig({make_path(mbps * 1e6, rtt_ms * kMillisecond,
+                            100 * kMillisecond, loss, 42)});
   TcpConfig cfg;
   cfg.snd_buf_max = cfg.rcv_buf_max = 256 * 1024;
   std::unique_ptr<TcpConnection> sconn;
@@ -102,9 +101,7 @@ TEST_P(MptcpPairGrid, IntegrityAndNoCollapseBelowHalfBestTcp) {
   const PairCase c = cases()[static_cast<size_t>(GetParam())];
   // Measure best single-path TCP.
   auto tcp_goodput = [&](size_t idx) {
-    TwoHostRig rig(99);
-    rig.add_path(c.a);
-    rig.add_path(c.b);
+    TwoHostRig rig({c.a, c.b}, 99);
     TcpConfig cfg;
     cfg.snd_buf_max = cfg.rcv_buf_max = 512 * 1024;
     std::unique_ptr<TcpConnection> sconn;
@@ -126,9 +123,7 @@ TEST_P(MptcpPairGrid, IntegrityAndNoCollapseBelowHalfBestTcp) {
   };
   const double best_tcp = std::max(tcp_goodput(0), tcp_goodput(1));
 
-  TwoHostRig rig(99);
-  rig.add_path(c.a);
-  rig.add_path(c.b);
+  TwoHostRig rig({c.a, c.b}, 99);
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 512 * 1024;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -160,9 +155,7 @@ INSTANTIATE_TEST_SUITE_P(Pairs, MptcpPairGrid, ::testing::Range(0, 6));
 class BufferSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(BufferSweep, MptcpDeliversExactlyAtEveryBufferSize) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = GetParam();
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
@@ -189,9 +182,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BufferSweep,
 class RecvAlgoSweep : public ::testing::TestWithParam<RecvAlgo> {};
 
 TEST_P(RecvAlgoSweep, EndToEndIntegrityWithEachAlgorithm) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  rig.add_path(threeg_path());
+  TwoHostRig rig({wifi_path(), threeg_path()});
   MptcpConfig cfg;
   cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 512 * 1024;
   cfg.recv_algo = GetParam();

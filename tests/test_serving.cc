@@ -11,7 +11,7 @@
 #include "app/digest.h"
 #include "app/fleet.h"
 #include "app/framing.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "app/server_app.h"
 #include "app/socket_factory.h"
 #include "app/workload.h"
@@ -120,7 +120,6 @@ TEST(FineHistogramTest, MergeMatchesCombinedRecording) {
 struct ServingRig {
   explicit ServingRig(ServingConfig sc = {}, PoolConfig pc = {},
                       size_t snd_buf = 64 * 1024) {
-    rig.add_path(ethernet_path(100e6, kMillisecond, 4 * kMillisecond));
     TransportConfig cfg;
     cfg = cfg.with_buffers(snd_buf, snd_buf);
     cs = std::make_unique<SocketFactory>(rig.client(), cfg);
@@ -129,7 +128,7 @@ struct ServingRig {
     pool = std::make_unique<ConnectionPool>(
         *cs, rig.client_addr(0), Endpoint{rig.server_addr(), 80}, pc);
   }
-  TwoHostRig rig;
+  TwoHostRig rig{{ethernet_path(100e6, kMillisecond, 4 * kMillisecond)}};
   std::unique_ptr<SocketFactory> cs, ss;
   std::unique_ptr<ServerApp> server;
   std::unique_ptr<ConnectionPool> pool;

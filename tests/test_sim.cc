@@ -254,7 +254,7 @@ TEST(Link, BufferForDelayHelper) {
   EXPECT_EQ(LinkConfig::buffer_for_delay(8e6, 80 * kMillisecond), 80000u);
 }
 
-// --- Host / Network -----------------------------------------------------------
+// --- Host --------------------------------------------------------------------
 
 struct RecordingHandler : SegmentHandler {
   std::vector<TcpSegment> got;
@@ -341,25 +341,6 @@ TEST(Host, CpuModelSerializesProcessing) {
   EXPECT_EQ(times[0], 10 * kMicrosecond);
   EXPECT_EQ(times[1], 20 * kMicrosecond);
   EXPECT_EQ(times[2], 30 * kMicrosecond);
-}
-
-TEST(Classifier, RoutesByDestinationWithDefault) {
-  NullSink a, b, dflt;
-  Classifier c;
-  c.add_route(IpAddr(10, 0, 0, 1), &a);
-  c.add_route(IpAddr(10, 0, 0, 2), &b);
-  c.set_default(&dflt);
-
-  TcpSegment to_a = make_seg(0);
-  to_a.tuple.dst.addr = IpAddr(10, 0, 0, 1);
-  c.deliver(to_a);
-  TcpSegment elsewhere = make_seg(0);
-  elsewhere.tuple.dst.addr = IpAddr(1, 2, 3, 4);
-  c.deliver(elsewhere);
-
-  EXPECT_EQ(a.dropped(), 1u);
-  EXPECT_EQ(b.dropped(), 0u);
-  EXPECT_EQ(dflt.dropped(), 1u);
 }
 
 // --- Trace utilities -----------------------------------------------------------

@@ -8,12 +8,14 @@
 // equal the struct sums -- that equality is the exactly-once proof.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "app/bulk_app.h"
 #include "app/digest.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "net/stats.h"
 
@@ -140,6 +142,24 @@ TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
   EXPECT_EQ(parsed.count("never_registered"), 0u);
 }
 
+TEST(StatsRegistry, MalformedJsonYieldsPairsParsedSoFar) {
+  StatsRegistry reg;
+  reg.counter("a.first").inc(1);
+  reg.counter("b.second").inc(2);
+  reg.counter("c.third").inc(3);
+  const std::string json = reg.to_json();
+  const std::map<std::string, double> first_two = {{"a.first", 1.0},
+                                                   {"b.second", 2.0}};
+  // An export cut off inside the third key.
+  EXPECT_EQ(StatsRegistry::parse_flat_json(
+                json.substr(0, json.find("c.third") + 3)),
+            first_two);
+  // A non-numeric third value.
+  std::string bad = json;
+  bad.replace(bad.find(": 3"), 3, ": x");
+  EXPECT_EQ(StatsRegistry::parse_flat_json(bad), first_two);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator-layer counters.
 // ---------------------------------------------------------------------------
@@ -164,11 +184,10 @@ TEST(StatsSim, EventLoopCountsScheduleCancelFire) {
 }
 
 TEST(StatsSim, LinksRegisterScopedStats) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
-  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-up.delivered_pkts"));
-  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-down.delivered_pkts"));
-  EXPECT_EQ(rig.up_link(0).stats_scope(), "sim.link.wifi-up");
+  TwoHostRig rig({wifi_path()});
+  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-ab.delivered_pkts"));
+  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-ba.delivered_pkts"));
+  EXPECT_EQ(rig.up_link(0).stats_scope(), "sim.link.wifi-ab");
 }
 
 // ---------------------------------------------------------------------------
@@ -182,9 +201,9 @@ MptcpConfig default_cfg() {
 }
 
 struct TwoSubflowRun {
-  TwoSubflowRun(std::vector<PathSpec> paths, uint64_t transfer_bytes,
-                SimTime duration, MptcpConfig cfg = default_cfg()) {
-    for (const auto& p : paths) rig.add_path(p);
+  TwoSubflowRun(const std::vector<PathSpec>& paths, uint64_t transfer_bytes,
+                SimTime duration, MptcpConfig cfg = default_cfg())
+      : rig(paths) {
     client_stack = std::make_unique<MptcpStack>(rig.client(), cfg);
     server_stack = std::make_unique<MptcpStack>(rig.server(), cfg);
     server_stack->listen(80, [this](MptcpConnection& c) {
@@ -234,10 +253,10 @@ TEST(StatsMptcp, LosslessTwoSubflowRunHasExactCounters) {
 
   // Loss-free run: not a single drop, retransmission or RTO anywhere,
   // and no fallback. Exact zeros, not bounds.
-  EXPECT_DOUBLE_EQ(reg.value("sim.link.wifi-up.dropped_overflow") +
-                       reg.value("sim.link.wifi-down.dropped_overflow") +
-                       reg.value("sim.link.3g-up.dropped_overflow") +
-                       reg.value("sim.link.3g-down.dropped_overflow"),
+  EXPECT_DOUBLE_EQ(reg.value("sim.link.wifi-ab.dropped_overflow") +
+                       reg.value("sim.link.wifi-ba.dropped_overflow") +
+                       reg.value("sim.link.3g-ab.dropped_overflow") +
+                       reg.value("sim.link.3g-ba.dropped_overflow"),
                    0.0);
   EXPECT_DOUBLE_EQ(reg.value("tcp.retransmits"), 0.0);
   EXPECT_DOUBLE_EQ(reg.value("tcp.fast_retransmits"), 0.0);
@@ -286,10 +305,10 @@ TEST(StatsMptcp, LosslessTwoSubflowRunHasExactCounters) {
 
   // The simulator saw every one of those segments cross a link.
   EXPECT_DOUBLE_EQ(
-      reg.value("sim.link.wifi-up.delivered_pkts") +
-          reg.value("sim.link.wifi-down.delivered_pkts") +
-          reg.value("sim.link.3g-up.delivered_pkts") +
-          reg.value("sim.link.3g-down.delivered_pkts"),
+      reg.value("sim.link.wifi-ab.delivered_pkts") +
+          reg.value("sim.link.wifi-ba.delivered_pkts") +
+          reg.value("sim.link.3g-ab.delivered_pkts") +
+          reg.value("sim.link.3g-ba.delivered_pkts"),
       static_cast<double>(sent));
 }
 
@@ -360,6 +379,26 @@ TEST(StatsDigest, DifferentSeedDifferentDigest) {
   EXPECT_NE(ra.digest, rb.digest);
   // The seed changes the packets, not what the export measures.
   EXPECT_EQ(digest_hex(ra.schema), digest_hex(rb.schema));
+}
+
+TEST(StatsDigest, CapacityExportRoundTrips) {
+  // Every key and value of a full export survives parsing: re-serializing
+  // the parsed pairs the way to_json() does reproduces it byte for byte.
+  DigestConfig cfg;
+  cfg.scenario = DigestScenario::kCapacity;
+  const DigestResult run = run_digest_scenario(cfg);
+  const auto parsed = StatsRegistry::parse_flat_json(run.stats_json);
+  EXPECT_GT(parsed.size(), 3000u);
+  std::string again = "{\n";
+  size_t i = 0;
+  for (const auto& [name, v] : parsed) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    again += "  \"" + name + "\": " + buf;
+    again += ++i < parsed.size() ? ",\n" : "\n";
+  }
+  again += "}\n";
+  EXPECT_EQ(again, run.stats_json);
 }
 
 TEST(StatsDigest, SchemaIndependentOfShardCount) {

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "core/mptcp_stack.h"
 #include "middlebox/middlebox.h"
 
@@ -35,8 +35,7 @@ class MptcpSynBlackhole final : public SimpleMiddlebox {
 };
 
 TEST(SynFallback, RetransmittedSynOmitsMpCapableAndConnects) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpSynBlackhole hole;
   rig.splice_up(0, hole);
 
@@ -63,8 +62,7 @@ TEST(SynFallback, RetransmittedSynOmitsMpCapableAndConnects) {
 }
 
 TEST(SynFallback, NoFallbackNeededWhenPathIsClean) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   MptcpConfig cfg;
   MptcpStack cs(rig.client(), cfg), ss(rig.server(), cfg);
   std::unique_ptr<BulkReceiver> rx;

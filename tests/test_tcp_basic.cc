@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "tcp/tcp_connection.h"
 
 namespace mptcp {
@@ -14,8 +14,8 @@ namespace {
 /// client to server.
 struct TcpBulkFixture {
   explicit TcpBulkFixture(const PathSpec& path, TcpConfig cfg = {},
-                          uint64_t total = 0) {
-    path_idx = rig.add_path(path);
+                          uint64_t total = 0)
+      : rig({path}) {
     server_listener = std::make_unique<TcpListener>(
         rig.server(), kPort, [this, cfg](const TcpSegment& syn) {
           server_conn = std::make_unique<TcpConnection>(
@@ -24,7 +24,7 @@ struct TcpBulkFixture {
           server_conn->accept_syn(syn);
         });
     client_conn = std::make_unique<TcpConnection>(
-        rig.client(), cfg, Endpoint{rig.client_addr(path_idx), 40000},
+        rig.client(), cfg, Endpoint{rig.client_addr(0), 40000},
         Endpoint{rig.server_addr(), kPort});
     sender = std::make_unique<BulkSender>(*client_conn, total);
     client_conn->connect();
@@ -32,7 +32,6 @@ struct TcpBulkFixture {
 
   static constexpr Port kPort = 80;
   TwoHostRig rig;
-  size_t path_idx;
   std::unique_ptr<TcpListener> server_listener;
   std::unique_ptr<TcpConnection> client_conn;
   std::unique_ptr<TcpConnection> server_conn;
@@ -118,8 +117,7 @@ TEST(TcpBasic, FastRetransmitPreferredOverTimeoutAtLowLoss) {
 
 TEST(TcpBasic, ZeroWindowThenPersistProbeRecovers) {
   // Receiver app never reads -> window closes; then it starts reading.
-  TwoHostRig rig;
-  const size_t p = rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   TcpConfig cfg;
   cfg.rcv_buf_max = 20 * 1000;
   cfg.snd_buf_max = 200 * 1000;
@@ -129,7 +127,7 @@ TEST(TcpBasic, ZeroWindowThenPersistProbeRecovers) {
                                                   syn.tuple.dst, syn.tuple.src);
     server_conn->accept_syn(syn);
   });
-  TcpConnection client(rig.client(), cfg, Endpoint{rig.client_addr(p), 40000},
+  TcpConnection client(rig.client(), cfg, Endpoint{rig.client_addr(0), 40000},
                        Endpoint{rig.server_addr(), 80});
   BulkSender sender(client, 100 * 1000);
   client.connect();
@@ -167,8 +165,7 @@ TEST(TcpBasic, AbortSendsRstAndPeerCloses) {
 }
 
 TEST(TcpBasic, BidirectionalTransfer) {
-  TwoHostRig rig;
-  const size_t p = rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   TcpConfig cfg;
   std::unique_ptr<TcpConnection> server_conn;
   std::unique_ptr<BulkReceiver> srv_rx;
@@ -180,7 +177,7 @@ TEST(TcpBasic, BidirectionalTransfer) {
     srv_tx = std::make_unique<BulkSender>(*server_conn, 200 * 1000);
     server_conn->accept_syn(syn);
   });
-  TcpConnection client(rig.client(), cfg, Endpoint{rig.client_addr(p), 40000},
+  TcpConnection client(rig.client(), cfg, Endpoint{rig.client_addr(0), 40000},
                        Endpoint{rig.server_addr(), 80});
   BulkReceiver cli_rx(client);
   BulkSender cli_tx(client, 200 * 1000);

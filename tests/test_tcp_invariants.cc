@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "middlebox/middlebox.h"
 #include "tcp/tcp_connection.h"
 
@@ -23,8 +23,7 @@ class Sniffer final : public SimpleMiddlebox {
 };
 
 TEST(TcpInvariants, AckAndWindowRightEdgeMonotone) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   Sniffer down;
   rig.splice_down(0, down);
   TcpConfig cfg;
@@ -60,10 +59,9 @@ TEST(TcpInvariants, AckAndWindowRightEdgeMonotone) {
 }
 
 TEST(TcpInvariants, SackBlocksAlwaysAboveCumulativeAck) {
-  TwoHostRig rig;
   PathSpec lossy = wifi_path();
   lossy.up.loss_prob = 0.02;
-  rig.add_path(lossy);
+  TwoHostRig rig({lossy});
   Sniffer down;
   rig.splice_down(0, down);
   TcpConfig cfg;

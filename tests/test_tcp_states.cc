@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "app/bulk_app.h"
-#include "app/harness.h"
+#include "app/scenario.h"
 #include "tcp/tcp_connection.h"
 
 namespace mptcp {
@@ -12,8 +12,8 @@ namespace {
 
 struct Pair {
   explicit Pair(TcpConfig ccfg = {}, TcpConfig scfg = {},
-                PathSpec path = wifi_path()) {
-    idx = rig.add_path(path);
+                const PathSpec& path = wifi_path())
+      : rig({path}) {
     listener = std::make_unique<TcpListener>(
         rig.server(), 80, [this, scfg](const TcpSegment& syn) {
           server = std::make_unique<TcpConnection>(rig.server(), scfg,
@@ -22,11 +22,10 @@ struct Pair {
           server->accept_syn(syn);
         });
     client = std::make_unique<TcpConnection>(
-        rig.client(), ccfg, Endpoint{rig.client_addr(idx), 40000},
+        rig.client(), ccfg, Endpoint{rig.client_addr(0), 40000},
         Endpoint{rig.server_addr(), 80});
   }
   TwoHostRig rig;
-  size_t idx;
   std::unique_ptr<TcpListener> listener;
   std::unique_ptr<TcpConnection> client;
   std::unique_ptr<TcpConnection> server;
@@ -125,8 +124,7 @@ TEST(TcpStates, DuplicateFinInTimeWaitIsReAcked) {
 }
 
 TEST(TcpStates, SynToClosedPortIsIgnoredNotCrash) {
-  TwoHostRig rig;
-  rig.add_path(wifi_path());
+  TwoHostRig rig({wifi_path()});
   TcpConfig cfg;
   cfg.max_syn_retries = 2;
   TcpConnection client(rig.client(), cfg, {rig.client_addr(0), 40000},
@@ -142,10 +140,9 @@ TEST(TcpStates, SynToClosedPortIsIgnoredNotCrash) {
 TEST(TcpStates, PersistProbesSurviveLostWindowUpdate) {
   // Receiver never reads until late; loss on the ACK path may eat the
   // window update, and the persist probe must recover it.
-  TwoHostRig rig;
   PathSpec path = wifi_path();
   path.down.loss_prob = 0.15;  // lossy ACK path
-  rig.add_path(path);
+  TwoHostRig rig({path});
   TcpConfig cfg;
   cfg.rcv_buf_max = 10 * 1000;
   cfg.snd_buf_max = 100 * 1000;
