@@ -107,8 +107,9 @@ ReceiverMappings::Output ReceiverMappings::feed(uint64_t ssn,
               rec.dsn, rec.ssn_rel, static_cast<uint16_t>(rec.length),
               tracked->acc.fold());
           held_bytes_ -= tracked->held_size;
-          // One fragment (the common case) passes through as a shared
-          // view; a straddled mapping is gathered once, here.
+          // Fragments that are consecutive views of one buffer (one
+          // fragment, or segments carved from one sender chunk) join into
+          // one shared view; others are gathered once, here.
           Payload assembled = Payload::concat(tracked->held);
           if (computed == *rec.checksum) {
             out.deliver.emplace_back(rec.dsn, std::move(assembled));

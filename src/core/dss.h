@@ -84,9 +84,11 @@ class ReceiverMappings {
   /// Result of feeding in-order subflow bytes.
   struct Output {
     /// Data ready for the connection level: (dsn, bytes). The payloads
-    /// are shared views of the fed bytes (zero-copy) except when a
-    /// checksummed mapping straddled segments, in which case its held
-    /// fragments are concatenated once on completion.
+    /// are shared views of the fed bytes (zero-copy). A checksummed
+    /// mapping that straddled segments is joined on completion by
+    /// Payload::concat: still one shared view when its fragments are
+    /// consecutive views of one buffer (as the sender carved them), copied
+    /// once only when they are not (say, a fragment an ALG rewrote).
     std::vector<std::pair<uint64_t, Payload>> deliver;
     /// Mappings whose checksum failed, with the (modified) bytes so the
     /// caller can decide between reject-and-reset and fallback-deliver.
@@ -112,8 +114,8 @@ class ReceiverMappings {
     MappingRecord rec;
     ChecksumAccumulator acc;
     /// Buffered fragment views awaiting verification (shared with the
-    /// subflow's reassembly payloads; concatenated only on completion,
-    /// and zero-copy when the mapping arrived in one fragment).
+    /// subflow's reassembly payloads; joined by Payload::concat on
+    /// completion).
     std::vector<Payload> held;
     size_t held_size = 0;  ///< total bytes across `held`
     uint64_t covered = 0;  ///< bytes of the mapping fed so far

@@ -174,31 +174,49 @@ void Payload::truncate(size_t n) {
   if (len_ == 0) clear();
 }
 
-void Payload::append(std::span<const uint8_t> more) {
-  if (more.empty()) return;
-  Buf* merged = alloc_buf(len_ + more.size());
-  if (len_ != 0) std::memcpy(merged->bytes(), data(), len_);
-  std::memcpy(merged->bytes() + len_, more.data(), more.size());
-  release();
-  buf_ = merged;
-  off_ = 0;
-  len_ += more.size();
+void Payload::append(const Payload& more) {
+  const size_t n = more.len_;
+  if (n == 0) return;
+  if (!adjoins(more)) {
+    Buf* merged = alloc_buf(len_ + n);
+    if (len_ != 0) std::memcpy(merged->bytes(), data(), len_);
+    std::memcpy(merged->bytes() + len_, more.data(), n);
+    release();
+    buf_ = merged;
+    off_ = 0;
+  }
+  len_ += n;
   sum_valid_ = false;
 }
 
 Payload Payload::concat(std::span<const Payload> parts) {
-  if (parts.empty()) return {};
-  if (parts.size() == 1) return parts.front();
+  const Payload* first = nullptr;
+  const Payload* last = nullptr;
   size_t total = 0;
-  for (const Payload& p : parts) total += p.size();
-  Payload out;
-  if (total == 0) return out;
-  out.buf_ = alloc_buf(total);
-  out.len_ = total;
-  size_t at = 0;
+  bool adjacent = true;
   for (const Payload& p : parts) {
     if (p.empty()) continue;
-    std::memcpy(out.buf_->bytes() + at, p.data(), p.size());
+    if (last == nullptr) {
+      first = &p;
+    } else if (!last->adjoins(p)) {
+      adjacent = false;
+    }
+    last = &p;
+    total += p.size();
+  }
+  if (first == nullptr) return {};
+  if (first == last) return *first;
+  if (adjacent) {
+    Payload out = *first;
+    out.len_ = total;
+    out.sum_valid_ = false;
+    return out;
+  }
+  Payload out = uninitialized(total);
+  uint8_t* at = out.buf_->bytes();
+  for (const Payload& p : parts) {
+    if (p.empty()) continue;
+    std::memcpy(at, p.data(), p.size());
     at += p.size();
   }
   return out;

@@ -2,10 +2,12 @@
 //
 // A Payload is a refcounted view (offset + length) into an immutable byte
 // buffer. Copying a Payload bumps a refcount; subview() carves a slice
-// without touching the bytes. This is what lets the simulator forward,
-// queue, retransmit and TSO-split segments without copying payload bytes:
-// the sender's buffer chunk, every in-flight copy of the segment, and the
-// receiver's reassembly queue all reference the same allocation.
+// without touching the bytes, and concat() joins slices that sit back to
+// back in one buffer into one view again. This is what lets the simulator
+// forward, queue, retransmit, TSO-split and reassemble segments without
+// copying payload bytes: the sender's buffer chunk, every in-flight copy
+// of the segment, the receiver's reassembly queue and the mapping it
+// delivers all reference the same allocation.
 //
 // Sharing rules:
 //   - The underlying buffer is immutable. Anything that wants to *modify*
@@ -127,15 +129,19 @@ class Payload {
   /// Keeps only the first `n` bytes of the view (zero-copy).
   void truncate(size_t n);
 
-  /// Appends bytes, materializing a fresh buffer (the old one may be
-  /// shared). Used by coalescing middleboxes; not a hot path.
-  void append(std::span<const uint8_t> more);
-  void append(const Payload& more) { append(more.span()); }
+  /// Appends `more` (the segment coalescer's merge). Zero-copy when `more`
+  /// starts where this view ends in the same buffer, as consecutive carves
+  /// of one write or of the pattern tape do: the view just grows. Any
+  /// other `more` still copies both views into a fresh buffer.
+  void append(const Payload& more);
 
-  /// Concatenates `parts` into one view. A single part is returned as a
-  /// shared view (zero-copy, the common case for a one-fragment DSS
-  /// mapping); multiple parts are gathered with one allocation and one
-  /// copy per byte.
+  /// Concatenates `parts` into one view. Zero-copy when the non-empty
+  /// parts are consecutive views of one buffer, each starting where the
+  /// previous one ends (a single part always is): the result is one view
+  /// spanning them, shared with that buffer and frozen if it is. Parts
+  /// that are not -- from different buffers, with a gap, out of order, or
+  /// unshared by mutable_data() (an ALG's rewrite) -- are still gathered
+  /// into a fresh buffer, one allocation and one copy per byte.
   static Payload concat(std::span<const Payload> parts);
 
   /// Copy-on-write: returns a writable pointer to this view's bytes,
@@ -203,6 +209,13 @@ class Payload {
       return reinterpret_cast<const uint8_t*>(this + 1);
     }
   };
+
+  /// True when `next` views this view's buffer starting exactly where
+  /// this view ends, so the two join into one view without a copy. The one
+  /// adjacency test behind concat() and append().
+  bool adjoins(const Payload& next) const {
+    return buf_ != nullptr && buf_ == next.buf_ && off_ + len_ == next.off_;
+  }
 
   static Buf* alloc_buf(size_t n);
   static void free_buf(Buf* b);

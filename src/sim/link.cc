@@ -48,7 +48,7 @@ void Link::deliver(TcpSegment seg) {
   ++stats_.enqueued_pkts;
   queued_bytes_ += size;
   occupancy_hist_->record(queued_bytes_);
-  queue_.push_back(std::move(seg));
+  queue_.push_back(Queued{std::move(seg), size});
   if (!transmitting_) start_transmission();
 }
 
@@ -70,7 +70,7 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
     // The occupancy histogram is defined per enqueue: it samples the depth
     // after every individual segment, so it cannot be batched.
     occupancy_hist_->record(qb);
-    queue_.push_back(std::move(segs[i]));
+    queue_.push_back(Queued{std::move(segs[i]), size});
   }
   stats_.enqueued_pkts += admitted;
   queued_bytes_ = qb;
@@ -83,7 +83,7 @@ void Link::start_transmission() {
     return;
   }
   transmitting_ = true;
-  const size_t size = queue_.front().wire_size();
+  const size_t size = queue_.front().wire_size;
   const double tx_seconds = static_cast<double>(size) * 8.0 / config_.rate_bps;
   const SimTime tx_time =
       static_cast<SimTime>(tx_seconds * static_cast<double>(kSecond));
@@ -91,9 +91,10 @@ void Link::start_transmission() {
 }
 
 void Link::finish_transmission() {
-  TcpSegment seg = std::move(queue_.front());
+  TcpSegment seg = std::move(queue_.front().seg);
+  const size_t size = queue_.front().wire_size;
   queue_.pop_front();
-  queued_bytes_ -= seg.wire_size();
+  queued_bytes_ -= size;
 
   if (!up_) {
     ++stats_.dropped_down;
@@ -101,11 +102,11 @@ void Link::finish_transmission() {
     ++stats_.dropped_loss;
   } else if (handoff_ != nullptr) {
     ++stats_.delivered_pkts;
-    stats_.delivered_bytes += seg.wire_size();
+    stats_.delivered_bytes += size;
     handoff_->send(loop_.now() + config_.prop_delay, std::move(seg));
   } else if (target_ != nullptr) {
     ++stats_.delivered_pkts;
-    stats_.delivered_bytes += seg.wire_size();
+    stats_.delivered_bytes += size;
     in_flight_.push_back(InFlight{target_, std::move(seg)});
     loop_.schedule_in(config_.prop_delay, [this] { deliver_in_flight(); });
   }

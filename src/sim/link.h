@@ -99,7 +99,14 @@ class Link : public PacketSink {
   ShardChannel* handoff_ = nullptr;
   Rng rng_;
 
-  std::deque<TcpSegment> queue_;
+  /// A segment awaiting serialization with its wire size, computed once
+  /// on enqueue (wire_size() walks every option) and reused for the
+  /// transmission time, the dequeue and the delivered-bytes count.
+  struct Queued {
+    TcpSegment seg;
+    size_t wire_size;
+  };
+  std::deque<Queued> queue_;
   size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;

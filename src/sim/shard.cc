@@ -15,7 +15,9 @@ void ShardChannel::send(SimTime arrival, TcpSegment seg) {
   // non-atomic and the backing block came from the producer thread's
   // pool, so the consumer must never see a buffer anyone else still
   // references. A frozen buffer (the app pattern tape) is exempt: its
-  // refcount is never touched and it is never freed.
+  // refcount is never touched and it is never freed. That covers every
+  // view of it, including one Payload::concat() joined from adjacent
+  // views (a slice straddling two tape writes).
   if (!seg.payload.empty() && !seg.payload.is_frozen()) {
     seg.payload = Payload(seg.payload.span());
   }

@@ -92,19 +92,21 @@ Payload SendBuffer::slice_out(uint64_t seq, size_t len) const {
     // mapped chunk. Share the bytes.
     return it->bytes.subview(off, len);
   }
-  // Straddles chunk boundaries: assemble once.
-  std::vector<uint8_t> flat;
-  flat.reserve(len);
-  uint64_t at = seq;
-  while (flat.size() < len) {
+  // Straddles chunk boundaries: gather the covered part of each chunk.
+  // Consecutive writes of one buffer (pattern-tape writes, mapped slices
+  // of one meta chunk) join into one shared view; chunks from different
+  // buffers are still copied once.
+  std::vector<Payload> parts;
+  const uint64_t end = seq + len;
+  for (uint64_t at = seq; at < end; ++it) {
+    // Contiguous: each next chunk starts exactly at `at`.
     const size_t coff = static_cast<size_t>(at - it->start);
-    const size_t n = std::min(len - flat.size(), it->bytes.size() - coff);
-    const uint8_t* p = it->bytes.data() + coff;
-    flat.insert(flat.end(), p, p + n);
+    const size_t n =
+        std::min(static_cast<size_t>(end - at), it->bytes.size() - coff);
+    parts.push_back(it->bytes.subview(coff, n));
     at += n;
-    ++it;  // contiguous: the next chunk starts exactly at `at`
   }
-  return Payload(flat);
+  return Payload::concat(parts);
 }
 
 void SendBuffer::free_through(uint64_t seq) {

@@ -52,8 +52,9 @@ class SendBuffer {
   /// Returns `len` bytes starting at sequence `seq` as a shared view.
   /// Zero-copy when the range lies within one stored chunk (the common
   /// case: segments never straddle an application write or an MPTCP
-  /// mapping); assembles a fresh buffer otherwise. The range must be
-  /// within [base_seq, end_seq).
+  /// mapping), and when the chunks it straddles are consecutive views of
+  /// one buffer (Payload::concat); copied into a fresh buffer only when
+  /// they are not. The range must be within [base_seq, end_seq).
   Payload slice_out(uint64_t seq, size_t len) const;
 
   /// Releases all bytes below `seq` (cumulative ACK).

@@ -53,6 +53,21 @@ TEST(SendBuffer, SliceOutAcrossChunksAssembles) {
   }
 }
 
+TEST(SendBuffer, SliceOutAcrossAdjacentChunksSharesTheBuffer) {
+  // Writes that are consecutive views of one buffer (pattern-tape writes)
+  // slice out as one view of it, even across chunk boundaries.
+  std::vector<uint8_t> data(100);
+  for (size_t i = 0; i < 100; ++i) data[i] = static_cast<uint8_t>(i);
+  const Payload backing(data);
+  SendBuffer buf(0);
+  buf.append_shared(backing.subview(0, 20), 100);   // [0,20)
+  buf.append_shared(backing.subview(20, 30), 100);  // [20,50)
+  buf.append_shared(backing.subview(50, 50), 100);  // [50,100)
+  const Payload out = buf.slice_out(15, 60);
+  EXPECT_TRUE(out.shares_buffer_with(backing));
+  EXPECT_EQ(out, backing.subview(15, 60));
+}
+
 TEST(SendBuffer, FreeThroughAdvancesBase) {
   SendBuffer buf(0);
   std::vector<uint8_t> data(100);

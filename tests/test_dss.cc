@@ -119,6 +119,48 @@ TEST(ReceiverMappings, CorruptedMappingReportedNotDelivered) {
   EXPECT_EQ(out.checksum_failures[0].second.size(), 500u);
 }
 
+TEST(ReceiverMappings, ThreeFragmentMappingDeliversOneSharedView) {
+  // The fragments are consecutive views of the buffer the sender carved
+  // them from, so the verified mapping is that buffer again: no copy.
+  ReceiverMappings m;
+  const auto bytes = fill(0, 4000);
+  const Payload wire(bytes);
+  m.add(make_rec(1000, 50, 4000, &bytes));
+  EXPECT_TRUE(m.feed(1000, wire.subview(0, 1460), true).deliver.empty());
+  EXPECT_TRUE(m.feed(2460, wire.subview(1460, 1460), true).deliver.empty());
+  auto out = m.feed(3920, wire.subview(2920, 1080), true);
+  EXPECT_TRUE(out.checksum_failures.empty());
+  ASSERT_EQ(out.deliver.size(), 1u);
+  EXPECT_EQ(out.deliver[0].first, 50u);
+  EXPECT_TRUE(out.deliver[0].second.shares_buffer_with(wire));
+  EXPECT_EQ(out.deliver[0].second, wire);
+  EXPECT_EQ(m.held_bytes(), 0u);
+}
+
+TEST(ReceiverMappings, RewrittenMiddleFragmentStillFailsChecksum) {
+  // An ALG rewrites the middle fragment through mutable_data(), which
+  // moves it to a private buffer: the mapping is gathered by copy and
+  // reported with the rewritten bytes.
+  ReceiverMappings m;
+  const auto bytes = fill(0, 4000);
+  const Payload wire(bytes);
+  m.add(make_rec(1000, 50, 4000, &bytes));
+  Payload middle = wire.subview(1460, 1460);
+  middle.mutable_data()[700] ^= 0xA5;
+  EXPECT_TRUE(m.feed(1000, wire.subview(0, 1460), true).deliver.empty());
+  EXPECT_TRUE(m.feed(2460, middle, true).deliver.empty());
+  auto out = m.feed(3920, wire.subview(2920, 1080), true);
+  EXPECT_TRUE(out.deliver.empty());
+  ASSERT_EQ(out.checksum_failures.size(), 1u);
+  EXPECT_EQ(out.checksum_failures[0].first.dsn, 50u);
+  auto rewritten = bytes;
+  rewritten[1460 + 700] ^= 0xA5;
+  const Payload& got = out.checksum_failures[0].second;
+  EXPECT_FALSE(got.shares_buffer_with(wire));
+  EXPECT_EQ(got, Payload(rewritten));
+  EXPECT_EQ(wire, Payload(bytes));  // the sender's bytes are untouched
+}
+
 TEST(ReceiverMappings, UnmappedBytesAreDroppedAndCounted) {
   ReceiverMappings m;
   const auto mapped = fill(0, 500);

@@ -1,19 +1,25 @@
-// Shared-payload semantics: refcounted views, zero-copy slicing,
-// copy-on-write, and the cached folded checksum -- including the
+// Shared-payload semantics: refcounted views, zero-copy slicing and
+// gathers, copy-on-write, and the cached folded checksum -- including the
 // end-to-end property that a payload-rewriting middlebox cannot corrupt
 // the sender's retransmit buffer through the shared bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "app/bulk_app.h"
 #include "app/harness.h"
+#include "app/scenario.h"
 #include "core/meta_recv.h"
+#include "core/mptcp_stack.h"
 #include "middlebox/payload_modifier.h"
 #include "net/checksum.h"
 #include "net/payload.h"
 #include "net/segment.h"
+#include "sim/event_loop.h"
+#include "sim/shard.h"
 #include "tcp/tcp_buffers.h"
 
 namespace mptcp {
@@ -100,13 +106,69 @@ TEST(Payload, ConcatSharesSinglePartAndAssemblesMany) {
   Payload one = Payload::concat(one_part);
   EXPECT_TRUE(one.shares_buffer_with(whole));  // no copy for one fragment
 
-  const Payload parts[] = {whole.subview(0, 100), Payload(),
-                           whole.subview(100, 200)};
-  Payload two = Payload::concat(parts);
-  EXPECT_EQ(two, whole);
-  EXPECT_FALSE(two.shares_buffer_with(whole));  // assembled fresh
+  // Adjacent subviews of one buffer, with empty parts around and between
+  // them: one view of that buffer.
+  const Payload parts[] = {Payload(), whole.subview(10, 90), Payload(),
+                           whole.subview(100, 200), Payload()};
+  Payload joined = Payload::concat(parts);
+  EXPECT_TRUE(joined.shares_buffer_with(whole));
+  EXPECT_EQ(joined.data(), whole.data() + 10);
+  EXPECT_EQ(joined, whole.subview(10, 290));
+  EXPECT_EQ(joined.folded_sum(), ones_complement_sum(joined.span()));
+
+  // The same bytes from two buffers: assembled fresh.
+  const Payload tail(std::span<const uint8_t>(bytes).subspan(100));
+  const Payload split[] = {whole.subview(0, 100), Payload(), tail};
+  Payload fresh = Payload::concat(split);
+  EXPECT_EQ(fresh, whole);
+  EXPECT_FALSE(fresh.shares_buffer_with(whole));
+  EXPECT_FALSE(fresh.shares_buffer_with(tail));
 
   EXPECT_TRUE(Payload::concat(std::span<const Payload>{}).empty());
+  const Payload only_empty[] = {Payload(), Payload()};
+  EXPECT_TRUE(Payload::concat(only_empty).empty());
+}
+
+TEST(Payload, ConcatOfNonAdjacentPartsCopiesOnce) {
+  const std::vector<uint8_t> bytes = pattern(300);
+  const Payload whole(bytes);
+  const Payload twin(bytes);  // same bytes, separate buffer
+  const auto expect_one_fresh_copy = [&](std::span<const Payload> parts) {
+    std::vector<uint8_t> want;
+    for (const Payload& p : parts) want.insert(want.end(), p.begin(), p.end());
+    const Payload got = Payload::concat(parts);
+    EXPECT_EQ(got, Payload(want));
+    EXPECT_FALSE(got.shares_buffer_with(whole));
+    EXPECT_FALSE(got.shares_buffer_with(twin));
+    EXPECT_EQ(got.buffer_refs(), 1u);
+  };
+  const Payload gap[] = {whole.subview(0, 100), whole.subview(101, 50)};
+  expect_one_fresh_copy(gap);
+  const Payload reversed[] = {whole.subview(100, 50), whole.subview(0, 100)};
+  expect_one_fresh_copy(reversed);
+  // Offsets line up, buffers do not.
+  const Payload two_buffers[] = {whole.subview(0, 100),
+                                 twin.subview(100, 100)};
+  expect_one_fresh_copy(two_buffers);
+}
+
+TEST(Payload, AppendOfAdjacentViewExtendsInPlace) {
+  const Payload whole(pattern(300));
+  Payload v = whole.subview(0, 100);
+  v.folded_sum();
+  v.append(whole.subview(100, 60));
+  EXPECT_TRUE(v.shares_buffer_with(whole));
+  EXPECT_EQ(v.data(), whole.data());
+  EXPECT_EQ(v, whole.subview(0, 160));
+  EXPECT_FALSE(v.sum_cached());  // the old sum covered 100 bytes
+  EXPECT_EQ(v.folded_sum(), ones_complement_sum(v.span()));
+
+  // A view that does not continue it is copied.
+  v.append(whole.subview(200, 10));
+  EXPECT_FALSE(v.shares_buffer_with(whole));
+  ASSERT_EQ(v.size(), 170u);
+  EXPECT_EQ(v.subview(0, 160), whole.subview(0, 160));
+  EXPECT_EQ(v.subview(160, 10), whole.subview(200, 10));
 }
 
 TEST(PayloadPool, ResetZeroesStatsAndRecyclesHotSizes) {
@@ -173,6 +235,45 @@ TEST(PayloadFrozen, FoldedSumStaysPerView) {
   EXPECT_FALSE(pattern_payload(0, 1460).sum_cached());
 }
 
+/// Keeps every delivered segment.
+class CapturingSink : public PacketSink {
+ public:
+  std::vector<TcpSegment> segs;
+  void deliver(TcpSegment seg) override { segs.push_back(std::move(seg)); }
+};
+
+TEST(PayloadFrozen, MergedTapeViewStaysFrozenAndCrossesShardsUncopied) {
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop, /*ring_capacity=*/16);
+  CapturingSink sink;
+  ch.set_target(&sink);
+
+  // The producer shard joins two adjacent tape views (a send-buffer slice
+  // straddling two writes) and hands the segment across.
+  bool merged_frozen = false;
+  std::thread producer([&] {
+    const Payload parts[] = {pattern_payload(1000, 1460),
+                             pattern_payload(2460, 1460)};
+    TcpSegment seg;
+    seg.payload = Payload::concat(parts);
+    merged_frozen = seg.payload.is_frozen();
+    ch.send(kMillisecond, std::move(seg));
+  });
+  producer.join();
+  EXPECT_TRUE(merged_frozen);
+
+  ASSERT_EQ(ch.drain(), 1u);
+  loop.run_until(2 * kMillisecond);
+  ASSERT_EQ(sink.segs.size(), 1u);
+  const Payload& got = sink.segs[0].payload;
+  EXPECT_TRUE(got.is_frozen());
+  EXPECT_EQ(got.data(), pattern_payload(1000, 1).data());  // not detached
+  ASSERT_EQ(got.size(), 2920u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], pattern_byte(1000 + i));
+  }
+}
+
 TEST(PayloadFrozen, TwoThreadsCopyAndDropViewsAtOnce) {
   // Both threads may build the tape (first use) and then make and drop
   // views of it concurrently: its refcount is never written.
@@ -195,12 +296,6 @@ TEST(PayloadFrozen, TwoThreadsCopyAndDropViewsAtOnce) {
 }
 
 // --- The COW property the retransmit path depends on ------------------------
-
-class CapturingSink : public PacketSink {
- public:
-  std::vector<TcpSegment> segs;
-  void deliver(TcpSegment seg) override { segs.push_back(std::move(seg)); }
-};
 
 TEST(PayloadCow, ModifierRewriteLeavesSendBufferIntact) {
   // A segment carved from the send buffer shares its bytes; a
@@ -278,6 +373,46 @@ TEST(PayloadCow, MiddleboxRewriteCannotReachAnyQueueSharingTheBytes) {
   ASSERT_EQ(app.read(out), original.size());
   EXPECT_TRUE(std::equal(out.begin(), out.end(), original.begin()));
   EXPECT_EQ(wire, want);  // the shared view itself is untouched
+}
+
+// --- End to end: gathers of adjacent views stay views ----------------------
+
+TEST(PayloadPool, ChecksummedTwoPathTransferGathersWithoutCopies) {
+  // A 2 MB transfer over WiFi + 3G with DSS checksums on (the default).
+  // The receiver holds each multi-segment mapping as fragments and joins
+  // them on completion; senders join slices that straddle two writes.
+  // Every such gather joins adjacent views of the pattern tape, so none
+  // allocates (the run makes no pool allocation at all). A gather that
+  // copies takes a pooled block of its own (11.7 KB for an 8-segment
+  // mapping); copying all of them makes 644 pool allocations on this
+  // transfer, far past the bound below. Under ASan the pool is compiled
+  // out and both counts are zero.
+  constexpr uint64_t kBytes = 2 * 1000 * 1000;
+  TwoHostRig rig({wifi_path(), threeg_path()});  // resets the pool stats
+  MptcpConfig cfg;
+  cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 1024 * 1024;
+  MptcpStack client_stack(rig.client(), cfg);
+  MptcpStack server_stack(rig.server(), cfg);
+  MptcpConnection* server_conn = nullptr;
+  std::unique_ptr<BulkReceiver> receiver;
+  server_stack.listen(80, [&](MptcpConnection& c) {
+    server_conn = &c;
+    receiver = std::make_unique<BulkReceiver>(c);
+  });
+  MptcpConnection& client_conn = client_stack.connect(
+      rig.client_addr(0), Endpoint{rig.server_addr(), 80});
+  BulkSender sender(client_conn, kBytes);
+  rig.loop().run_until(10 * kSecond);
+
+  ASSERT_NE(receiver, nullptr);
+  EXPECT_TRUE(server_conn->dss_checksum_enabled());
+  EXPECT_EQ(server_conn->mode(), MptcpMode::kMptcp);
+  EXPECT_EQ(client_conn.subflow_count(), 2u);
+  EXPECT_EQ(receiver->bytes_received(), kBytes);
+  EXPECT_TRUE(receiver->pattern_ok());
+  EXPECT_TRUE(receiver->saw_eof());
+  const Payload::PoolStats& pool = Payload::pool_stats();
+  EXPECT_LT(pool.hits + pool.misses, 64u);
 }
 
 }  // namespace
