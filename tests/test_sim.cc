@@ -254,6 +254,194 @@ TEST(Link, BufferForDelayHelper) {
   EXPECT_EQ(LinkConfig::buffer_for_delay(8e6, 80 * kMillisecond), 80000u);
 }
 
+// Records (arrival time, seq) so tests can tell segments apart.
+struct SeqCollector : PacketSink {
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+  EventLoop* loop = nullptr;
+  void deliver(TcpSegment seg) override {
+    arrivals.emplace_back(loop->now(), seg.seq);
+  }
+};
+
+TcpSegment make_seq_seg(uint32_t seq, size_t payload = 960) {
+  TcpSegment seg = make_seg(payload);
+  seg.seq = seq;
+  return seg;
+}
+
+TEST(Link, LossBehindPropagatingSegmentsKeepsSurvivorTiming) {
+  // 1 byte per microsecond, so a 1000-byte frame serializes in 1 ms while
+  // every segment propagates for 100 ms: all twenty are in flight at once
+  // and each loss happens at a departure behind propagating survivors.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = 100 * kMillisecond;
+  cfg.buffer_bytes = 1 << 20;
+  cfg.loss_prob = 0.3;
+  cfg.loss_seed = 5;
+  Link link(loop, cfg);
+  SeqCollector sink;
+  sink.loop = &loop;
+  link.set_target(&sink);
+  constexpr uint32_t kSegs = 20;
+  for (uint32_t i = 0; i < kSegs; ++i) link.deliver(make_seq_seg(i));
+  loop.run();
+
+  ASSERT_FALSE(sink.arrivals.empty());
+  EXPECT_EQ(sink.arrivals.size() + link.stats().dropped_loss, kSegs);
+  EXPECT_EQ(link.stats().delivered_pkts, sink.arrivals.size());
+  bool lost_between_survivors = false;
+  for (size_t k = 0; k < sink.arrivals.size(); ++k) {
+    const auto [at, seq] = sink.arrivals[k];
+    // Segment `seq` departs after seq+1 serializations, lost or not.
+    EXPECT_EQ(at, (seq + 1) * kMillisecond + cfg.prop_delay) << "seq " << seq;
+    if (k > 0) {
+      EXPECT_GT(seq, sink.arrivals[k - 1].second);
+      if (seq > sink.arrivals[k - 1].second + 1) lost_between_survivors = true;
+    }
+  }
+  EXPECT_TRUE(lost_between_survivors) << "seed must lose a segment mid-flight";
+}
+
+TEST(Link, DownWhileQueuedDropsAtDepartureUntilBackUp) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = 5 * kMillisecond;
+  cfg.buffer_bytes = 100000;
+  Link link(loop, cfg);
+  SeqCollector sink;
+  sink.loop = &loop;
+  link.set_target(&sink);
+  for (uint32_t i = 0; i < 5; ++i) link.deliver(make_seq_seg(i));
+  // Departures are at 1..5 ms: the first three leave while the link is
+  // down, the last two after it came back.
+  link.set_up(false);
+  loop.schedule_at(3500 * kMicrosecond, [&] { link.set_up(true); });
+  loop.run_until(3 * kMillisecond + 1);
+  EXPECT_EQ(link.stats().dropped_down, 3u);
+  EXPECT_EQ(link.queued_bytes(), 2000u);
+  loop.run();
+  EXPECT_EQ(link.stats().dropped_down, 3u);
+  EXPECT_EQ(link.stats().enqueued_pkts, 5u);
+  EXPECT_EQ(link.stats().delivered_pkts, 2u);
+  ASSERT_EQ(sink.arrivals.size(), 2u);
+  EXPECT_EQ(sink.arrivals[0],
+            std::make_pair(9 * kMillisecond, uint32_t{3}));
+  EXPECT_EQ(sink.arrivals[1],
+            std::make_pair(10 * kMillisecond, uint32_t{4}));
+}
+
+TEST(Link, RetargetInFlightKeepsTargetCapturedAtDeparture) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = 10 * kMillisecond;
+  cfg.buffer_bytes = 100000;
+  Link link(loop, cfg);
+  SeqCollector a;
+  SeqCollector b;
+  a.loop = b.loop = &loop;
+  link.set_target(&a);
+  link.deliver(make_seq_seg(0));
+  link.deliver(make_seq_seg(1));
+  // Segment 0 departed at 1 ms and is propagating; segment 1 departs at
+  // 2 ms, after the switch.
+  loop.schedule_at(1500 * kMicrosecond, [&] { link.set_target(&b); });
+  loop.run();
+  ASSERT_EQ(a.arrivals.size(), 1u);
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_EQ(a.arrivals[0], std::make_pair(11 * kMillisecond, uint32_t{0}));
+  EXPECT_EQ(b.arrivals[0], std::make_pair(12 * kMillisecond, uint32_t{1}));
+}
+
+TEST(Link, DeliverBurstMatchesPerSegmentDeliver) {
+  struct Outcome {
+    std::vector<std::pair<SimTime, uint32_t>> arrivals;
+    Link::Stats stats;
+    uint64_t occ_count = 0;
+    uint64_t occ_sum = 0;
+  };
+  auto run_once = [](bool burst) {
+    EventLoop loop;
+    LinkConfig cfg;
+    cfg.rate_bps = 8e6;
+    cfg.prop_delay = 3 * kMillisecond;
+    cfg.buffer_bytes = 3000;  // overflows part of each burst
+    Link link(loop, cfg);
+    SeqCollector sink;
+    sink.loop = &loop;
+    link.set_target(&sink);
+    auto send_burst = [&](uint32_t first) {
+      std::vector<TcpSegment> segs;
+      for (uint32_t i = 0; i < 6; ++i) {
+        segs.push_back(make_seq_seg(first + i, 200 + 300 * (i % 3)));
+      }
+      if (burst) {
+        link.deliver_burst(segs.data(), segs.size());
+      } else {
+        for (TcpSegment& s : segs) link.deliver(std::move(s));
+      }
+    };
+    send_burst(0);
+    loop.schedule_at(1500 * kMicrosecond, [&] { send_burst(100); });
+    loop.run();
+    Outcome out;
+    out.arrivals = sink.arrivals;
+    out.stats = link.stats();
+    const Histogram* occ =
+        loop.stats().find_histogram(link.stats_scope() + ".occupancy_bytes");
+    EXPECT_NE(occ, nullptr);
+    if (occ != nullptr) {
+      out.occ_count = occ->count();
+      out.occ_sum = occ->sum();
+    }
+    return out;
+  };
+  const Outcome single = run_once(false);
+  const Outcome burst = run_once(true);
+  EXPECT_GT(single.stats.dropped_overflow, 0u);
+  EXPECT_EQ(single.arrivals, burst.arrivals);
+  EXPECT_EQ(single.stats.enqueued_pkts, burst.stats.enqueued_pkts);
+  EXPECT_EQ(single.stats.delivered_pkts, burst.stats.delivered_pkts);
+  EXPECT_EQ(single.stats.delivered_bytes, burst.stats.delivered_bytes);
+  EXPECT_EQ(single.stats.dropped_overflow, burst.stats.dropped_overflow);
+  EXPECT_EQ(single.stats.dropped_loss, burst.stats.dropped_loss);
+  EXPECT_EQ(single.stats.dropped_down, burst.stats.dropped_down);
+  EXPECT_EQ(single.occ_count, burst.occ_count);
+  EXPECT_EQ(single.occ_sum, burst.occ_sum);
+}
+
+TEST(Link, QueuedBytesCountsOnlyUndepartedSegments) {
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.prop_delay = 10 * kMillisecond;
+  cfg.buffer_bytes = 100000;
+  Link link(loop, cfg);
+  SeqCollector sink;
+  sink.loop = &loop;
+  link.set_target(&sink);
+  for (uint32_t i = 0; i < 3; ++i) link.deliver(make_seq_seg(i));
+  EXPECT_EQ(link.queued_bytes(), 3000u);
+  loop.run_until(1500 * kMicrosecond);
+  EXPECT_EQ(link.queued_bytes(), 2000u);
+  loop.run_until(3500 * kMicrosecond);
+  // All three are propagating; none is queued any more.
+  EXPECT_EQ(link.queued_bytes(), 0u);
+  EXPECT_TRUE(sink.arrivals.empty());
+  // A new segment queues behind nothing: the transmitter is idle.
+  link.deliver(make_seq_seg(3));
+  EXPECT_EQ(link.queued_bytes(), 1000u);
+  loop.run();
+  EXPECT_EQ(link.queued_bytes(), 0u);
+  ASSERT_EQ(sink.arrivals.size(), 4u);
+  EXPECT_EQ(sink.arrivals[3],
+            std::make_pair(4500 * kMicrosecond + 10 * kMillisecond,
+                           uint32_t{3}));
+}
+
 // --- Host --------------------------------------------------------------------
 
 struct RecordingHandler : SegmentHandler {
