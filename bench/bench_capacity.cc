@@ -24,8 +24,12 @@
 // executes only the reduced scales whose smoke_* keys the CI gate
 // compares against the tracked baseline (bench/check_bench.py; tail
 // p99/p999 and rejection keys are gated lower-is-better, other *_us keys
-// are informational). The whole run is deterministic: CI also digests the
-// same topology twice via `sim_digest --scenario capacity`.
+// are informational). smoke_bytes_per_conn is the memory key, gated
+// lower-is-better: the peak RSS the smoke capacity phase adds (VmHWM
+// after it minus VmRSS before it) over its peak concurrent connections.
+// VmHWM is a process-wide high-water mark, so the smoke scale always
+// runs first. The simulated results are deterministic: CI also digests
+// the same topology twice via `sim_digest --scenario capacity`.
 //
 // --shards N adds the sharded engine runs (see run_sharded_scale below):
 // the same cell-ring topology executed single-shard and with N worker
@@ -43,6 +47,7 @@
 #include <cstring>
 #include <map>
 
+#include "app/harness.h"
 #include "app/workload.h"
 #include "bench_util.h"
 #include "sim/shard.h"
@@ -648,8 +653,16 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
+  // Build the shared pattern tape before the baseline reading, so its
+  // 4 MiB are not charged to the connections.
+  pattern_payload(0, 1);
+  const double rss_before = proc_status_bytes("VmRSS");
   const ScaleResult smoke = run_scale(kSmoke, /*seed=*/1);
+  const double bytes_per_conn = (proc_status_bytes("VmHWM") - rss_before) /
+                                std::max(1.0, smoke.peak_concurrent);
+  std::printf("%-24s %12.0f\n\n", "bytes_per_conn", bytes_per_conn);
   append_fields(fields, "smoke_", smoke);
+  fields.emplace_back("smoke_bytes_per_conn", bytes_per_conn);
   const ServingResult smoke_serving = run_serving(kServingSmoke, /*seed=*/1);
   append_serving_fields(fields, "smoke_serving_", smoke_serving);
   if (smoke_serving.completed <= 0) {

@@ -1,6 +1,8 @@
 #include "bench_util.h"
 
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <thread>
 
 namespace mptcp {
@@ -172,6 +174,18 @@ size_t clamp_shards(size_t requested) {
                "the requested count)\n",
                requested, cores, cores);
   return cores;
+}
+
+double proc_status_bytes(const char* field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  const size_t n = std::strlen(field);
+  while (std::getline(in, line)) {
+    if (line.compare(0, n, field) == 0 && line.size() > n && line[n] == ':') {
+      return std::strtod(line.c_str() + n + 1, nullptr) * 1024.0;
+    }
+  }
+  return 0;
 }
 
 bool write_json(const std::string& path,

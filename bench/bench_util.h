@@ -55,6 +55,10 @@ bool write_json(const std::string& path,
 /// must not let it drift with the host.
 size_t clamp_shards(size_t requested);
 
+/// A "<field>: N kB" line of /proc/self/status (VmRSS, VmHWM, ...) in
+/// bytes; 0 when the field or the file is missing (non-Linux hosts).
+double proc_status_bytes(const char* field);
+
 /// Which sender-side mechanisms a variant enables (section 4.2).
 struct Variant {
   std::string name;

@@ -1,7 +1,6 @@
 #include "app/client_pool.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace mptcp {
 
@@ -207,9 +206,8 @@ void ConnectionPool::on_conn_closed(Conn& c) {
   // Fail outstanding requests over: each gets max_retries more attempts
   // through the pool queue (ahead of fresh submissions, preserving
   // rough issue order), then an error outcome.
-  std::deque<Pending> taken = std::move(c.pending);
-  c.pending.clear();
-  std::deque<Pending> retry;
+  RingQueue<Pending> taken = std::move(c.pending);  // leaves it empty
+  std::vector<Pending> retry;
   std::vector<Pending> dead;
   for (Pending& p : taken) {
     p.got = 0;  // a retried request streams its response from scratch
@@ -220,8 +218,9 @@ void ConnectionPool::on_conn_closed(Conn& c) {
       dead.push_back(std::move(p));
     }
   }
-  queue_.insert(queue_.begin(), std::make_move_iterator(retry.begin()),
-                std::make_move_iterator(retry.end()));
+  for (auto it = retry.rbegin(); it != retry.rend(); ++it) {
+    queue_.push_front(std::move(*it));
+  }
   for (Pending& p : dead) finish(std::move(p), false, false);
 
   if (!stopped_ && started_) {

@@ -21,13 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "app/framing.h"
 #include "app/socket_factory.h"
+#include "net/ring_queue.h"
 
 namespace mptcp {
 
@@ -97,7 +97,7 @@ class ConnectionPool {
 
  private:
   /// One submitted-but-unfinished request, owned by a connection's
-  /// pending deque (front = oldest = next response) or the pool queue.
+  /// pending ring (front = oldest = next response) or the pool queue.
   struct Pending {
     RequestOutcome out;  ///< carries req_id / issued_at / retries
     uint64_t response_size = 0;
@@ -110,7 +110,7 @@ class ConnectionPool {
     StreamSocket* sock = nullptr;
     bool connected = false;
     FrameReader reader;
-    std::deque<Pending> pending;  ///< front = oldest outstanding
+    RingQueue<Pending> pending;  ///< front = oldest outstanding
     std::vector<uint8_t> out_buf;  ///< staged unsent request bytes
     size_t out_off = 0;
     std::unique_ptr<Timer> reconnect;
@@ -131,7 +131,7 @@ class ConnectionPool {
   Endpoint server_;
   PoolConfig cfg_;
   std::vector<std::unique_ptr<Conn>> conns_;
-  std::deque<Pending> queue_;  ///< waiting for a connection slot
+  RingQueue<Pending> queue_;  ///< waiting for a connection slot
   uint64_t next_req_id_ = 0;
   uint64_t completed_ = 0;
   uint64_t rejected_ = 0;

@@ -83,11 +83,11 @@ void ServerApp::Conn::parse_requests() {
 
 void ServerApp::Conn::maybe_start_response() {
   if (responding || waiting_service || dead || pipeline.empty()) return;
-  const PendingReq& front = pipeline.front();
   const ServiceTimeModel& model = self->cfg_.service;
   // Rejects are answered immediately: admission control happens before
   // the request costs any service time.
-  if (front.rejected || model.kind == ServiceTimeModel::Kind::kNone) {
+  if (pipeline.front().rejected ||
+      model.kind == ServiceTimeModel::Kind::kNone) {
     responding = true;
     pump_response();
     return;
@@ -112,7 +112,9 @@ void ServerApp::Conn::maybe_start_response() {
 void ServerApp::Conn::pump_response() {
   while (responding && !dead) {
     if (!flush_frame()) return;  // send buffer full; resume on send space
-    PendingReq& front = pipeline.front();
+    // A copy, not a reference into the ring: finish_request() pops the
+    // pipeline and may re-enter parse_requests(), which pushes into it.
+    const PendingReq front = pipeline.front();
     const uint64_t size = front.req.response_size;
     if (front.rejected) {
       if (!tail_staged()) {

@@ -29,12 +29,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "app/framing.h"
 #include "app/socket_factory.h"
+#include "net/ring_queue.h"
 #include "net/rng.h"
 #include "sim/event_loop.h"
 
@@ -105,7 +105,7 @@ class ServerApp {
   struct Conn {
     ServerApp* self = nullptr;
     StreamSocket* sock = nullptr;
-    std::deque<PendingReq> pipeline;  ///< front = next to answer
+    RingQueue<PendingReq> pipeline;  ///< front = next to answer
     bool responding = false;       ///< the front response is streaming
     bool waiting_service = false;  ///< service-time timer armed
     uint64_t response_sent = 0;    ///< body bytes of the active response

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 
+#include "net/ring_queue.h"
 #include "net/rng.h"
 #include "net/sha1.h"
 
@@ -67,7 +67,7 @@ class TokenTable {
  private:
   Rng rng_;
   std::unordered_map<uint32_t, MptcpConnection*> table_;
-  std::deque<KeyToken> pool_;
+  RingQueue<KeyToken> pool_;
 };
 
 }  // namespace mptcp

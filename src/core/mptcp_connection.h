@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -211,7 +210,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint64_t sched_snd_nxt() const override { return snd_nxt_d_; }
   uint64_t sched_stream_end() const override { return meta_snd_.end_seq(); }
   uint64_t sched_window_edge() const override { return meta_right_edge_; }
-  std::deque<std::pair<uint64_t, uint64_t>>& sched_reinject() override {
+  RingQueue<std::pair<uint64_t, uint64_t>>& sched_reinject() override {
     return reinject_;
   }
   Payload sched_slice(uint64_t dsn, size_t len) override {
@@ -293,7 +292,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
     size_t subflow_id;
   };
   std::map<uint64_t, Alloc> alloc_;  ///< dsn -> allocation record
-  std::deque<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
+  RingQueue<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
   uint64_t reinjected_until_ = 0;  ///< M1 high-water mark (monotonic)
   std::unique_ptr<Scheduler> scheduler_;  ///< policy + its private state
   std::map<size_t, SimTime> next_penalty_at_;  ///< per-subflow M2 limiter

@@ -26,13 +26,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string_view>
 #include <utility>
 
 #include "net/payload.h"
+#include "net/ring_queue.h"
 
 namespace mptcp {
 
@@ -64,8 +64,10 @@ class SchedulerHost {
   virtual uint64_t sched_window_edge() const = 0;
   /// Pending re-injection ranges (dsn, len), oldest first: data owed by
   /// dead subflows or resurrected by the meta RTO. Re-injections are
-  /// served before any fresh allocation.
-  virtual std::deque<std::pair<uint64_t, uint64_t>>& sched_reinject() = 0;
+  /// served before any fresh allocation; a partly served range goes back
+  /// with push_front(). Copy an entry out before pushing or popping: a
+  /// RingQueue resize invalidates references into it.
+  virtual RingQueue<std::pair<uint64_t, uint64_t>>& sched_reinject() = 0;
   /// Zero-copy view of [dsn, dsn+len) from the connection-level send
   /// buffer (the bytes stay owned by the buffer until DATA_ACKed).
   virtual Payload sched_slice(uint64_t dsn, size_t len) = 0;

@@ -41,14 +41,15 @@ void Link::deliver(TcpSegment seg) {
   // configured buffer; otherwise a buffer smaller than one MTU would
   // black-hole the link entirely.
   const size_t size = seg.wire_size();
-  if (queued_bytes_ + size > config_.buffer_bytes && !queue_.empty()) {
+  if (queued_bytes_ + size > config_.buffer_bytes &&
+      ring_.size() != departed_) {
     ++stats_.dropped_overflow;
     return;
   }
   ++stats_.enqueued_pkts;
   queued_bytes_ += size;
   occupancy_hist_->record(queued_bytes_);
-  queue_.push_back(Queued{std::move(seg), size});
+  ring_.emplace_back(std::move(seg), size, nullptr);
   if (!transmitting_) start_transmission();
 }
 
@@ -61,7 +62,7 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
   size_t qb = queued_bytes_;
   for (size_t i = 0; i < n; ++i) {
     const size_t size = segs[i].wire_size();
-    if (qb + size > config_.buffer_bytes && !queue_.empty()) {
+    if (qb + size > config_.buffer_bytes && ring_.size() != departed_) {
       ++stats_.dropped_overflow;
       continue;
     }
@@ -70,7 +71,7 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
     // The occupancy histogram is defined per enqueue: it samples the depth
     // after every individual segment, so it cannot be batched.
     occupancy_hist_->record(qb);
-    queue_.push_back(Queued{std::move(segs[i]), size});
+    ring_.emplace_back(std::move(segs[i]), size, nullptr);
   }
   stats_.enqueued_pkts += admitted;
   queued_bytes_ = qb;
@@ -78,12 +79,12 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
 }
 
 void Link::start_transmission() {
-  if (queue_.empty()) {
+  if (ring_.size() == departed_) {
     transmitting_ = false;
     return;
   }
   transmitting_ = true;
-  const size_t size = queue_.front().wire_size;
+  const size_t size = ring_[departed_].wire_size;
   const double tx_seconds = static_cast<double>(size) * 8.0 / config_.rate_bps;
   const SimTime tx_time =
       static_cast<SimTime>(tx_seconds * static_cast<double>(kSecond));
@@ -91,32 +92,58 @@ void Link::start_transmission() {
 }
 
 void Link::finish_transmission() {
-  TcpSegment seg = std::move(queue_.front().seg);
-  const size_t size = queue_.front().wire_size;
-  queue_.pop_front();
+  // The departing slot is decided in place. Nothing below pushes into or
+  // pops from ring_ while `slot` is in use: the shard channel is another
+  // object, and release_departing() comes last.
+  Slot& slot = ring_[departed_];
+  const size_t size = slot.wire_size;
   queued_bytes_ -= size;
 
   if (!up_) {
     ++stats_.dropped_down;
+    release_departing();
   } else if (config_.loss_prob > 0.0 && rng_.chance(config_.loss_prob)) {
     ++stats_.dropped_loss;
+    release_departing();
   } else if (handoff_ != nullptr) {
     ++stats_.delivered_pkts;
     stats_.delivered_bytes += size;
-    handoff_->send(loop_.now() + config_.prop_delay, std::move(seg));
+    handoff_->send(loop_.now() + config_.prop_delay, std::move(slot.seg));
+    release_departing();
   } else if (target_ != nullptr) {
     ++stats_.delivered_pkts;
     stats_.delivered_bytes += size;
-    in_flight_.push_back(InFlight{target_, std::move(seg)});
+    slot.target = target_;
+    ++departed_;
     loop_.schedule_in(config_.prop_delay, [this] { deliver_in_flight(); });
+  } else {
+    release_departing();
   }
   start_transmission();
 }
 
+void Link::release_departing() {
+  if (departed_ == 0) {
+    ring_.pop_front();
+    return;
+  }
+  // Behind a propagating segment: free the bytes now and leave the empty
+  // slot for deliver_in_flight() to pop after the one ahead arrives.
+  ring_[departed_].seg = TcpSegment();
+  ++departed_;
+}
+
 void Link::deliver_in_flight() {
-  InFlight f = std::move(in_flight_.front());
-  in_flight_.pop_front();
-  f.target->deliver(std::move(f.seg));
+  // The target may send on this very link (a reflecting middlebox, a
+  // routing loop), which pushes into ring_ and may move every slot, so
+  // the segment leaves its slot -- moved into deliver()'s parameter --
+  // before the call, and the slot is popped by position after it.
+  PacketSink* target = ring_.front().target;
+  target->deliver(std::move(ring_.front().seg));
+  do {
+    ring_.pop_front();
+    --departed_;
+  } while (departed_ != 0 && ring_.front().target == nullptr);
 }
 
 }  // namespace mptcp

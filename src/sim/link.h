@@ -4,11 +4,17 @@
 //
 // The paper's emulated paths are expressed directly in this vocabulary,
 // e.g. "WiFi" = 8 Mbps, 20 ms RTT (10 ms per direction), 80 ms of buffer.
+//
+// One RingQueue holds every segment from enqueue to arrival: the ones
+// still waiting for the transmitter sit behind the ones propagating. A
+// segment is moved into the ring once (on enqueue) and out once (into
+// the target, or into the shard channel), and its fate is decided in
+// place when it departs.
 #pragma once
 
-#include <deque>
 #include <string>
 
+#include "net/ring_queue.h"
 #include "net/rng.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
@@ -82,6 +88,8 @@ class Link : public PacketSink {
   const LinkConfig& config() const { return config_; }
   const Stats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
+  /// Wire bytes waiting for the transmitter; propagating segments are
+  /// not counted.
   size_t queued_bytes() const { return queued_bytes_; }
   /// Registry scope this link publishes under ("sim.link.<name>", made
   /// collision-free by the loop's registry).
@@ -91,6 +99,9 @@ class Link : public PacketSink {
   void start_transmission();
   void finish_transmission();
   void deliver_in_flight();
+  /// Frees the departing slot's segment (dropped, handed off or without a
+  /// target).
+  void release_departing();
 
   EventLoop& loop_;
   LinkConfig config_;
@@ -99,31 +110,33 @@ class Link : public PacketSink {
   ShardChannel* handoff_ = nullptr;
   Rng rng_;
 
-  /// A segment awaiting serialization with its wire size, computed once
+  /// One segment from enqueue to arrival. The wire size is computed once
   /// on enqueue (wire_size() walks every option) and reused for the
-  /// transmission time, the dequeue and the delivered-bytes count.
-  struct Queued {
+  /// transmission time, the queue depth and the delivered-bytes count.
+  struct Slot {
     TcpSegment seg;
     size_t wire_size;
+    /// Set when the segment departs toward a local target, like the
+    /// closure capture it replaces; null for a queued segment and for a
+    /// released one left behind a propagating segment.
+    PacketSink* target;
   };
-  std::deque<Queued> queue_;
+  /// [0, departed_) have departed: each live one waits for its arrival
+  /// event, and released ones wait to be popped behind the live one
+  /// ahead of them. [departed_, size()) are queued, front next on the
+  /// wire. Propagation delay is constant and departures are serialized,
+  /// so arrivals are FIFO: each arrival event takes the front, and the
+  /// front of the departed part is always live. Keeping segments here
+  /// instead of inside per-event closures keeps every callback in
+  /// SmallFn's inline storage -- no allocation per packet.
+  RingQueue<Slot> ring_;
+  size_t departed_ = 0;
   size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;
   Stats stats_;
   std::string scope_;
   Histogram* occupancy_hist_ = nullptr;  ///< queue depth sampled per enqueue
-
-  /// Segments that finished serialization and are propagating. Propagation
-  /// delay is constant and departures are serialized, so arrivals are FIFO:
-  /// each propagation event pops the front. Keeping segments here (instead
-  /// of inside per-event closures) keeps event callbacks small enough for
-  /// std::function's inline storage -- no allocation per packet.
-  struct InFlight {
-    PacketSink* target;  ///< captured at departure, like the old closure
-    TcpSegment seg;
-  };
-  std::deque<InFlight> in_flight_;
 };
 
 }  // namespace mptcp

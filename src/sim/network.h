@@ -15,7 +15,6 @@
 // extra cycles (e.g. MPTCP key hashing) that delay subsequent segments.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "net/ip.h"
+#include "net/ring_queue.h"
 #include "net/rng.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
@@ -128,7 +128,7 @@ class Host : public PacketSink {
   /// non-decreasing order (cpu_free_at_ is monotonic), so each completion
   /// event processes the front -- the queue keeps segments out of the event
   /// closures, which stay allocation-free.
-  std::deque<TcpSegment> cpu_pending_;
+  RingQueue<TcpSegment> cpu_pending_;
 
   uint64_t send_drops_ = 0;
   uint64_t delivered_segments_ = 0;

@@ -60,10 +60,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "net/ring_queue.h"
 #include "net/segment.h"
 #include "net/stats.h"
 #include "sim/barrier.h"
@@ -117,7 +117,7 @@ class ShardChannel {
 
   /// Consumer side, barrier-only: moves every queued segment (ring
   /// first, then overflow, preserving producer FIFO order) into the
-  /// pending deque and schedules one delivery event per run of equal
+  /// pending queue and schedules one delivery event per run of equal
   /// arrival times -- each event burst-delivers its run through the
   /// PR 7 deliver_burst path. Returns how many segments were drained.
   /// The caller must guarantee the producer is quiesced (the engine's
@@ -161,8 +161,10 @@ class ShardChannel {
   /// delivery events fire in (time, schedule-seq) order, so each event
   /// pops its run off the front. Keeping segments here instead of inside
   /// per-event closures keeps every callback within SmallFn's inline
-  /// buffer -- no allocation per handed-off segment.
-  std::deque<HandoffItem> pending_;
+  /// buffer -- no allocation per handed-off segment. A RingQueue: no
+  /// storage for a channel that never carries traffic, and no block
+  /// allocated and freed per few segments in steady state.
+  RingQueue<HandoffItem> pending_;
   std::vector<TcpSegment> scratch_;  ///< reused burst buffer
 
   // Producer-written counters and consumer-written counters on separate

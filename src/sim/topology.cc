@@ -1,7 +1,8 @@
 #include "sim/topology.h"
 
-#include <deque>
 #include <utility>
+
+#include "net/ring_queue.h"
 
 namespace mptcp {
 
@@ -186,6 +187,7 @@ void Topology::build_routes() {
   // Scratch state for the per-address BFS below, reused across addresses.
   std::vector<int> visited(nodes_.size(), 0);
   std::vector<Link*> via(nodes_.size(), nullptr);  // next hop toward source
+  RingQueue<NodeId> queue;
   int epoch = 0;
 
   for (size_t li = 0; li < links_.size(); ++li) {
@@ -206,7 +208,6 @@ void Topology::build_routes() {
       // forward), so only routers are expanded. First-discovered wins on
       // equal hop counts -- deterministic by construction order.
       ++epoch;
-      std::deque<NodeId> queue;
       visited[u] = epoch;
       queue.push_back(u);
       while (!queue.empty()) {

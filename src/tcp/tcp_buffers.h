@@ -6,16 +6,22 @@
 // carving an MSS-sized segment -- including every retransmission of it --
 // is a zero-copy subview; the reassembly queue likewise holds the
 // segment payloads it was handed without duplicating them.
+//
+// SendBuffer and RecvQueue keep their chunks in a RingQueue
+// (net/ring_queue.h), which allocates nothing until the first chunk
+// arrives: an idle connection's (and each idle subflow's) buffers cost
+// only their own few words. A chunk reference does not survive a push
+// or pop on the same buffer.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "net/payload.h"
+#include "net/ring_queue.h"
 
 namespace mptcp {
 
@@ -79,7 +85,7 @@ class SendBuffer {
     chunks_.push_back(Chunk{start, std::move(bytes)});
   }
 
-  using ChunkIter = std::deque<Chunk>::const_iterator;
+  using ChunkIter = RingQueue<Chunk>::const_iterator;
 
   /// The chunk containing `seq` (binary search; chunks are sorted and
   /// contiguous).
@@ -87,10 +93,10 @@ class SendBuffer {
 
   uint64_t base_seq_;
   size_t size_ = 0;
-  std::deque<Chunk> chunks_;  ///< contiguous, sorted by start
+  RingQueue<Chunk> chunks_;  ///< contiguous, sorted by start
 };
 
-/// In-order receive queue between reassembly and the application: a deque
+/// In-order receive queue between reassembly and the application: a ring
 /// of delivered Payload views. read() copies into the caller's span and
 /// advances by trimming view prefixes -- O(bytes read), never a memmove of
 /// what stays buffered. peek_views()/consume() expose the same bytes as a
@@ -132,7 +138,7 @@ class RecvQueue {
   }
 
  private:
-  std::deque<Payload> chunks_;
+  RingQueue<Payload> chunks_;
   size_t bytes_ = 0;
 };
 

@@ -122,6 +122,24 @@ class CheckBenchTest(unittest.TestCase):
         r = run_check(base, fewer, "--tolerance", "0.30")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
+    def test_bytes_per_conn_gates_lower_with_plain_tolerance(self):
+        base = self.write("base.json", {"smoke_bytes_per_conn": 30000.0})
+        worse = self.write("worse.json", {"smoke_bytes_per_conn": 40000.0})
+        r = run_check(base, worse, "--tolerance", "0.30",
+                      "--seconds-tolerance", "0.75")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("REGRESSION", r.stdout)
+        self.assertIn("lower-better", r.stdout)
+        within = self.write("within.json", {"smoke_bytes_per_conn": 38000.0})
+        r = run_check(base, within, "--tolerance", "0.30",
+                      "--seconds-tolerance", "0.75")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        # Less memory is never a regression (it would be for a default
+        # higher-is-better key).
+        smaller = self.write("smaller.json", {"smoke_bytes_per_conn": 5000.0})
+        r = run_check(base, smaller, "--tolerance", "0.30")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
     def test_zero_spill_baseline_gates_exactly_at_zero(self):
         base = self.write("base.json",
                           {"spsc_spills_total": 0.0, "events_per_sec": 1e6})

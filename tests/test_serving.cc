@@ -284,6 +284,120 @@ TEST(ServingEndToEnd, AcceptBoundRefusesExtraConnections) {
   t.pool->stop();
 }
 
+// Pipelines deeper than a RingQueue's first allocation (8 slots): the
+// server's per-connection pipeline and the pool's pending and retry
+// rings grow and shrink while responses stream, so a reference into one
+// of them kept across a push or pop fails under the sanitizer build.
+constexpr size_t kDeepPipeline = 32;
+
+std::vector<uint64_t> deep_pipeline_sizes(size_t n) {
+  std::vector<uint64_t> sizes;
+  sizes.push_back(100'000);  // streams while the rest are parsed
+  for (size_t i = 1; i < n; ++i) sizes.push_back(1'000 + 37 * i);
+  return sizes;
+}
+
+// Every outcome arrived once, in request order, and each completed one
+// carried exactly the bytes it asked for.
+void expect_in_order_and_exact(const std::vector<RequestOutcome>& outcomes,
+                               const std::vector<uint64_t>& sizes) {
+  ASSERT_EQ(outcomes.size(), sizes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].req_id, i);
+    if (outcomes[i].ok) {
+      EXPECT_EQ(outcomes[i].bytes, sizes[i]) << "req " << i;
+    }
+  }
+}
+
+TEST(ServingEndToEnd, DeepPipelineRejectModeAnswersInOrder) {
+  ServingConfig sc;
+  sc.max_pipeline = kDeepPipeline;
+  sc.max_inflight = 8;  // the rest of each burst is rejected in order
+  PoolConfig pc;
+  pc.connections = 1;
+  pc.max_mux = kDeepPipeline;
+  pc.chunk_bytes = 4096;
+  ServingRig t(sc, pc, /*snd_buf=*/16 * 1024);
+  std::vector<RequestOutcome> outcomes;
+  t.pool->on_done = [&](const RequestOutcome& o) { outcomes.push_back(o); };
+  t.pool->start();
+  t.rig.loop().run_until(50 * kMillisecond);
+  const std::vector<uint64_t> sizes = deep_pipeline_sizes(48);
+  for (uint64_t size : sizes) t.pool->submit(size);
+  EXPECT_EQ(t.pool->inflight(), kDeepPipeline);
+  EXPECT_EQ(t.pool->queued(), sizes.size() - kDeepPipeline);
+  t.rig.loop().run_until(10 * kSecond);
+
+  expect_in_order_and_exact(outcomes, sizes);
+  EXPECT_GT(t.pool->rejected(), kDeepPipeline / 2);
+  EXPECT_EQ(t.pool->rejected(), t.server->requests_rejected());
+  EXPECT_EQ(t.pool->completed(), t.server->requests_served());
+  EXPECT_EQ(t.pool->completed() + t.pool->rejected(), sizes.size());
+  EXPECT_EQ(t.pool->errors(), 0u);
+  EXPECT_EQ(t.server->peak_inflight(), 8u);
+}
+
+TEST(ServingEndToEnd, DeepPipelineDeferModeFillsPipelineThenResumes) {
+  ServingConfig sc;
+  sc.max_pipeline = kDeepPipeline;
+  sc.overload = ServingConfig::Overload::kDefer;
+  PoolConfig pc;
+  pc.connections = 1;
+  pc.max_mux = kDeepPipeline + 8;  // past the pipeline bound: deferred
+  pc.chunk_bytes = 4096;
+  ServingRig t(sc, pc, /*snd_buf=*/16 * 1024);
+  std::vector<RequestOutcome> outcomes;
+  t.pool->on_done = [&](const RequestOutcome& o) { outcomes.push_back(o); };
+  t.pool->start();
+  t.rig.loop().run_until(50 * kMillisecond);
+  const std::vector<uint64_t> sizes = deep_pipeline_sizes(64);
+  for (uint64_t size : sizes) t.pool->submit(size);
+  t.rig.loop().run_until(10 * kSecond);
+
+  // Each finished response frees one pipeline slot and the deferred
+  // request behind it is parsed from inside the response pump.
+  expect_in_order_and_exact(outcomes, sizes);
+  EXPECT_EQ(t.pool->completed(), sizes.size());
+  EXPECT_EQ(t.pool->rejected(), 0u);
+  EXPECT_EQ(t.server->requests_rejected(), 0u);
+  EXPECT_EQ(t.server->peak_inflight(), kDeepPipeline);
+}
+
+TEST(ServingEndToEnd, DeepPipelineFailoverRetriesInSubmitOrder) {
+  ServingConfig sc;
+  sc.max_pipeline = kDeepPipeline;
+  PoolConfig pc;
+  pc.connections = 1;
+  pc.max_mux = kDeepPipeline;
+  pc.max_retries = 1;
+  ServingRig t(sc, pc);
+  std::vector<RequestOutcome> outcomes;
+  t.pool->on_done = [&](const RequestOutcome& o) { outcomes.push_back(o); };
+  t.pool->start();
+  t.rig.loop().run_until(50 * kMillisecond);
+  const std::vector<uint64_t> sizes(48, 50'000);
+  for (uint64_t size : sizes) t.pool->submit(size);
+  size_t outstanding_at_crash = 0;
+  t.rig.loop().schedule_in(30 * kMillisecond, [&] {
+    outstanding_at_crash = t.pool->inflight();
+    t.server->for_each_conn([](StreamSocket& s) { s.close(); });
+  });
+  t.rig.loop().run_until(10 * kSecond);
+
+  // The outstanding requests went back to the front of the pool queue
+  // (push_front, last first) ahead of the fresh ones still queued, so on
+  // the one re-dialled connection every request completes in submit
+  // order.
+  EXPECT_GT(outstanding_at_crash, 8u);
+  expect_in_order_and_exact(outcomes, sizes);
+  EXPECT_EQ(t.pool->completed(), sizes.size());
+  EXPECT_EQ(t.pool->errors(), 0u);
+  size_t retried = 0;
+  for (const RequestOutcome& o : outcomes) retried += o.retries;
+  EXPECT_GE(retried, outstanding_at_crash);
+}
+
 // --- workload-engine serving modes ------------------------------------------
 
 TEST(ServingWorkload, OpenLoopEngineDrivesPoolsAndExportsTailStats) {
