@@ -21,6 +21,10 @@ std::unique_ptr<CongestionControl> make_congestion_control(
   return std::make_unique<LiaCc>(group, opts);
 }
 
+void CoupledGroup::remove(const CongestionControl* cc) {
+  std::erase_if(members_, [cc](const LiaCc* m) { return m == cc; });
+}
+
 double CoupledGroup::alpha() const {
   double best_ratio = 0;   // max cwnd_i / rtt_i^2
   double sum_rate = 0;     // sum cwnd_i / rtt_i

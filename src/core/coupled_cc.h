@@ -8,11 +8,11 @@
 //     cwnd_i += min( alpha * b * mss / cwnd_total ,  b * mss / cwnd_i )
 // with
 //     alpha = cwnd_total * max_i(cwnd_i / rtt_i^2) / (sum_i cwnd_i/rtt_i)^2
-// computed across the established subflows of one connection. The min()
-// guarantees MPTCP is never more aggressive than TCP on any single path;
-// alpha couples the increases so the connection as a whole takes one
-// fair share and moves traffic away from congested paths. Decrease is
-// standard per-subflow halving.
+// computed across the subflows of one connection that have not closed.
+// The min() guarantees MPTCP is never more aggressive than TCP on any
+// single path; alpha couples the increases so the connection as a whole
+// takes one fair share and moves traffic away from congested paths.
+// Decrease is standard per-subflow halving.
 #pragma once
 
 #include <memory>
@@ -25,13 +25,15 @@ namespace mptcp {
 
 class LiaCc;
 
-/// Shared state across the subflows of one MPTCP connection.
+/// Shared state across the subflows of one MPTCP connection. A LIA
+/// controller joins when its subflow is created and leaves when the
+/// subflow closes, so a dead path's frozen window never damps the
+/// survivors.
 class CoupledGroup {
  public:
   void add(LiaCc* cc) { members_.push_back(cc); }
-  void remove(LiaCc* cc) {
-    std::erase(members_, cc);
-  }
+  /// Drops `cc` if it is a member (a no-op for uncoupled controllers).
+  void remove(const CongestionControl* cc);
 
   /// Recomputes alpha from current member cwnds/RTTs.
   double alpha() const;

@@ -414,6 +414,7 @@ void MptcpConnection::sf_established(MptcpSubflow* sf) {
 
 void MptcpConnection::sf_closed(MptcpSubflow* sf, bool reset) {
   (void)reset;
+  cc_group_.remove(&sf->congestion_control());
   // Re-inject everything this subflow still owed (section 3.3: data is
   // freed only by DATA_ACK, so it is still in the connection-level buffer).
   for (auto& [dsn, rec] : alloc_) {

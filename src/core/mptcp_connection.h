@@ -128,6 +128,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint64_t autotune_resizes() const { return n_autotune_resizes_; }
   /// Mechanism 4 firings: summed cwnd-cap activations across subflows.
   uint64_t cc_cap_activations() const;
+  /// The LIA coupling across this connection's subflows.
+  const CoupledGroup& coupled_group() const { return cc_group_; }
 
   /// Scope prefix of this connection in the loop's StatsRegistry
   /// ("mptcp.client", "mptcp.server#2", ...); subflows publish under

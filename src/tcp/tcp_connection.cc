@@ -669,6 +669,9 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
   }
 
   if (config_.autotune) autotune_rcv_buf();
+  // A delivery or FIN callback may have closed us: a closed connection
+  // sends nothing, not even the ACK for what it just took in.
+  if (state_ == TcpState::kClosed) return;
 
   if (!ack_now && ++delack_pending_ < 2) {
     if (!delack_timer_.armed()) delack_timer_.arm_in(config_.delack_timeout);
@@ -978,6 +981,7 @@ void TcpConnection::finish_close(bool reset) {
   rto_timer_.cancel();
   persist_timer_.cancel();
   time_wait_timer_.cancel();
+  delack_timer_.cancel();
   enter_state(TcpState::kClosed);
   if (bound_) {
     host_.unbind(local_, remote_);

@@ -165,5 +165,42 @@ TEST(DelayedAck, TimerFlushesTrailingSegment) {
   EXPECT_EQ(cli.flight_size(), 0u);
 }
 
+TEST(DelayedAck, ClosedConnectionSendsNoPendingAck) {
+  // The server takes one in-order segment, so its ACK is delayed, and is
+  // aborted before the delack timer fires: from the delivery callback
+  // itself, or from a later event. Either way its RST is the last
+  // segment it sends.
+  for (const bool from_callback : {true, false}) {
+    SCOPED_TRACE(from_callback ? "closed in the delivery callback"
+                               : "closed in a later event");
+    TwoHostRig rig({wifi_path()});
+    TcpConfig cfg;
+    std::unique_ptr<TcpConnection> sconn;
+    uint64_t sent_at_close = 0;
+    TcpListener lis(rig.server(), 80, [&](const TcpSegment& syn) {
+      sconn = std::make_unique<TcpConnection>(rig.server(), cfg,
+                                              syn.tuple.dst, syn.tuple.src);
+      sconn->on_readable = [&] {
+        if (from_callback) {
+          sconn->abort();
+        } else {
+          rig.loop().schedule_in(kMillisecond, [&] { sconn->abort(); });
+        }
+      };
+      sconn->on_closed = [&] { sent_at_close = sconn->stats().segments_sent; };
+      sconn->accept_syn(syn);
+    });
+    TcpConnection cli(rig.client(), cfg, {rig.client_addr(0), 40000},
+                      {rig.server_addr(), 80});
+    cli.connect();
+    rig.loop().run_until(200 * kMillisecond);
+    std::vector<uint8_t> one(100, 7);
+    cli.write(one);
+    rig.loop().run_until(kSecond);
+    ASSERT_EQ(sconn->state(), TcpState::kClosed);
+    EXPECT_EQ(sconn->stats().segments_sent, sent_at_close);
+  }
+}
+
 }  // namespace
 }  // namespace mptcp

@@ -250,6 +250,20 @@ TEST(MptcpPaths, RemoveAddrClosesMatchingSubflows) {
   EXPECT_GT(r.rx->bytes_received(), before + 500 * 1000);
 }
 
+TEST(MptcpPaths, AbortedSubflowLeavesTheCoupling) {
+  // LIA couples the subflows that have not closed: once the 3G subflow
+  // dies, its frozen window must stop weighing on the WiFi survivor.
+  Rig2 r(cfg1m(), cfg1m(), 2);
+  r.connect(0);
+  r.rig.loop().run_until(2 * kSecond);
+  ASSERT_EQ(r.cconn->usable_subflow_count(), 2u);
+  r.cconn->subflow(1)->abort();
+  r.rig.loop().run_until(3 * kSecond);
+  const MptcpSubflow* survivor = r.cconn->subflow(0);
+  ASSERT_TRUE(survivor->is_initial());
+  EXPECT_EQ(r.cconn->coupled_group().total_cwnd(), survivor->cwnd());
+}
+
 TEST(MptcpPaths, FastcloseAbortsEverything) {
   Rig2 r(cfg1m(), cfg1m(), 2);
   r.connect(0);
