@@ -411,8 +411,8 @@ void FleetEngine::do_rebind(size_t island) {
               conn->usable_subflow_count() < 2) {
             return;
           }
-          // Collect first: abort() mutates subflow state in place
-          // (closed subflows stay listed, so indices remain valid).
+          // Collect first: abort() closes a subflow in place, and it
+          // leaves the list only in a later event, so indices hold here.
           std::vector<std::pair<IpAddr, Endpoint>> reopen;
           for (size_t i = 0; i < conn->subflow_count(); ++i) {
             MptcpSubflow* sf = conn->subflow(i);

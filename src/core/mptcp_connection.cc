@@ -17,6 +17,7 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, Endpoint local,
     : stack_(stack),
       config_(stack.config()),
       role_(Role::kClient),
+      reap_timer_(stack.loop(), [this] { reap_closed_subflows(); }),
       meta_rto_timer_(stack.loop(), [this] { on_meta_rto(); }),
       meta_recv_(config_.recv_algo),
       autotune_timer_(stack.loop(), [this] { autotune_tick(); }) {
@@ -40,6 +41,7 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, const TcpSegment& syn)
     : stack_(stack),
       config_(stack.config()),
       role_(Role::kServer),
+      reap_timer_(stack.loop(), [this] { reap_closed_subflows(); }),
       meta_rto_timer_(stack.loop(), [this] { on_meta_rto(); }),
       meta_recv_(config_.recv_algo),
       autotune_timer_(stack.loop(), [this] { autotune_tick(); }) {
@@ -104,8 +106,6 @@ void MptcpConnection::register_stats() {
     const std::string sched =
         "sched." + std::string(to_string(scheduler_->policy()));
     out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
-    out.emit(sched + ".state_entries",
-             static_cast<double>(scheduler_->state_entries()));
   });
 }
 
@@ -329,12 +329,10 @@ void MptcpConnection::sf_capable_synack(uint64_t peer_key,
   mode_ = MptcpMode::kMptcp;
 }
 
-void MptcpConnection::sf_capable_confirmed(uint64_t key_a, uint64_t key_b) {
-  (void)key_a;
-  (void)key_b;
+void MptcpConnection::sf_capable_confirmed(MptcpSubflow* sf) {
   if (role_ != Role::kServer || mode_ != MptcpMode::kNegotiating) return;
   mode_ = MptcpMode::kMptcp;
-  path_manager_.on_peer_confirmed();
+  path_manager_.on_peer_confirmed(sf);
 }
 
 void MptcpConnection::sf_no_mptcp_in_handshake() {
@@ -412,8 +410,7 @@ void MptcpConnection::sf_established(MptcpSubflow* sf) {
   schedule();
 }
 
-void MptcpConnection::sf_closed(MptcpSubflow* sf, bool reset) {
-  (void)reset;
+void MptcpConnection::sf_closed(MptcpSubflow* sf) {
   cc_group_.remove(&sf->congestion_control());
   // Re-inject everything this subflow still owed (section 3.3: data is
   // freed only by DATA_ACK, so it is still in the connection-level buffer).
@@ -424,16 +421,10 @@ void MptcpConnection::sf_closed(MptcpSubflow* sf, bool reset) {
     if (end > begin) reinject_range(begin, end - begin);
     rec.subflow_id = SIZE_MAX;
   }
-  // Drop every per-subflow map entry keyed by the dead subflow's id (ids
-  // are never reused, so stale entries would accumulate forever on
-  // connections that churn subflows).
-  scheduler_->on_subflow_closed(sf->id());
-  next_penalty_at_.erase(sf->id());
-  last_acked_by_sf_.erase(sf->id());
-  last_delivered_by_sf_.erase(sf->id());
-  rx_bytes_by_sf_.erase(sf->id());
-  tx_rate_bps_.erase(sf->id());
-  rx_rate_bps_.erase(sf->id());
+  // The subflow is still on the stack (and callers may hold indices into
+  // subflows_), so it is destroyed in a fresh event. Armed before the
+  // callbacks below, which may destroy this connection.
+  if (!reap_timer_.armed()) reap_timer_.arm_in(0);
   bool any_open = false;
   for (const auto& s : subflows_) {
     if (s->state() != TcpState::kClosed) any_open = true;
@@ -524,13 +515,12 @@ void MptcpConnection::sf_mapped_data(MptcpSubflow* sf, uint64_t dsn,
     bytes.truncate(static_cast<size_t>(max_accept - dsn));
   }
 
+  sf->meta_state().rx_bytes += bytes.size();
   if (dsn == rcv_nxt_d_) {
     rcv_nxt_d_ += bytes.size();
-    rx_bytes_by_sf_[sf->id()] += bytes.size();
     deliver_in_order(std::move(bytes));
     drain_meta_ooo();
   } else {
-    rx_bytes_by_sf_[sf->id()] += bytes.size();
     meta_recv_.insert(dsn, std::move(bytes), sf->id(), rcv_nxt_d_);
   }
   check_data_fin_consumption();
@@ -601,8 +591,9 @@ void MptcpConnection::sf_checksum_failure(MptcpSubflow* sf,
   sf_mapped_data(sf, rec.dsn, std::move(data));
 }
 
-void MptcpConnection::sf_add_addr(const AddAddrOption& opt) {
-  path_manager_.on_add_addr(opt);
+void MptcpConnection::sf_add_addr(MptcpSubflow* sf,
+                                  const AddAddrOption& opt) {
+  path_manager_.on_add_addr(sf, opt);
 }
 
 void MptcpConnection::sf_remove_addr(uint8_t addr_id) {
@@ -649,7 +640,7 @@ size_t MptcpConnection::receiver_memory() const {
 }
 
 uint64_t MptcpConnection::cc_cap_activations() const {
-  uint64_t caps = 0;
+  uint64_t caps = retired_cap_activations_;
   for (const auto& sf : subflows_) {
     caps += sf->congestion_control().cap_activations();
   }
@@ -660,12 +651,6 @@ uint64_t MptcpConnection::cc_cap_activations() const {
 // Scheduler (sender side). Policies live in core/scheduler.cc; this
 // file keeps only the host hooks and the shared epilogue.
 // ---------------------------------------------------------------------------
-
-uint64_t MptcpConnection::total_subflow_flight() const {
-  uint64_t total = 0;
-  for (const auto& sf : subflows_) total += sf->flight_size();
-  return total;
-}
 
 MptcpSubflow* MptcpConnection::best_usable_subflow() {
   // Prefer subflows that can actually transmit right now: a silently dead
@@ -756,18 +741,14 @@ void MptcpConnection::window_blocked(MptcpSubflow* fast) {
   // Mechanism 2 -- penalization: halve the cwnd of the subflow that is
   // holding up the window so this does not immediately repeat, at most
   // once per that subflow's RTT (section 4.2).
-  if (config_.penalize_slow_subflows && rec0.subflow_id != fast->id() &&
-      rec0.subflow_id != SIZE_MAX) {
-    for (auto& sf : subflows_) {
-      if (sf->id() != rec0.subflow_id || !sf->mptcp_usable()) continue;
-      const SimTime now = stack_.loop().now();
-      auto it = next_penalty_at_.find(sf->id());
-      if (it == next_penalty_at_.end() || now >= it->second) {
-        sf->congestion_control().penalize();
-        next_penalty_at_[sf->id()] = now + std::max(sf->srtt(), kMillisecond);
-        ++meta_stats_.penalizations;
-      }
-      break;
+  if (config_.penalize_slow_subflows && slow != nullptr && slow != fast &&
+      slow->mptcp_usable()) {
+    const SimTime now = stack_.loop().now();
+    SimTime& next_penalty_at = slow->meta_state().next_penalty_at;
+    if (now >= next_penalty_at) {
+      slow->congestion_control().penalize();
+      next_penalty_at = now + std::max(slow->srtt(), kMillisecond);
+      ++meta_stats_.penalizations;
     }
   }
 }
@@ -835,11 +816,12 @@ void MptcpConnection::autotune_tick() {
   SimTime rtt_max_tx = 0, rtt_max_rx = 0;
   for (const auto& sf : subflows_) {
     if (!sf->mptcp_usable()) continue;
+    MptcpSubflow::MetaState& st = sf->meta_state();
     // Sender-side rate: subflow-acked bytes per second (EMA smoothed).
     const uint64_t acked = sf->stats().bytes_acked;
-    const uint64_t d_acked = acked - last_acked_by_sf_[sf->id()];
-    last_acked_by_sf_[sf->id()] = acked;
-    double& tx = tx_rate_bps_[sf->id()];
+    const uint64_t d_acked = acked - st.acked_mark;
+    st.acked_mark = acked;
+    double& tx = st.tx_rate_bps;
     const double inst_tx =
         static_cast<double>(d_acked) * 8.0 * kSecond / static_cast<double>(dt);
     tx = tx == 0 ? inst_tx : 0.75 * tx + 0.25 * inst_tx;
@@ -847,10 +829,9 @@ void MptcpConnection::autotune_tick() {
     if (tx > 0) rtt_max_tx = std::max(rtt_max_tx, sf->srtt());
 
     // Receiver-side rate: delivered mapped bytes per second.
-    const uint64_t recvd = rx_bytes_by_sf_[sf->id()];
-    const uint64_t d_recvd = recvd - last_delivered_by_sf_[sf->id()];
-    last_delivered_by_sf_[sf->id()] = recvd;
-    double& rx = rx_rate_bps_[sf->id()];
+    const uint64_t d_recvd = st.rx_bytes - st.rx_mark;
+    st.rx_mark = st.rx_bytes;
+    double& rx = st.rx_rate_bps;
     const double inst_rx =
         static_cast<double>(d_recvd) * 8.0 * kSecond /
         static_cast<double>(dt);
@@ -897,6 +878,12 @@ void MptcpConnection::notify_closed_once() {
   if (auto_destroy_) stack_.destroy_later(this);
 }
 
-void MptcpConnection::maybe_finish_teardown() {}
+void MptcpConnection::reap_closed_subflows() {
+  std::erase_if(subflows_, [this](const std::unique_ptr<MptcpSubflow>& sf) {
+    if (sf->state() != TcpState::kClosed) return false;
+    retired_cap_activations_ += sf->congestion_control().cap_activations();
+    return true;
+  });
+}
 
 }  // namespace mptcp

@@ -86,6 +86,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // --- introspection ---------------------------------------------------------
   MptcpMode mode() const { return mode_; }
   Role role() const { return role_; }
+  /// Subflows in id order. A closed subflow is destroyed in a zero-delay
+  /// event after it closes, so an index or pointer from subflow(i) holds
+  /// only within the current event.
   size_t subflow_count() const { return subflows_.size(); }
   size_t usable_subflow_count() const;
   MptcpSubflow* subflow(size_t i) {
@@ -157,12 +160,12 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
 
   // --- called by subflows (not application API) -------------------------------
   void sf_capable_synack(uint64_t peer_key, bool csum_required);
-  void sf_capable_confirmed(uint64_t key_a, uint64_t key_b);
+  void sf_capable_confirmed(MptcpSubflow* sf);
   void sf_no_mptcp_in_handshake();  ///< option stripped: fall back
   void sf_first_packet_lacks_mptcp();
   void sf_peer_dss_seen();
   void sf_established(MptcpSubflow* sf);
-  void sf_closed(MptcpSubflow* sf, bool reset);
+  void sf_closed(MptcpSubflow* sf);
   void sf_peer_fin(MptcpSubflow* sf);
   void sf_acked(MptcpSubflow* sf);
   void sf_dss_ack(uint64_t data_ack, uint64_t window_bytes);
@@ -171,7 +174,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   void sf_checksum_failure(MptcpSubflow* sf, const MappingRecord& rec,
                            Payload data);
   void sf_data_fin(uint64_t dsn);
-  void sf_add_addr(const AddAddrOption& opt);
+  void sf_add_addr(MptcpSubflow* sf, const AddAddrOption& opt);
   void sf_remove_addr(uint8_t addr_id);
   void sf_mp_prio(MptcpSubflow* sf, const MpPrioOption& opt);
   void sf_fastclose();
@@ -193,8 +196,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   /// and the meta RTO. M1/M2 fire from the policy's window-stall hook.
   void schedule();
 
-  /// The connection's scheduling policy instance (owns rotation/cursor
-  /// state; exposes pick/alloc counters and state_entries()).
+  /// The connection's scheduling policy instance (owns the round-robin
+  /// cursor; exposes the alloc counter).
   Scheduler& scheduler() { return *scheduler_; }
   /// This connection viewed through the scheduler's host interface (for
   /// tests and benches that drive a policy against live send state).
@@ -205,6 +208,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   std::span<const std::unique_ptr<MptcpSubflow>> sched_subflows() override {
     return subflows_;
   }
+  size_t sched_subflow_ids() const override { return next_subflow_id_; }
   uint64_t sched_batch_bytes() const override {
     return uint64_t{config_.batch_segments} * config_.tcp.mss;
   }
@@ -245,10 +249,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   void deliver_in_order(Payload bytes);
   void drain_meta_ooo();
   void check_data_fin_consumption();
-  void maybe_finish_teardown();
   void maybe_send_meta_window_update();
   void window_blocked(MptcpSubflow* fast);
-  uint64_t total_subflow_flight() const;
   MptcpSubflow* best_usable_subflow();
   void reinject_range(uint64_t dsn, uint64_t len);
   void on_meta_rto();
@@ -258,6 +260,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   MptcpSubflow* create_subflow(SubflowKind kind, uint8_t addr_id,
                                Endpoint local, Endpoint remote);
   Host& host_for_subflows();
+  /// Destroys every closed subflow, keeping its M4 count (reap_timer_).
+  void reap_closed_subflows();
   void notify_closed_once();
 
   MptcpStack& stack_;
@@ -275,8 +279,10 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // from it on destruction (members destruct in reverse declaration order).
   CoupledGroup cc_group_;
   PathManager path_manager_{*this};
-  std::vector<std::unique_ptr<MptcpSubflow>> subflows_;
+  std::vector<std::unique_ptr<MptcpSubflow>> subflows_;  ///< in id order
   size_t next_subflow_id_ = 0;
+  Timer reap_timer_;                      ///< armed by sf_closed
+  uint64_t retired_cap_activations_ = 0;  ///< M4 firings of reaped subflows
   Endpoint pending_local_;   ///< endpoints for the initial subflow
   Endpoint pending_remote_;
   bool no_new_subflows_ = false;
@@ -297,7 +303,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   RingQueue<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
   uint64_t reinjected_until_ = 0;  ///< M1 high-water mark (monotonic)
   std::unique_ptr<Scheduler> scheduler_;  ///< policy + its private state
-  std::map<size_t, SimTime> next_penalty_at_;  ///< per-subflow M2 limiter
   Timer meta_rto_timer_;
   int meta_rto_backoff_ = 1;
 
@@ -319,11 +324,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
 
   // --- autotuning (M3) --------------------------------------------------------
   Timer autotune_timer_;
-  std::map<size_t, uint64_t> last_acked_by_sf_;
-  std::map<size_t, uint64_t> last_delivered_by_sf_;
-  std::map<size_t, uint64_t> rx_bytes_by_sf_;
-  std::map<size_t, double> tx_rate_bps_;  ///< per-subflow EMA
-  std::map<size_t, double> rx_rate_bps_;
   SimTime last_autotune_ = 0;
 
   MetaStats meta_stats_;

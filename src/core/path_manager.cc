@@ -14,12 +14,11 @@ uint8_t PathManager::local_addr_id(IpAddr addr) const {
   return addr_id;
 }
 
-void PathManager::on_peer_confirmed() {
+void PathManager::on_peer_confirmed(MptcpSubflow* initial) {
   // Advertise our additional addresses so a NATted client can open
   // subflows toward them (section 3.2: the explicit path).
   const auto addrs = conn_.stack().host().addresses();
-  MptcpSubflow* initial = conn_.subflow(0);
-  if (addrs.size() > 1 && initial != nullptr) {
+  if (addrs.size() > 1) {
     for (size_t i = 0; i < addrs.size(); ++i) {
       if (addrs[i] == initial->local().addr) continue;
       AddAddrOption add;
@@ -44,7 +43,7 @@ void PathManager::on_subflow_established(MptcpSubflow* sf) {
   }
 }
 
-void PathManager::on_add_addr(const AddAddrOption& opt) {
+void PathManager::on_add_addr(MptcpSubflow* sf, const AddAddrOption& opt) {
   if (conn_.role() != MptcpConnection::Role::kClient ||
       !conn_.config().full_mesh || conn_.mode() != MptcpMode::kMptcp) {
     return;
@@ -55,10 +54,9 @@ void PathManager::on_add_addr(const AddAddrOption& opt) {
       return;  // already connected there
     }
   }
-  MptcpSubflow* initial = conn_.subflow(0);
-  const Port port =
-      opt.port ? *opt.port : (initial == nullptr ? Port{0}
-                                                 : initial->remote().port);
+  // RFC 6824 section 3.4.1: without a port, use the one of the subflow
+  // the ADD_ADDR arrived on.
+  const Port port = opt.port ? *opt.port : sf->remote().port;
   for (IpAddr addr : conn_.stack().host().addresses()) {
     conn_.open_subflow(addr, Endpoint{opt.addr, port});
   }

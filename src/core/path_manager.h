@@ -46,15 +46,16 @@ class PathManager {
   void set_subflow_backup(size_t i, bool backup);
 
   // --- wired from subflow events by the connection ---------------------------
-  /// Server side, MPTCP just confirmed: advertise our additional
-  /// addresses (ADD_ADDR) so a NATted client can open subflows to them.
-  void on_peer_confirmed();
+  /// Server side, MPTCP just confirmed on the `initial` subflow:
+  /// advertise our additional addresses (ADD_ADDR) on it so a NATted
+  /// client can open subflows to them.
+  void on_peer_confirmed(MptcpSubflow* initial);
   /// A subflow finished its handshake; if it is the client's initial
   /// subflow, open the full mesh from our additional local addresses.
   void on_subflow_established(MptcpSubflow* sf);
-  /// Peer advertised an additional address: connect to it from every
-  /// local address (client side, full-mesh policy).
-  void on_add_addr(const AddAddrOption& opt);
+  /// Peer advertised an additional address on subflow `sf`: connect to
+  /// it from every local address (client side, full-mesh policy).
+  void on_add_addr(MptcpSubflow* sf, const AddAddrOption& opt);
   /// Peer declared an address dead: abort the subflows using it.
   void on_remove_addr(uint8_t addr_id);
   /// Peer asked us to change our sending priority for a subflow (or for

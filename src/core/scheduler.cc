@@ -1,7 +1,6 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <map>
 
 #include "core/subflow.h"
 
@@ -25,10 +24,6 @@ void Scheduler::allocate(uint64_t /*dsn*/, uint64_t /*len*/,
                          MptcpSubflow& /*sf*/) {
   ++allocs_;
 }
-
-void Scheduler::on_subflow_closed(size_t /*sf_id*/) {}
-
-size_t Scheduler::state_entries() const { return 0; }
 
 MptcpSubflow* Scheduler::lowest_rtt_pick(SchedulerHost& host,
                                          uint64_t min_space,
@@ -143,22 +138,29 @@ class RoundRobinScheduler final : public Scheduler {
   }
 
   MptcpSubflow* pick(SchedulerHost& h, uint64_t min_space) override {
-    const auto subflows = h.sched_subflows();
-    const size_t n = subflows.size();
-    for (size_t probe = 0; probe < n; ++probe) {
-      MptcpSubflow* sf = subflows[(rr_next_ + probe) % n].get();
-      if (sf->mptcp_usable() && !sf->backup() &&
-          sf->cwnd_space() >= min_space) {
-        rr_next_ = (rr_next_ + probe + 1) % n;
-        return sf;
+    // The rotation runs over the id space, so a closed subflow leaves a
+    // gap rather than shifting its successors' turns.
+    MptcpSubflow* wrapped = nullptr;  // first candidate below the cursor
+    for (const auto& sf : h.sched_subflows()) {
+      if (!sf->mptcp_usable() || sf->backup() ||
+          sf->cwnd_space() < min_space) {
+        continue;
       }
+      if (sf->id() >= rr_next_) return advance_past(h, sf.get());
+      if (wrapped == nullptr) wrapped = sf.get();
     }
+    if (wrapped != nullptr) return advance_past(h, wrapped);
     // Fall through to the default policy for the backup-only case.
     return lowest_rtt_pick(h, min_space, /*spill_on_block=*/false);
   }
 
  private:
-  size_t rr_next_ = 0;  ///< rotation cursor over subflow positions
+  MptcpSubflow* advance_past(SchedulerHost& h, MptcpSubflow* sf) {
+    rr_next_ = (sf->id() + 1) % h.sched_subflow_ids();
+    return sf;
+  }
+
+  size_t rr_next_ = 0;  ///< id the next rotation starts from
 };
 
 /// Every subflow independently carries the whole stream: each keeps its
@@ -179,7 +181,7 @@ class RedundantScheduler final : public Scheduler {
 
   void allocate(uint64_t dsn, uint64_t len, MptcpSubflow& sf) override {
     Scheduler::allocate(dsn, len, sf);
-    cursor_[sf.id()] = dsn + len;
+    sf.meta_state().stream_cursor = dsn + len;
   }
 
   void run(SchedulerHost& h) override {
@@ -190,7 +192,7 @@ class RedundantScheduler final : public Scheduler {
         // The cursor never runs behind the cumulative DATA_ACK: data
         // below snd_una is already delivered, duplicating it is waste.
         const uint64_t ptr =
-            std::max(cursor_[sf->id()], h.sched_snd_una());
+            std::max(sf->meta_state().stream_cursor, h.sched_snd_una());
         const uint64_t limit =
             std::min(h.sched_stream_end(), h.sched_window_edge());
         if (ptr >= limit) break;
@@ -212,16 +214,6 @@ class RedundantScheduler final : public Scheduler {
       }
     }
   }
-
-  void on_subflow_closed(size_t sf_id) override { cursor_.erase(sf_id); }
-
-  size_t state_entries() const override { return cursor_.size(); }
-
- private:
-  /// Per-subflow cursor into the data sequence space. Entries are erased
-  /// on subflow teardown (ids are never reused, so a stale entry would
-  /// be a leak, never a correctness bug).
-  std::map<size_t, uint64_t> cursor_;
 };
 
 /// Lowest-RTT over primaries, but spills to the best backup whenever

@@ -14,8 +14,10 @@
 //
 // Split of responsibilities (mirrors the protocol/sched split Linux MPTCP
 // later adopted):
-//   * Scheduler  -- WHICH subflow carries WHAT data. Owns all policy
-//     state (round-robin cursor, redundant per-subflow stream cursors).
+//   * Scheduler  -- WHICH subflow carries WHAT data. Owns the policy's
+//     connection-wide state (the round-robin cursor); what a policy
+//     keeps per subflow (the redundant stream cursor) lives in the
+//     subflow and leaves with it.
 //   * SchedulerHost -- the narrow view of MptcpConnection a policy may
 //     touch: the data-sequence send state, the re-injection queue, and
 //     the window-stall hook that drives Mechanisms 1/2. Policies cannot
@@ -54,7 +56,11 @@ std::string_view to_string(SchedulerPolicy p);
 /// right edge in data-sequence space.
 class SchedulerHost {
  public:
+  /// The connection's subflows in id order. A closed subflow stays
+  /// listed (and unusable) until the event that closed it has unwound.
   virtual std::span<const std::unique_ptr<MptcpSubflow>> sched_subflows() = 0;
+  /// Subflow ids handed out so far; ids are never reused.
+  virtual size_t sched_subflow_ids() const = 0;
   /// Allocation batch in bytes (config.batch_segments * mss): contiguous
   /// data-sequence runs handed to one subflow at a time.
   virtual uint64_t sched_batch_bytes() const = 0;
@@ -115,15 +121,8 @@ class Scheduler {
   /// One full scheduling pass over the connection's send state.
   virtual void run(SchedulerHost& host);
 
-  /// Subflow teardown: drop any per-subflow policy state (cursors).
-  virtual void on_subflow_closed(size_t sf_id);
-
-  /// Per-subflow policy-state entries currently held. Must return to its
-  /// pre-subflow baseline after subflow churn (leak tripwire for tests).
-  virtual size_t state_entries() const;
-
-  /// Chunks allocated through allocate(); exported with state_entries()
-  /// as "<conn>.sched.<policy>.*" by the connection's stats group.
+  /// Chunks allocated through allocate(); exported as
+  /// "<conn>.sched.<policy>.allocs" by the connection's stats group.
   uint64_t allocs() const { return allocs_; }
 
   static std::unique_ptr<Scheduler> make(SchedulerPolicy policy);

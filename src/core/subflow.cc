@@ -220,7 +220,7 @@ void MptcpSubflow::process_incoming_options(const TcpSegment& seg) {
   }
 
   if (const auto* add = find_option<AddAddrOption>(seg.options)) {
-    meta_.sf_add_addr(*add);
+    meta_.sf_add_addr(this, *add);
   }
   if (const auto* rem = find_option<RemoveAddrOption>(seg.options)) {
     meta_.sf_remove_addr(rem->addr_id);
@@ -265,7 +265,7 @@ void MptcpSubflow::handle_mp_capable(const MpCapableOption& mpc,
         mpc.receiver_key && !mptcp_confirmed_) {
       if (*mpc.receiver_key == meta_.local_key()) {
         mptcp_confirmed_ = true;
-        meta_.sf_capable_confirmed(*mpc.sender_key, *mpc.receiver_key);
+        meta_.sf_capable_confirmed(this);
       }
     }
     first_non_syn_checked_ = true;
@@ -407,9 +407,7 @@ void MptcpSubflow::check_peer_speaks_mptcp() {
 
 void MptcpSubflow::on_peer_fin() { meta_.sf_peer_fin(this); }
 
-void MptcpSubflow::on_connection_closed(bool reset) {
-  meta_.sf_closed(this, reset);
-}
+void MptcpSubflow::on_connection_closed(bool) { meta_.sf_closed(this); }
 
 uint64_t MptcpSubflow::advertised_window_bytes() const {
   return meta_.meta_receive_window();

@@ -109,6 +109,19 @@ class MptcpSubflow final : public TcpConnection {
   /// The meta scheduler chose this subflow for a chunk of data.
   void note_scheduler_pick() { ++n_picks_; }
 
+  /// What the connection level keeps per subflow. It lives and dies with
+  /// the subflow, so a closed path leaves nothing behind to erase.
+  struct MetaState {
+    SimTime next_penalty_at = 0;  ///< M2: no penalization before this
+    uint64_t acked_mark = 0;      ///< M3: bytes_acked at the last tick
+    uint64_t rx_bytes = 0;        ///< M3: mapped bytes handed to the meta
+    uint64_t rx_mark = 0;         ///< M3: rx_bytes at the last tick
+    double tx_rate_bps = 0;       ///< M3: EMA of the acked rate
+    double rx_rate_bps = 0;       ///< M3: EMA of the delivered rate
+    uint64_t stream_cursor = 0;   ///< redundant policy: next dsn to copy
+  };
+  MetaState& meta_state() { return meta_state_; }
+
  protected:
   // --- TcpConnection hooks --------------------------------------------------
   void build_syn_options(std::vector<TcpOption>& opts) override;
@@ -161,6 +174,7 @@ class MptcpSubflow final : public TcpConnection {
   std::string stats_scope_;
   uint64_t n_mappings_ = 0;  ///< DSS mappings created on this subflow
   uint64_t n_picks_ = 0;     ///< times the scheduler chose us
+  MetaState meta_state_;
 };
 
 }  // namespace mptcp

@@ -155,11 +155,16 @@ TEST(Invariants, NoNewSubflowsAfterChecksumFailure) {
   // again -- but the server, which detected the content modification,
   // refuses the join: the new subflow never becomes usable and the
   // server-side subflow set does not grow.
-  MptcpSubflow* retry =
+  // The refused retry may close and be destroyed while the loop runs, so
+  // it is looked up by id afterwards.
+  const MptcpSubflow* retry =
       cc.open_subflow(rig.client_addr(1), {rig.server_addr(), 80});
+  const size_t retry_id = retry != nullptr ? retry->id() : SIZE_MAX;
   rig.loop().run_until(8 * kSecond);
-  if (retry != nullptr) {
-    EXPECT_FALSE(retry->mptcp_usable());
+  for (size_t i = 0; i < cc.subflow_count(); ++i) {
+    if (cc.subflow(i)->id() == retry_id) {
+      EXPECT_FALSE(cc.subflow(i)->mptcp_usable());
+    }
   }
   EXPECT_EQ(sconn->subflow_count(), subflows_after_reset);
   EXPECT_TRUE(rx->pattern_ok());

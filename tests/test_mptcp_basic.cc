@@ -117,10 +117,8 @@ TEST(MptcpBasic, DataFinTeardownClosesAllSubflows) {
   f.server_conn->close();  // close the reverse direction too
   f.rig.loop().run_until(10 * kSecond);
   EXPECT_TRUE(client_closed);
-  for (size_t i = 0; i < f.client_conn->subflow_count(); ++i) {
-    EXPECT_EQ(f.client_conn->subflow(i)->state(), TcpState::kClosed)
-        << "subflow " << i;
-  }
+  // Closed subflows are destroyed once closed, so none is left listed.
+  EXPECT_EQ(f.client_conn->subflow_count(), 0u);
 }
 
 TEST(MptcpBasic, ServerToClientTransferWorks) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "app/bulk_app.h"
@@ -239,11 +241,8 @@ TEST(MptcpPaths, RemoveAddrClosesMatchingSubflows) {
   r.rig.loop().run_until(4 * kSecond);
 
   // Server side dropped its half of the 3G subflow.
-  size_t server_open = 0;
-  for (size_t i = 0; i < r.sconn->subflow_count(); ++i) {
-    if (r.sconn->subflow(i)->state() != TcpState::kClosed) ++server_open;
-  }
-  EXPECT_EQ(server_open, 1u);
+  ASSERT_EQ(r.sconn->subflow_count(), 1u);
+  EXPECT_NE(r.sconn->subflow(0)->state(), TcpState::kClosed);
   // And the transfer keeps running on WiFi.
   const uint64_t before = r.rx->bytes_received();
   r.rig.loop().run_until(6 * kSecond);
@@ -264,6 +263,47 @@ TEST(MptcpPaths, AbortedSubflowLeavesTheCoupling) {
   EXPECT_EQ(r.cconn->coupled_group().total_cwnd(), survivor->cwnd());
 }
 
+TEST(MptcpPaths, SubflowChurnReturnsConnectionToBaseline) {
+  // A peer that keeps joining and resetting subflows must not grow a
+  // long-lived connection: each dead subflow, its per-subflow state and
+  // its registry scope go away with it, on both ends.
+  Rig2 r(cfg1m(), cfg1m(), 2);
+  r.connect(0);
+  r.rig.loop().run_until(2 * kSecond);
+  ASSERT_EQ(r.cconn->subflow_count(), 2u);
+  ASSERT_EQ(r.sconn->subflow_count(), 2u);
+  const auto keys = [&r] {
+    std::set<std::string> out;
+    for (const auto& [name, value] : r.rig.stats().flatten()) out.insert(name);
+    return out;
+  };
+  const std::set<std::string> before = keys();
+  const uint64_t rx_before = r.rx->bytes_received();
+
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    const MptcpSubflow* join =
+        r.cconn->open_subflow(r.rig.client_addr(0), {r.rig.server_addr(), 80});
+    ASSERT_NE(join, nullptr);
+    const size_t id = join->id();
+    r.rig.loop().run_until(r.rig.loop().now() + 200 * kMillisecond);
+    for (size_t i = 0; i < r.cconn->subflow_count(); ++i) {
+      MptcpSubflow* sf = r.cconn->subflow(i);
+      if (sf->id() != id) continue;
+      EXPECT_TRUE(sf->mptcp_usable()) << "cycle " << cycle;
+      sf->abort();
+    }
+    r.rig.loop().run_until(r.rig.loop().now() + 100 * kMillisecond);
+  }
+  r.rig.loop().run_until(r.rig.loop().now() + kSecond);
+
+  EXPECT_EQ(r.cconn->subflow_count(), 2u);
+  EXPECT_EQ(r.cconn->usable_subflow_count(), 2u);
+  EXPECT_EQ(r.sconn->subflow_count(), 2u);
+  EXPECT_EQ(keys(), before) << "subflow churn left registry keys behind";
+  EXPECT_GT(r.rx->bytes_received(), rx_before);
+  EXPECT_TRUE(r.rx->pattern_ok());
+}
+
 TEST(MptcpPaths, FastcloseAbortsEverything) {
   Rig2 r(cfg1m(), cfg1m(), 2);
   r.connect(0);
@@ -273,9 +313,7 @@ TEST(MptcpPaths, FastcloseAbortsEverything) {
   r.cconn->abort();
   r.rig.loop().run_until(3 * kSecond);
   EXPECT_TRUE(server_closed);
-  for (size_t i = 0; i < r.sconn->subflow_count(); ++i) {
-    EXPECT_EQ(r.sconn->subflow(i)->state(), TcpState::kClosed);
-  }
+  EXPECT_EQ(r.sconn->subflow_count(), 0u);  // every subflow closed
 }
 
 TEST(MptcpPaths, BackupSubflowCarriesNothingWhilePrimaryHealthy) {

