@@ -180,7 +180,7 @@ void TcpConnection::send_synack() {
 // --------------------------------------------------------------------------
 
 size_t TcpConnection::write_shared(Payload bytes) {
-  if (fin_pending_ || fin_sent_) return 0;
+  if (fin_pending_ || fin_sent_ || state_ == TcpState::kClosed) return 0;
   const size_t n = snd_buf_.append_shared(std::move(bytes), snd_buf_capacity_);
   try_send();
   return n;

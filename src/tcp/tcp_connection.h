@@ -59,9 +59,12 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   /// Passive open from a listener-delivered SYN.
   void accept_syn(const TcpSegment& syn);
 
-  /// Send-buffer space, or 0 once close() has queued the FIN.
+  /// Send-buffer space, or 0 once close() has queued the FIN or the
+  /// connection has closed (reset, or given up on retransmitting).
   size_t send_space() const override {
-    return fin_pending_ || fin_sent_ ? 0 : snd_buf_space();
+    return fin_pending_ || fin_sent_ || state_ == TcpState::kClosed
+               ? 0
+               : snd_buf_space();
   }
 
   /// Appends (a prefix of) `bytes` to the send buffer as one shared chunk

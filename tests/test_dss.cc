@@ -80,6 +80,51 @@ TEST(SenderMappings, ReleaseBelowDropsFullyAckedOnly) {
   EXPECT_NE(m.find(1600), nullptr);
 }
 
+TEST(SenderMappings, FindAfterPartialReleasesAcrossManyMappings) {
+  // Forty back-to-back mappings of uneven length, released in steps that
+  // stop both on mapping boundaries and inside mappings: every byte still
+  // held finds its own mapping, nothing released is found.
+  SenderMappings m;
+  struct Span {
+    uint64_t begin;
+    uint32_t len;
+    uint64_t dsn;
+  };
+  std::vector<Span> spans;
+  uint64_t ssn = 1000;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const uint32_t len = 100 + 37 * (i % 9);
+    const uint64_t dsn = 900000 + 7 * ssn;
+    spans.push_back({ssn, len, dsn});
+    m.add(make_rec(ssn, dsn, len));
+    ssn += len;
+  }
+  const uint64_t end = ssn;
+  for (const uint64_t cut :
+       {uint64_t{1050}, spans[3].begin, spans[3].begin + 1,
+        spans[17].begin + spans[17].len - 1, spans[30].begin, end - 1, end}) {
+    m.release_below(cut);
+    size_t held = 0;
+    for (const Span& sp : spans) {
+      const uint64_t last = sp.begin + sp.len - 1;
+      if (last < cut) {
+        EXPECT_EQ(m.find(sp.begin), nullptr) << "cut " << cut;
+        EXPECT_EQ(m.find(last), nullptr) << "cut " << cut;
+        continue;
+      }
+      ++held;
+      for (const uint64_t at : {sp.begin, sp.begin + sp.len / 2, last}) {
+        const MappingRecord* rec = m.find(at);
+        ASSERT_NE(rec, nullptr) << "cut " << cut << " at " << at;
+        EXPECT_EQ(rec->ssn_begin, sp.begin);
+        EXPECT_EQ(rec->dsn_for(at), sp.dsn + (at - sp.begin));
+      }
+    }
+    EXPECT_EQ(m.size(), held) << "cut " << cut;
+    EXPECT_EQ(m.find(end), nullptr);
+  }
+}
+
 // --- ReceiverMappings ------------------------------------------------------------
 
 TEST(ReceiverMappings, InOrderFeedDeliversMappedData) {
@@ -215,6 +260,101 @@ TEST(ReceiverMappings, ReleaseBelowReclaimsHeldBytes) {
   m.release_below(2000);
   EXPECT_EQ(m.held_bytes(), 0u);
   EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(ReceiverMappings, MappingArrivingBelowHeldOnesTakesItsPlace) {
+  // The segments carrying the second and third mappings overtake the
+  // first one's: mappings arrive out of order, a conflicting duplicate of
+  // a held one is rejected, and bytes and releases still follow subflow
+  // order.
+  ReceiverMappings m;
+  const auto a = fill(1, 500);
+  const auto b = fill(2, 400);
+  const auto c = fill(3, 300);
+  EXPECT_TRUE(m.add(make_rec(1900, 70000, 300, &c)));
+  EXPECT_TRUE(m.add(make_rec(1500, 60000, 400, &b)));
+  EXPECT_TRUE(m.add(make_rec(1000, 50000, 500, &a)));
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_FALSE(m.add(make_rec(1500, 61000, 400, &b)));  // other dsn
+  EXPECT_FALSE(m.add(make_rec(1900, 70000, 200)));      // other length
+  EXPECT_TRUE(m.add(make_rec(1500, 60000, 400, &b)));   // a TSO copy
+  EXPECT_EQ(m.size(), 3u);
+
+  // The first mapping and half the second arrive in one segment: the
+  // first is delivered, the second held for its checksum.
+  std::vector<uint8_t> wire = a;
+  wire.insert(wire.end(), b.begin(), b.begin() + 200);
+  auto out = m.feed(1000, Payload(wire), true);
+  ASSERT_EQ(out.deliver.size(), 1u);
+  EXPECT_EQ(out.deliver[0].first, 50000u);
+  EXPECT_EQ(out.deliver[0].second, Payload(a));
+  EXPECT_EQ(m.held_bytes(), 200u);
+
+  // Releasing across the first mapping into the second keeps the second.
+  m.release_below(1700);
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.held_bytes(), 200u);
+
+  // A late copy of the released first mapping is accepted as new state
+  // below the held ones, and released again with them.
+  EXPECT_TRUE(m.add(make_rec(1000, 50000, 500, &a)));
+  EXPECT_EQ(m.size(), 3u);
+
+  std::vector<uint8_t> rest(b.begin() + 200, b.end());
+  rest.insert(rest.end(), c.begin(), c.end());
+  out = m.feed(1700, Payload(rest), true);
+  EXPECT_TRUE(out.checksum_failures.empty());
+  ASSERT_EQ(out.deliver.size(), 2u);
+  EXPECT_EQ(out.deliver[0].first, 60000u);
+  EXPECT_EQ(out.deliver[0].second, Payload(b));
+  EXPECT_EQ(out.deliver[1].first, 70000u);
+  EXPECT_EQ(out.deliver[1].second, Payload(c));
+  EXPECT_EQ(m.held_bytes(), 0u);
+  EXPECT_EQ(m.unmapped_bytes(), 0u);
+
+  m.release_below(2199);
+  EXPECT_EQ(m.size(), 1u);
+  m.release_below(2200);
+  EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(ReceiverMappings, MappingInsertedBetweenHeldOnesFillsTheGap) {
+  // Mappings for [1000, 1200) and [1600, 1800) are held; bytes in the gap
+  // between them are unmapped until the middle mapping arrives.
+  ReceiverMappings m;
+  const auto lo = fill(4, 200);
+  const auto mid = fill(5, 400);
+  const auto hi = fill(6, 200);
+  EXPECT_TRUE(m.add(make_rec(1600, 3000, 200, &hi)));
+  EXPECT_TRUE(m.add(make_rec(1000, 1000, 200, &lo)));
+  auto out = m.feed(1000, Payload(lo), true);
+  ASSERT_EQ(out.deliver.size(), 1u);
+  EXPECT_EQ(out.deliver[0].first, 1000u);
+  out = m.feed(1200, Payload({mid.data(), 100}), true);
+  EXPECT_TRUE(out.deliver.empty());
+  EXPECT_EQ(m.unmapped_bytes(), 100u);
+
+  EXPECT_TRUE(m.add(make_rec(1200, 2000, 400, &mid)));
+  EXPECT_EQ(m.size(), 3u);
+  std::vector<uint8_t> wire(mid.begin() + 100, mid.end());
+  wire.insert(wire.end(), hi.begin(), hi.end());
+  // The middle mapping saw its first 100 bytes dropped as unmapped, so its
+  // held fragments do not start at its head: it never completes.
+  out = m.feed(1300, Payload(wire), true);
+  ASSERT_EQ(out.deliver.size(), 1u);
+  EXPECT_EQ(out.deliver[0].first, 3000u);
+  EXPECT_EQ(out.deliver[0].second, Payload(hi));
+  EXPECT_EQ(m.unmapped_bytes(), 100u);
+
+  // Without checksums every mapped byte is delivered where it lands.
+  out = m.feed(1300, Payload({mid.data() + 100, 300}), false);
+  ASSERT_EQ(out.deliver.size(), 1u);
+  EXPECT_EQ(out.deliver[0].first, 2100u);
+  EXPECT_EQ(out.deliver[0].second.size(), 300u);
+
+  m.release_below(1800);
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.held_bytes(), 0u);
 }
 
 }  // namespace

@@ -209,5 +209,22 @@ TEST(TcpStates, AbortDuringHandshakeLeavesNoState) {
   }
 }
 
+
+TEST(TcpStates, ClosedConnectionOffersNoSendSpace) {
+  // The server aborts right after the handshake; its RST closes the
+  // client, whose buffer must then refuse writes that could never be
+  // sent, and say so through send_space().
+  Pair p;
+  p.client->connect();
+  p.rig.loop().run_until(200 * kMillisecond);
+  ASSERT_EQ(p.client->state(), TcpState::kEstablished);
+  ASSERT_GT(p.client->send_space(), 0u);
+  p.server->abort();
+  p.rig.loop().run_until(400 * kMillisecond);
+  ASSERT_EQ(p.client->state(), TcpState::kClosed);
+  EXPECT_EQ(p.client->send_space(), 0u);
+  EXPECT_EQ(p.client->write(bytes(1000)), 0u);
+}
+
 }  // namespace
 }  // namespace mptcp

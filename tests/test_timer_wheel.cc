@@ -223,6 +223,68 @@ TEST(TimerWheel, RandomizedSweepMatchesReferenceModel) {
   }
 }
 
+TEST(TimerWheel, CascadesAmidCancellationsKeepTimeSeqOrder) {
+  // Entries filed at levels 1-3 cascade down while entries around them
+  // are cancelled, up front and from callbacks that run between
+  // cascades; those callbacks also file new entries into the slots just
+  // cascaded out of. Survivors fire in (t, seq) order.
+  EventLoop loop;
+  struct Ev {
+    SimTime t;
+    uint64_t seq;
+    EventLoop::EventId id = 0;
+    bool cancelled = false;
+  };
+  std::vector<Ev> evs;
+  evs.reserve(4096);
+  std::vector<size_t> fired;
+  uint64_t seq = 0;
+  auto add = [&](SimTime t) {
+    const size_t h = evs.size();
+    evs.push_back(Ev{std::max(t, loop.now()), seq++});
+    evs.back().id = loop.schedule_at(t, [&fired, h] { fired.push_back(h); });
+  };
+  // Clusters of equal deadlines (seq breaks the ties) over a few ticks
+  // and a few parent slots of each level.
+  auto add_cluster = [&](SimTime base, SimTime level) {
+    for (int i = 0; i < 60; ++i) {
+      add(base + level * (1 + i % 3) + (i % 5) * kTick + (i % 2) * 300);
+    }
+  };
+  const SimTime levels[] = {kLevel1, kLevel2, kLevel3};
+  for (const SimTime level : levels) add_cluster(0, level);
+  for (size_t i = 0; i < evs.size(); i += 3) {
+    loop.cancel(evs[i].id);
+    evs[i].cancelled = true;
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (const SimTime level : levels) {
+      const SimTime at = round * 4 * kLevel3 + level - 5 * kTick;
+      loop.schedule_at(at, [&, level] {
+        const SimTime now = loop.now();
+        for (size_t i = 1; i < evs.size(); i += 3) {
+          if (!evs[i].cancelled && evs[i].t > now + kTick) {
+            loop.cancel(evs[i].id);
+            evs[i].cancelled = true;
+          }
+        }
+        add_cluster(now, level);
+      });
+    }
+  }
+  loop.run();
+  std::vector<size_t> expected;
+  for (size_t i = 0; i < evs.size(); ++i) {
+    if (!evs[i].cancelled) expected.push_back(i);
+  }
+  std::sort(expected.begin(), expected.end(), [&](size_t a, size_t b) {
+    return evs[a].t != evs[b].t ? evs[a].t < evs[b].t
+                                : evs[a].seq < evs[b].seq;
+  });
+  EXPECT_GT(expected.size(), 300u);
+  EXPECT_EQ(fired, expected);
+}
+
 // The sharded engine's conservative lockstep runs each shard's loop only
 // to the epoch boundary (the cross-shard lookahead) and injects remote
 // arrivals afterwards. That is sound only if run_until(t) never advances
