@@ -28,7 +28,9 @@
 // lower-is-better: the peak RSS the smoke capacity phase adds (VmHWM
 // after it minus VmRSS before it) over its peak concurrent connections.
 // VmHWM is a process-wide high-water mark, so the smoke scale always
-// runs first. The simulated results are deterministic: CI also digests
+// runs first. smoke_allocs_per_pkt_hop, also gated lower-is-better, is
+// the heap allocations the smoke capacity run makes (bench_util's
+// counting operator new, set-up excluded) per packet-hop. The simulated results are deterministic: CI also digests
 // the same topology twice via `sim_digest --scenario capacity`.
 //
 // --shards N adds the sharded engine runs (see run_sharded_scale below):
@@ -78,6 +80,9 @@ struct ScaleResult {
   double fct_p50_us = 0;
   double fct_p99_us = 0;
   double errors = 0;
+  /// Heap allocations per packet-hop while the simulation runs (set-up
+  /// excluded); 0 when allocations are not counted (sanitizer builds).
+  double allocs_per_pkt_hop = 0;
 };
 
 TransportConfig capacity_transport(size_t meta_buf, size_t tcp_buf,
@@ -127,9 +132,14 @@ ScaleResult run_scale(const ScaleSpec& spec, uint64_t seed) {
 
   WorkloadEngine engine(topo, wc);
   engine.start();
+  const uint64_t allocs_before = allocation_count();
   topo.loop().run_until(spec.duration);
+  const uint64_t allocs = allocation_count() - allocs_before;
 
   ScaleResult out;
+  out.allocs_per_pkt_hop = static_cast<double>(allocs) /
+                           static_cast<double>(
+                               std::max<uint64_t>(1, count_pkt_hops(topo)));
   out.peak_concurrent = static_cast<double>(engine.peak_concurrent());
   out.churn_completed = static_cast<double>(engine.completed(1));
   const double total_bytes = static_cast<double>(engine.bytes_received(0) +
@@ -150,7 +160,9 @@ ScaleResult run_scale(const ScaleSpec& spec, uint64_t seed) {
   std::printf("%-24s %12.1f\n", "goodput_mbps", out.goodput_mbps);
   std::printf("%-24s %12.0f\n", "fct_p50_us", out.fct_p50_us);
   std::printf("%-24s %12.0f\n", "fct_p99_us", out.fct_p99_us);
-  std::printf("%-24s %12.0f\n\n", "errors", out.errors);
+  std::printf("%-24s %12.0f\n", "errors", out.errors);
+  std::printf("%-24s %12.3f\n\n", "allocs_per_pkt_hop",
+              out.allocs_per_pkt_hop);
   return out;
 }
 
@@ -663,6 +675,9 @@ int main(int argc, char** argv) {
   std::printf("%-24s %12.0f\n\n", "bytes_per_conn", bytes_per_conn);
   append_fields(fields, "smoke_", smoke);
   fields.emplace_back("smoke_bytes_per_conn", bytes_per_conn);
+  if (allocations_counted()) {
+    fields.emplace_back("smoke_allocs_per_pkt_hop", smoke.allocs_per_pkt_hop);
+  }
   const ServingResult smoke_serving = run_serving(kServingSmoke, /*seed=*/1);
   append_serving_fields(fields, "smoke_serving_", smoke_serving);
   if (smoke_serving.completed <= 0) {

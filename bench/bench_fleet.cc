@@ -14,7 +14,9 @@
 //
 // --smoke is the CI gate: a reduced fleet whose smoke_* keys
 // bench/check_bench.py compares against the tracked BENCH_fleet.json
-// (*_us keys are informational). Determinism is pinned separately by
+// (*_us keys are informational; *_allocs_per_pkt_hop, the heap
+// allocations per packet-hop while the fleet runs, is gated
+// lower-is-better). Determinism is pinned separately by
 // `sim_digest --scenario fleet`, whose digest must also be identical
 // across --shards 1/2/4.
 //
@@ -41,6 +43,9 @@ struct FleetRun {
   FleetMetrics m;
   double goodput_mbps = 0;
   double wall_seconds = 0;
+  /// Heap allocations per packet-hop while the fleet runs (set-up
+  /// excluded); 0 when allocations are not counted (sanitizer builds).
+  double allocs_per_pkt_hop = 0;
   bool balanced = true;
 };
 
@@ -66,7 +71,11 @@ FleetRun run_fleet(const FleetSpec& spec, const char* name) {
   FleetEngine fleet(spec);
   FleetRun out;
   out.balanced = fleet.shards_balanced();
+  const uint64_t allocs_before = allocation_count();
   fleet.run();
+  out.allocs_per_pkt_hop =
+      static_cast<double>(allocation_count() - allocs_before) /
+      static_cast<double>(std::max<uint64_t>(1, count_pkt_hops(fleet.topo())));
   out.m = fleet.metrics();
   out.wall_seconds = wall.seconds();
   out.goodput_mbps = static_cast<double>(out.m.bytes_received) * 8.0 /
@@ -108,6 +117,8 @@ FleetRun run_fleet(const FleetSpec& spec, const char* name) {
               (unsigned long long)out.m.fct_p50_us);
   std::printf("%-26s %12llu\n", "fct_p99_us",
               (unsigned long long)out.m.fct_p99_us);
+  std::printf("%-26s %12.3f\n", "allocs_per_pkt_hop",
+              out.allocs_per_pkt_hop);
   std::printf("%-26s %12.2f\n\n", "wall_seconds", out.wall_seconds);
   return out;
 }
@@ -138,6 +149,9 @@ void append_fields(std::vector<std::pair<std::string, double>>& fields,
                       static_cast<double>(r.m.fct_p50_us));
   fields.emplace_back(prefix + "fct_p99_us",
                       static_cast<double>(r.m.fct_p99_us));
+  if (allocations_counted()) {
+    fields.emplace_back(prefix + "allocs_per_pkt_hop", r.allocs_per_pkt_hop);
+  }
 }
 
 /// The monotone-fallback self-check: sweep option-stripper prevalence
@@ -272,7 +286,10 @@ int main(int argc, char** argv) {
   // baseline carries the smoke_* keys the CI bench-track job gates on
   // (same pattern as bench_capacity). Fleet outcomes are deterministic
   // and shard-count-invariant, so these values match a CI --smoke run
-  // regardless of either side's --shards.
+  // regardless of either side's --shards. The allocation count is not:
+  // each shard thread recycles through pools of its own, so the tracked
+  // smoke_allocs_per_pkt_hop comes from a `--smoke --shards 2` run, the
+  // CI job's.
   if (!smoke) {
     FleetSpec ss = spec;
     ss.clients = 150;

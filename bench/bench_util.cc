@@ -1,12 +1,60 @@
 #include "bench_util.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <thread>
+
+#include "sim/topology.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MPTCP_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MPTCP_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef MPTCP_COUNT_ALLOCATIONS
+#define MPTCP_COUNT_ALLOCATIONS 1
+#endif
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+#if MPTCP_COUNT_ALLOCATIONS
+// The replaceable global allocation functions (the array and nothrow
+// forms forward to these). Counting is all they add.
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace mptcp {
 namespace bench {
+
+uint64_t allocation_count() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+bool allocations_counted() { return MPTCP_COUNT_ALLOCATIONS != 0; }
+
+uint64_t count_pkt_hops(Topology& topo) {
+  uint64_t n = 0;
+  for (size_t l = 0; l < topo.link_count(); ++l) {
+    n += topo.link_ab(l).stats().delivered_pkts +
+         topo.link_ba(l).stats().delivered_pkts;
+  }
+  return n;
+}
 
 namespace {
 

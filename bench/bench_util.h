@@ -59,6 +59,18 @@ size_t clamp_shards(size_t requested);
 /// bytes; 0 when the field or the file is missing (non-Linux hosts).
 double proc_status_bytes(const char* field);
 
+/// Calls to the global operator new made so far by this process, every
+/// thread included. bench_util.cc replaces operator new with a counting
+/// one (one relaxed atomic increment per call) in every binary that links
+/// it, except under the sanitizers, which bring their own allocator:
+/// there allocations_counted() is false and the count stays 0.
+uint64_t allocation_count();
+bool allocations_counted();
+
+/// Packets every link of `topo` has delivered, both directions summed:
+/// the packet-hops perfbench divides its run time by.
+uint64_t count_pkt_hops(Topology& topo);
+
 /// Which sender-side mechanisms a variant enables (section 4.2).
 struct Variant {
   std::string name;

@@ -17,8 +17,10 @@ and bench_capacity write). Gating is direction-aware:
     ending in "_spills_total") rise-fail at baseline * (1 + tolerance);
     a zero baseline gates exactly -- any nonzero value fails, since the
     whole point of a zero-spill baseline is staying at zero;
-  * memory per connection (keys ending in "bytes_per_conn") is
-    lower-is-better with the plain tolerance, like the counters above;
+  * memory per connection (keys ending in "bytes_per_conn") and heap
+    allocations per packet-hop (keys ending in "_allocs_per_pkt_hop")
+    are lower-is-better with the plain tolerance, like the counters
+    above;
   * tail-latency SLO metrics (any key containing "_p99", "_p999" or
     "_reject") are lower-is-better and ARE gated, with the wide seconds
     tolerance -- these are the serving stack's promise and take
@@ -69,10 +71,11 @@ def is_seconds(key: str) -> bool:
 
 def is_lower_count(key: str) -> bool:
     """Lower-is-better quantities gated with the plain tolerance:
-    deterministic counters (virtual-schedule quantities, not wall-clock)
-    and memory per connection."""
+    deterministic counters (virtual-schedule quantities, not wall-clock),
+    memory per connection and allocations per packet-hop."""
     return (key == "epochs_per_run" or key.endswith("_spills_total")
-            or key.endswith("bytes_per_conn"))
+            or key.endswith("bytes_per_conn")
+            or key.endswith("_allocs_per_pkt_hop"))
 
 
 def gated(key: str) -> bool:

@@ -13,16 +13,24 @@
 // falls back to plain TCP. The payload part of the sum is computed once
 // and shared with the TCP checksum in a real stack; the Fig. 3 benchmark
 // measures this cost through the same code path.
+//
+// Both ends keep their mappings in ssn order and drop them from the front,
+// so neither allocates per mapping: the sender holds a RingQueue searched
+// by binary search, whose storage is freed whenever it drains; the
+// receiver, which releases each mapping as soon as it is delivered and so
+// usually holds exactly one, keeps the lowest mapping inline and only
+// those queued behind it (out-of-order arrivals, inserted by position) in
+// a ring. feed() writes into an Output its caller keeps and reuses.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "net/checksum.h"
 #include "net/payload.h"
+#include "net/ring_queue.h"
 
 namespace mptcp {
 
@@ -54,7 +62,9 @@ struct MappingRecord {
 /// so that segment construction can find the mapping covering a range.
 class SenderMappings {
  public:
-  void add(MappingRecord rec) { map_.emplace(rec.ssn_begin, rec); }
+  /// Records a mapping; mappings are added in ssn order, each beginning
+  /// where the send buffer ends.
+  void add(const MappingRecord& rec);
 
   /// The mapping containing subflow sequence `ssn`, or nullptr.
   const MappingRecord* find(uint64_t ssn) const;
@@ -64,10 +74,10 @@ class SenderMappings {
   /// retransmit them again).
   void release_below(uint64_t ssn);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return ring_.size(); }
 
  private:
-  std::map<uint64_t, MappingRecord> map_;  ///< keyed by ssn_begin
+  RingQueue<MappingRecord> ring_;  ///< sorted by ssn_begin
 };
 
 /// Receiver side: mappings learned from DSS options, plus incremental
@@ -85,10 +95,10 @@ class ReceiverMappings {
   struct Output {
     /// Data ready for the connection level: (dsn, bytes). The payloads
     /// are shared views of the fed bytes (zero-copy). A checksummed
-    /// mapping that straddled segments is joined on completion by
-    /// Payload::concat: still one shared view when its fragments are
-    /// consecutive views of one buffer (as the sender carved them), copied
-    /// once only when they are not (say, a fragment an ALG rewrote).
+    /// mapping that straddled segments is joined as its fragments
+    /// arrive: still one shared view when they are consecutive views of
+    /// one buffer (as the sender carved them), copied once only when
+    /// they are not (say, a fragment an ALG rewrote).
     std::vector<std::pair<uint64_t, Payload>> deliver;
     /// Mappings whose checksum failed, with the (modified) bytes so the
     /// caller can decide between reject-and-reset and fallback-deliver.
@@ -96,15 +106,23 @@ class ReceiverMappings {
   };
 
   /// Feeds `bytes` of in-order subflow data starting at absolute subflow
-  /// seq `ssn`. Bytes with no covering mapping are dropped and counted
-  /// (section 3.3.5: only mapped bytes are acknowledged at the data
-  /// level).
-  Output feed(uint64_t ssn, const Payload& bytes, bool verify_checksums);
+  /// seq `ssn`, replacing the contents of `out` (whose vectors keep their
+  /// capacity from call to call). Bytes with no covering mapping are
+  /// dropped and counted (section 3.3.5: only mapped bytes are
+  /// acknowledged at the data level).
+  void feed(uint64_t ssn, const Payload& bytes, bool verify_checksums,
+            Output& out);
+  /// Same, into a fresh Output.
+  Output feed(uint64_t ssn, const Payload& bytes, bool verify_checksums) {
+    Output out;
+    feed(ssn, bytes, verify_checksums, out);
+    return out;
+  }
 
   /// Drops mapping state fully below `ssn` (delivered).
   void release_below(uint64_t ssn);
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return (front_ ? 1 : 0) + rest_.size(); }
   uint64_t unmapped_bytes() const { return unmapped_bytes_; }
   /// Bytes currently held awaiting checksum completion (memory accounting).
   size_t held_bytes() const { return held_bytes_; }
@@ -113,14 +131,22 @@ class ReceiverMappings {
   struct Tracked {
     MappingRecord rec;
     ChecksumAccumulator acc;
-    /// Buffered fragment views awaiting verification (shared with the
-    /// subflow's reassembly payloads; joined by Payload::concat on
-    /// completion).
-    std::vector<Payload> held;
-    size_t held_size = 0;  ///< total bytes across `held`
+    /// The fragments fed so far, awaiting verification: one view shared
+    /// with the subflow's reassembly payloads while they adjoin, else a
+    /// private buffer of the mapping's length that the rest are copied
+    /// into.
+    Payload held;
     uint64_t covered = 0;  ///< bytes of the mapping fed so far
+    /// Bytes held until the mapping completes (none once it has).
+    size_t held_size() const {
+      return covered < rec.length ? static_cast<size_t>(covered) : 0;
+    }
   };
-  std::map<uint64_t, Tracked> map_;  ///< keyed by ssn_begin
+  /// The held mapping with the lowest ssn_begin, if any.
+  std::optional<Tracked> front_;
+  /// The others, sorted by ssn_begin; their storage is freed when the
+  /// last one leaves.
+  RingQueue<Tracked> rest_;
   uint64_t unmapped_bytes_ = 0;
   size_t held_bytes_ = 0;
 };

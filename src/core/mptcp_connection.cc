@@ -414,12 +414,12 @@ void MptcpConnection::sf_closed(MptcpSubflow* sf) {
   cc_group_.remove(&sf->congestion_control());
   // Re-inject everything this subflow still owed (section 3.3: data is
   // freed only by DATA_ACK, so it is still in the connection-level buffer).
-  for (auto& [dsn, rec] : alloc_) {
-    if (rec.subflow_id != sf->id()) continue;
-    const uint64_t begin = std::max(dsn, snd_una_d_);
-    const uint64_t end = dsn + rec.len;
+  for (Alloc& a : alloc_) {
+    if (a.subflow_id != sf->id()) continue;
+    const uint64_t begin = std::max(a.dsn, snd_una_d_);
+    const uint64_t end = a.dsn + a.len;
     if (end > begin) reinject_range(begin, end - begin);
-    rec.subflow_id = SIZE_MAX;
+    a.subflow_id = SIZE_MAX;
   }
   // The subflow is still on the stack (and callers may hold indices into
   // subflows_), so it is destroyed in a fresh event. Armed before the
@@ -459,13 +459,11 @@ void MptcpConnection::sf_dss_ack(uint64_t data_ack, uint64_t window_bytes) {
     n_data_acked_bytes_ += data_ack - snd_una_d_;
     meta_snd_.free_through(std::min(data_ack, meta_snd_.end_seq()));
     snd_una_d_ = data_ack;
-    for (auto it = alloc_.begin(); it != alloc_.end();) {
-      if (it->first + it->second.len <= snd_una_d_) {
-        it = alloc_.erase(it);
-      } else {
-        break;
-      }
+    while (!alloc_.empty() &&
+           alloc_.front().dsn + alloc_.front().len <= snd_una_d_) {
+      alloc_.pop_front();
     }
+    if (alloc_.empty()) alloc_.clear();
     meta_rto_backoff_ = 1;
     meta_rto_timer_.cancel();  // restart relative to this progress
     arm_meta_rto();
@@ -690,7 +688,7 @@ void MptcpConnection::schedule() {
 void MptcpConnection::window_blocked(MptcpSubflow* fast) {
   if (alloc_.empty()) return;
   ++n_window_stalls_;
-  const auto& [dsn0, rec0] = *alloc_.begin();
+  const Alloc rec0 = alloc_.front();
 
   // Only act when the trailing edge is held by a genuinely *slower*
   // subflow (the reference implementation's guard): the fast path briefly
@@ -711,16 +709,20 @@ void MptcpConnection::window_blocked(MptcpSubflow* fast) {
     uint64_t start = std::max(snd_una_d_, reinjected_until_);
     uint64_t budget = fast->cwnd_space();
     bool any = false;
-    auto it = alloc_.upper_bound(start);
+    // Indices into alloc_ hold across push_mapped: nothing in it pops a
+    // record, and a record appended meanwhile lands behind.
+    auto it = std::upper_bound(
+        alloc_.begin(), alloc_.end(), start,
+        [](uint64_t dsn, const Alloc& a) { return dsn < a.dsn; });
     if (it != alloc_.begin()) --it;
     while (budget > 0 && it != alloc_.end()) {
-      const uint64_t b = std::max(it->first, start);
-      const uint64_t e = it->first + it->second.len;
+      const uint64_t b = std::max(it->dsn, start);
+      const uint64_t e = it->dsn + it->len;
       if (b >= e) {
         ++it;
         continue;
       }
-      if (it->second.subflow_id == fast->id()) break;  // fast path's own
+      if (it->subflow_id == fast->id()) break;  // fast path's own
       const uint64_t n = std::min(e - b, budget);
       Payload bytes = meta_snd_.slice_out(b, static_cast<size_t>(n));
       fast->push_mapped(b, std::move(bytes));
@@ -751,6 +753,14 @@ void MptcpConnection::window_blocked(MptcpSubflow* fast) {
       ++meta_stats_.penalizations;
     }
   }
+}
+
+void MptcpConnection::sched_record_alloc(uint64_t dsn, uint64_t len,
+                                         size_t sf_id) {
+  // The scheduler hands out data at snd_nxt, so records append in order.
+  assert(dsn == snd_nxt_d_ && len > 0);
+  alloc_.push_back(Alloc{dsn, len, sf_id});
+  snd_nxt_d_ = dsn + len;
 }
 
 void MptcpConnection::reinject_range(uint64_t dsn, uint64_t len) {

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -223,10 +222,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
     return meta_snd_.slice_out(dsn, len);
   }
   void sched_record_alloc(uint64_t dsn, uint64_t len,
-                          size_t sf_id) override {
-    alloc_[dsn] = Alloc{len, sf_id};
-    snd_nxt_d_ = dsn + len;
-  }
+                          size_t sf_id) override;
   void sched_count_reinjected(uint64_t bytes) override {
     meta_stats_.reinjected_bytes += bytes;
   }
@@ -296,10 +292,14 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   size_t meta_snd_capacity_ = 0;
   uint64_t meta_right_edge_ = 0;  ///< max(data_ack + window) seen
   struct Alloc {
+    uint64_t dsn;
     uint64_t len;
     size_t subflow_id;
   };
-  std::map<uint64_t, Alloc> alloc_;  ///< dsn -> allocation record
+  /// Allocation records in dsn order, appended as the scheduler hands out
+  /// data and dropped from the front by DATA_ACKs; the storage is freed
+  /// whenever the last one leaves.
+  RingQueue<Alloc> alloc_;
   RingQueue<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
   uint64_t reinjected_until_ = 0;  ///< M1 high-water mark (monotonic)
   std::unique_ptr<Scheduler> scheduler_;  ///< policy + its private state

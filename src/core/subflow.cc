@@ -88,7 +88,7 @@ void MptcpSubflow::send_data_fin(uint64_t dsn) {
 // Option construction.
 // ---------------------------------------------------------------------------
 
-void MptcpSubflow::build_syn_options(std::vector<TcpOption>& opts) {
+void MptcpSubflow::build_syn_options(OptionList& opts) {
   switch (kind_) {
     case SubflowKind::kInitialActive: {
       MpCapableOption mpc;
@@ -113,7 +113,7 @@ void MptcpSubflow::build_syn_options(std::vector<TcpOption>& opts) {
   }
 }
 
-void MptcpSubflow::build_synack_options(std::vector<TcpOption>& opts,
+void MptcpSubflow::build_synack_options(OptionList& opts,
                                         const TcpSegment&) {
   if (meta_.mode() == MptcpMode::kFallbackTcp) return;
   switch (kind_) {
@@ -140,7 +140,7 @@ void MptcpSubflow::build_synack_options(std::vector<TcpOption>& opts,
   }
 }
 
-void MptcpSubflow::build_segment_options(std::vector<TcpOption>& opts,
+void MptcpSubflow::build_segment_options(OptionList& opts,
                                          uint64_t payload_seq,
                                          size_t payload_len) {
   if (meta_.mode() == MptcpMode::kFallbackTcp) return;
@@ -359,16 +359,22 @@ void MptcpSubflow::deliver_data(uint64_t seq, Payload bytes) {
     return;
   }
   const uint64_t end = seq + bytes.size();
-  auto out = rx_mappings_.feed(seq, bytes, meta_.dss_checksum_enabled());
+  // One Output per thread, reused so that feeding allocates nothing once
+  // its lists have grown. It leaves its slot while in use: a delivery
+  // callback that feeds again (re-entering through the meta level) starts
+  // from an empty one instead of clearing the lists walked here.
+  static thread_local ReceiverMappings::Output spare;
+  ReceiverMappings::Output out = std::move(spare);
+  rx_mappings_.feed(seq, bytes, meta_.dss_checksum_enabled(), out);
   for (auto& [dsn, data] : out.deliver) {
     meta_.sf_mapped_data(this, dsn, std::move(data));
   }
-  if (!out.checksum_failures.empty()) {
-    for (auto& [rec, data] : out.checksum_failures) {
-      meta_.sf_checksum_failure(this, rec, std::move(data));
-    }
-    return;  // the meta may have reset us or disabled verification
+  const bool failed = !out.checksum_failures.empty();
+  for (auto& [rec, data] : out.checksum_failures) {
+    meta_.sf_checksum_failure(this, rec, std::move(data));
   }
+  spare = std::move(out);
+  if (failed) return;  // the meta may have reset us or disabled verification
   rx_mappings_.release_below(end);
 }
 

@@ -124,10 +124,10 @@ class MptcpSubflow final : public TcpConnection {
 
  protected:
   // --- TcpConnection hooks --------------------------------------------------
-  void build_syn_options(std::vector<TcpOption>& opts) override;
-  void build_synack_options(std::vector<TcpOption>& opts,
+  void build_syn_options(OptionList& opts) override;
+  void build_synack_options(OptionList& opts,
                             const TcpSegment& syn) override;
-  void build_segment_options(std::vector<TcpOption>& opts,
+  void build_segment_options(OptionList& opts,
                              uint64_t payload_seq, size_t payload_len) override;
   void process_incoming_options(const TcpSegment& seg) override;
   void on_established() override;
@@ -168,7 +168,7 @@ class MptcpSubflow final : public TcpConnection {
   ReceiverMappings rx_mappings_;
 
   std::optional<uint64_t> announce_data_fin_;
-  std::vector<TcpOption> pending_control_options_;
+  OptionList pending_control_options_;
   Timer fallback_check_timer_;
 
   std::string stats_scope_;

@@ -7,8 +7,8 @@ void OptionStripper::process(TcpSegment seg) {
     const size_t before = seg.options.size();
     switch (what_) {
       case What::kAllMptcp:
-        std::erase_if(seg.options,
-                      [](const TcpOption& o) { return is_mptcp_option(o); });
+        seg.options.erase_if(
+            [](const TcpOption& o) { return is_mptcp_option(o); });
         break;
       case What::kMpCapable:
         remove_options<MpCapableOption>(seg.options);
@@ -20,7 +20,7 @@ void OptionStripper::process(TcpSegment seg) {
         remove_options<DssOption>(seg.options);
         break;
       case What::kAllUnknown:
-        std::erase_if(seg.options, [](const TcpOption& o) {
+        seg.options.erase_if([](const TcpOption& o) {
           return !(std::holds_alternative<MssOption>(o) ||
                    std::holds_alternative<WindowScaleOption>(o) ||
                    std::holds_alternative<TimestampOption>(o) ||

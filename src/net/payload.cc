@@ -5,21 +5,8 @@
 #include <new>
 #include <vector>
 
+#include "net/block_pool.h"
 #include "net/checksum.h"
-
-// The pool hides use-after-free from AddressSanitizer (a recycled block is
-// live memory), so compile it out under ASan and let every allocation hit
-// the instrumented heap.
-#if defined(__SANITIZE_ADDRESS__)
-#define MPTCP_PAYLOAD_POOL 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MPTCP_PAYLOAD_POOL 0
-#endif
-#endif
-#ifndef MPTCP_PAYLOAD_POOL
-#define MPTCP_PAYLOAD_POOL 1
-#endif
 
 namespace mptcp {
 
@@ -35,20 +22,15 @@ constexpr size_t kLargeCap = 16384;
 constexpr size_t kSmallMax = 8192;
 constexpr size_t kLargeMax = 2048;
 
-// One pool per thread: payload refcounts are non-atomic and a buffer must
-// never be shared across threads (the sharded engine deep-copies payloads
-// at shard boundaries, see sim/shard.h; frozen buffers, which are never
-// freed, cross as they are), so each shard worker recycles blocks through
-// its own free lists with no synchronization. Blocks drain back to the
-// heap when the thread exits.
+// One pool per thread (net/block_pool.h): payload refcounts are non-atomic
+// and a buffer must never be shared across threads (the sharded engine
+// deep-copies payloads at shard boundaries, see sim/shard.h; frozen
+// buffers, which are never freed, cross as they are), so each shard worker
+// recycles blocks through its own free lists with no synchronization.
 struct Pool {
-  std::vector<void*> free_small;
-  std::vector<void*> free_large;
+  FreeBlocks free_small{kSmallMax};
+  FreeBlocks free_large{kLargeMax};
   Payload::PoolStats stats;
-  ~Pool() {
-    for (void* p : free_small) ::operator delete(p);
-    for (void* p : free_large) ::operator delete(p);
-  }
 };
 
 thread_local Pool g_pool;
@@ -57,8 +39,8 @@ thread_local Pool g_pool;
 
 Payload::Buf* Payload::alloc_buf(size_t n) {
   size_t cap = n;
-#if MPTCP_PAYLOAD_POOL
-  std::vector<void*>* list = nullptr;
+#if MPTCP_BLOCK_POOL
+  FreeBlocks* list = nullptr;
   if (n <= kSmallCap) {
     cap = kSmallCap;
     list = &g_pool.free_small;
@@ -67,10 +49,9 @@ Payload::Buf* Payload::alloc_buf(size_t n) {
     list = &g_pool.free_large;
   }
   if (list != nullptr) {
-    if (!list->empty()) {
+    if (void* p = list->pop()) {
       ++g_pool.stats.hits;
-      Buf* b = static_cast<Buf*>(list->back());
-      list->pop_back();
+      Buf* b = static_cast<Buf*>(p);
       b->refs = 1;
       b->cap = static_cast<uint32_t>(cap);
       return b;
@@ -85,15 +66,9 @@ Payload::Buf* Payload::alloc_buf(size_t n) {
 }
 
 void Payload::free_buf(Buf* b) {
-#if MPTCP_PAYLOAD_POOL
-  if (b->cap == kSmallCap && g_pool.free_small.size() < kSmallMax) {
-    g_pool.free_small.push_back(b);
-    return;
-  }
-  if (b->cap == kLargeCap && g_pool.free_large.size() < kLargeMax) {
-    g_pool.free_large.push_back(b);
-    return;
-  }
+#if MPTCP_BLOCK_POOL
+  if (b->cap == kSmallCap && g_pool.free_small.push(b)) return;
+  if (b->cap == kLargeCap && g_pool.free_large.push(b)) return;
 #endif
   ::operator delete(static_cast<void*>(b));
 }
@@ -101,8 +76,6 @@ void Payload::free_buf(Buf* b) {
 const Payload::PoolStats& Payload::pool_stats() { return g_pool.stats; }
 
 void Payload::pool_reset() {
-  for (void* p : g_pool.free_small) ::operator delete(p);
-  for (void* p : g_pool.free_large) ::operator delete(p);
   g_pool.free_small.clear();
   g_pool.free_large.clear();
   g_pool.stats = PoolStats{};

@@ -165,6 +165,13 @@ class Payload {
   /// checksum and the DSS checksum via ChecksumAccumulator::add_partial().
   uint16_t folded_sum() const;
 
+  /// True when `next` views this view's buffer starting exactly where
+  /// this view ends, so the two join into one view without a copy. The one
+  /// adjacency test behind concat(), append() and SendBuffer::slice_out().
+  bool adjoins(const Payload& next) const {
+    return buf_ != nullptr && buf_ == next.buf_ && off_ + len_ == next.off_;
+  }
+
   // --- introspection (tests, memory accounting) ---------------------------
   bool sum_cached() const { return sum_valid_; }
   bool shares_buffer_with(const Payload& o) const {
@@ -209,13 +216,6 @@ class Payload {
       return reinterpret_cast<const uint8_t*>(this + 1);
     }
   };
-
-  /// True when `next` views this view's buffer starting exactly where
-  /// this view ends, so the two join into one view without a copy. The one
-  /// adjacency test behind concat() and append().
-  bool adjoins(const Payload& next) const {
-    return buf_ != nullptr && buf_ == next.buf_ && off_ + len_ == next.off_;
-  }
 
   static Buf* alloc_buf(size_t n);
   static void free_buf(Buf* b);

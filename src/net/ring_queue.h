@@ -19,6 +19,7 @@
 // anything that might push into or pop from the same ring.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <compare>
 #include <cstddef>
@@ -108,6 +109,16 @@ class RingQueue {
   }
   void push_front(T&& v) { emplace_front(std::move(v)); }
   void push_front(const T& v) { emplace_front(v); }
+
+  /// Inserts `v` before `pos`, moving the elements behind it one slot
+  /// back: O(distance to the back), for keeping a sorted ring sorted when
+  /// an element arrives out of order. Invalidates iterators like a push.
+  iterator insert(const_iterator pos, T v) {
+    const size_t i = static_cast<size_t>(pos - std::as_const(*this).begin());
+    emplace_back(std::move(v));
+    std::rotate(begin() + static_cast<std::ptrdiff_t>(i), end() - 1, end());
+    return begin() + static_cast<std::ptrdiff_t>(i);
+  }
 
   /// Destroys the front element, then halves the array if it is now
   /// under a quarter full (and above kMinCapacity).

@@ -37,7 +37,7 @@ struct TcpSegment {
   bool rst = false;
   bool psh = false;
 
-  std::vector<TcpOption> options;
+  OptionList options;
   Payload payload;
 
   /// Wire checksum over the TCP pseudo-header + header + payload. Filled

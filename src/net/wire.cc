@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "net/checksum.h"
 
@@ -98,6 +99,16 @@ class Reader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Position of alternative T in TcpOption, for switching on index().
+template <typename T, size_t I = 0>
+constexpr size_t option_index() {
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, TcpOption>, T>) {
+    return I;
+  } else {
+    return option_index<T, I + 1>();
+  }
+}
 
 size_t mp_capable_size(const MpCapableOption& o) {
   return 4 + (o.sender_key ? 8 : 0) + (o.receiver_key ? 8 : 0);
@@ -327,40 +338,46 @@ std::optional<TcpOption> parse_mptcp_option(Reader& r, uint8_t len) {
 }  // namespace
 
 bool is_mptcp_option(const TcpOption& opt) {
-  return std::holds_alternative<MpCapableOption>(opt) ||
-         std::holds_alternative<MpJoinOption>(opt) ||
-         std::holds_alternative<DssOption>(opt) ||
-         std::holds_alternative<AddAddrOption>(opt) ||
-         std::holds_alternative<RemoveAddrOption>(opt) ||
-         std::holds_alternative<MpFastcloseOption>(opt) ||
-         std::holds_alternative<MpPrioOption>(opt);
+  // The MPTCP alternatives close the variant, MP_CAPABLE first.
+  constexpr size_t kFirstMptcp = option_index<MpCapableOption>();
+  static_assert(std::variant_size_v<TcpOption> - kFirstMptcp == 7);
+  return opt.index() >= kFirstMptcp;
 }
 
 size_t option_wire_size(const TcpOption& opt) {
-  if (std::holds_alternative<MssOption>(opt)) return 4;
-  if (std::holds_alternative<WindowScaleOption>(opt)) return 3;
-  if (std::holds_alternative<SackPermittedOption>(opt)) return 2;
-  if (const auto* o = std::get_if<SackOption>(&opt)) {
-    return 2 + 8 * o->blocks.size();
+  // Runs for every option of every segment at every hop (links size
+  // their serialization delay by it): one jump on index() rather than a
+  // chain of type tests.
+  switch (opt.index()) {
+    case option_index<MssOption>():
+      return 4;
+    case option_index<WindowScaleOption>():
+      return 3;
+    case option_index<SackPermittedOption>():
+      return 2;
+    case option_index<SackOption>():
+      return 2 + 8 * std::get<SackOption>(opt).blocks.size();
+    case option_index<TimestampOption>():
+      return 10;
+    case option_index<MpCapableOption>():
+      return mp_capable_size(std::get<MpCapableOption>(opt));
+    case option_index<MpJoinOption>():
+      return mp_join_size(std::get<MpJoinOption>(opt));
+    case option_index<DssOption>():
+      return dss_size(std::get<DssOption>(opt));
+    case option_index<AddAddrOption>():
+      return std::get<AddAddrOption>(opt).port ? 10 : 8;
+    case option_index<RemoveAddrOption>():
+      return 4;
+    case option_index<MpFastcloseOption>():
+      return 12;
+    case option_index<MpPrioOption>():
+      return std::get<MpPrioOption>(opt).addr_id ? 4 : 3;
   }
-  if (std::holds_alternative<TimestampOption>(opt)) return 10;
-  if (const auto* o = std::get_if<MpCapableOption>(&opt)) {
-    return mp_capable_size(*o);
-  }
-  if (const auto* o = std::get_if<MpJoinOption>(&opt)) return mp_join_size(*o);
-  if (const auto* o = std::get_if<DssOption>(&opt)) return dss_size(*o);
-  if (const auto* o = std::get_if<AddAddrOption>(&opt)) {
-    return o->port ? 10 : 8;
-  }
-  if (std::holds_alternative<RemoveAddrOption>(opt)) return 4;
-  if (const auto* o = std::get_if<MpPrioOption>(&opt)) {
-    return o->addr_id ? 4 : 3;
-  }
-  if (std::holds_alternative<MpFastcloseOption>(opt)) return 12;
   return 0;
 }
 
-EncodedOptions encode_options(const std::vector<TcpOption>& opts) {
+EncodedOptions encode_options(std::span<const TcpOption> opts) {
   EncodedOptions out;
   WriterT<EncodedOptions> w(out);
   for (const auto& o : opts) write_option(w, o);
@@ -373,25 +390,8 @@ std::vector<uint8_t> serialize_options(const std::vector<TcpOption>& opts) {
   return {enc.bytes().begin(), enc.bytes().end()};
 }
 
-std::vector<TcpOption> parse_options(std::span<const uint8_t> bytes) {
-  std::vector<TcpOption> out;
-  // One pass over the kind/length skeleton sizes the output exactly, so
-  // the variant vector allocates once instead of doubling as it grows.
-  size_t count = 0;
-  for (size_t pos = 0; pos < bytes.size();) {
-    const uint8_t kind = bytes[pos];
-    if (kind == kOptEol) break;
-    if (kind == kOptNop) {
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= bytes.size()) break;
-    const uint8_t len = bytes[pos + 1];
-    if (len < 2) break;
-    ++count;
-    pos += len;
-  }
-  out.reserve(count);
+OptionList parse_options(std::span<const uint8_t> bytes) {
+  OptionList out;
   Reader r(bytes);
   while (r.ok() && r.remaining() > 0) {
     const uint8_t kind = r.u8();
@@ -418,7 +418,13 @@ std::vector<TcpOption> parse_options(std::span<const uint8_t> bytes) {
         break;
       case kOptSack: {
         SackOption o;
-        for (int n = (len - 2) / 8; n > 0; --n) {
+        const size_t n = static_cast<size_t>(len - 2) / 8;
+        for (size_t i = 0; i < n; ++i) {
+          if (i == SackOption::Blocks::kMax) {
+            // More than the option space can hold: a malformed length.
+            r.skip(8 * (n - i));
+            break;
+          }
           SackOption::Block b;
           b.begin = r.u32();
           b.end = r.u32();

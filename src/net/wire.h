@@ -56,7 +56,7 @@ class EncodedOptions {
 
 /// Serializes an options block (padded to 4 bytes) into the inline buffer:
 /// the allocation-free path used per segment by serialize_segment.
-EncodedOptions encode_options(const std::vector<TcpOption>& opts);
+EncodedOptions encode_options(std::span<const TcpOption> opts);
 
 /// Serializes a full segment (TCP header + options + payload, no IP
 /// header). The checksum field is computed over the IPv4 pseudo-header
@@ -79,6 +79,6 @@ uint16_t tcp_checksum(std::span<const uint8_t> tcp_bytes,
 std::vector<uint8_t> serialize_options(const std::vector<TcpOption>& opts);
 
 /// Parses an options block.
-std::vector<TcpOption> parse_options(std::span<const uint8_t> bytes);
+OptionList parse_options(std::span<const uint8_t> bytes);
 
 }  // namespace mptcp

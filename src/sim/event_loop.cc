@@ -91,6 +91,11 @@ void EventLoop::cascade() {
       --entries_;
       if (entry_live(e)) place(e);
     }
+    if (moved.capacity() <= kMaxSpareCapacity &&
+        spare_slots_.size() < kMaxSpareSlots) {
+      moved.clear();
+      spare_slots_.push_back(std::move(moved));
+    }
   }
 }
 

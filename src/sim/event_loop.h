@@ -15,7 +15,10 @@
 // counter so the stale entry is discarded when its slot drains. Advancing
 // time scans per-level occupancy bitmaps and cascades a parent slot into
 // its children only when the corresponding digit rolls over, so empty
-// stretches of virtual time cost one bit-scan per 64 ticks.
+// stretches of virtual time cost one bit-scan per 64 ticks. A cascade
+// empties its slot's vector; a bounded few of those are kept for slots
+// that need storage again, so refiling does not reallocate from nothing
+// (see DESIGN.md, "Allocation budget", for why the bound is small).
 //
 // Sub-tick ordering: all entries that share the current tick are staged
 // into a pending vector and sorted by (time, schedule-seq), which makes
@@ -270,6 +273,7 @@ class EventLoop {
       // construction, no generation load needed.
       slot.back() = e;
     } else {
+      if (slot.capacity() == 0) adopt_spare(slot);
       slot.push_back(e);
       ++entries_;
     }
@@ -282,6 +286,13 @@ class EventLoop {
   void drain_slot(uint64_t idx);
   /// Re-files every entry of a parent slot whose digit just rolled over.
   void cascade();
+  /// Gives a slot without storage a vector that a cascade emptied, if one
+  /// is spare, so filing into it does not regrow one from nothing.
+  void adopt_spare(std::vector<WheelEntry>& slot) {
+    if (spare_slots_.empty()) return;
+    slot.swap(spare_slots_.back());
+    spare_slots_.pop_back();
+  }
   /// Re-files overflow entries after crossing a 64^4-tick boundary.
   void migrate_overflow();
   /// Advances cur_tick_ until pending_ holds the next entries to fire or
@@ -318,6 +329,13 @@ class EventLoop {
     uint32_t pos;
   };
   std::vector<SortKey> sort_scratch_;  ///< drain_slot working set
+  /// Emptied vectors of cascaded slots, for adopt_spare(). Bounded in
+  /// count and in the capacity kept: recycling every vector, or keeping
+  /// each slot's own, leaves every slot holding the largest buffer it
+  /// ever needed.
+  static constexpr size_t kMaxSpareSlots = 32;
+  static constexpr size_t kMaxSpareCapacity = 128;
+  std::vector<std::vector<WheelEntry>> spare_slots_;
   size_t entries_ = 0;  ///< entries stored anywhere, dead ones included
 
   // Scheduling counters: plain increments on the hot path, exported via

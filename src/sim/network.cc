@@ -105,7 +105,7 @@ void Host::process_queued() {
 }
 
 void Host::process(const TcpSegment& seg) {
-  auto it = conns_.find({seg.tuple.dst, seg.tuple.src});
+  auto it = conns_.find(seg.tuple.reversed());
   if (it != conns_.end()) {
     it->second->on_segment(seg);
     return;
@@ -122,11 +122,11 @@ void Host::process(const TcpSegment& seg) {
 
 void Host::bind(const Endpoint& local, const Endpoint& remote,
                 SegmentHandler* handler) {
-  conns_[{local, remote}] = handler;
+  conns_[FourTuple{local, remote}] = handler;
 }
 
 void Host::unbind(const Endpoint& local, const Endpoint& remote) {
-  conns_.erase({local, remote});
+  conns_.erase(FourTuple{local, remote});
 }
 
 Router::Router(EventLoop& loop, std::string name)

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -117,7 +116,8 @@ class Host : public PacketSink {
   EventLoop& loop_;
   std::string name_;
   std::vector<Interface> ifaces_;
-  std::map<std::pair<Endpoint, Endpoint>, SegmentHandler*> conns_;
+  /// Keyed by {local, remote}: the reverse of an arriving segment's tuple.
+  std::unordered_map<FourTuple, SegmentHandler*> conns_;
   std::unordered_map<Port, ListenHandler*> listeners_;
   Port next_ephemeral_ = 40000;
 

@@ -92,21 +92,38 @@ Payload SendBuffer::slice_out(uint64_t seq, size_t len) const {
     // mapped chunk. Share the bytes.
     return it->bytes.subview(off, len);
   }
-  // Straddles chunk boundaries: gather the covered part of each chunk.
-  // Consecutive writes of one buffer (pattern-tape writes, mapped slices
-  // of one meta chunk) join into one shared view; chunks from different
-  // buffers are still copied once.
-  std::vector<Payload> parts;
+  // Straddles chunk boundaries: gather the covered part of each chunk,
+  // with Payload::concat's result but no list of parts. Consecutive
+  // writes of one buffer (pattern-tape writes, mapped slices of one meta
+  // chunk) join into one shared view; chunks from different buffers are
+  // still copied once.
   const uint64_t end = seq + len;
+  bool adjacent = true;
+  for (ChunkIter c = it, next = std::next(it);
+       next != chunks_.end() && next->start < end; c = next++) {
+    adjacent = adjacent && c->bytes.adjoins(next->bytes);
+  }
+  if (adjacent) {
+    Payload out = it->bytes.subview(off, it->bytes.size() - off);
+    while (out.size() < len) {
+      ++it;  // grows the view in place
+      out.append(it->bytes.subview(0, std::min(len - out.size(),
+                                               it->bytes.size())));
+    }
+    return out;
+  }
+  Payload out = Payload::uninitialized(len);
+  uint8_t* to = out.mutable_data();
   for (uint64_t at = seq; at < end; ++it) {
     // Contiguous: each next chunk starts exactly at `at`.
     const size_t coff = static_cast<size_t>(at - it->start);
     const size_t n =
         std::min(static_cast<size_t>(end - at), it->bytes.size() - coff);
-    parts.push_back(it->bytes.subview(coff, n));
+    std::memcpy(to, it->bytes.data() + coff, n);
+    to += n;
     at += n;
   }
-  return Payload::concat(parts);
+  return out;
 }
 
 void SendBuffer::free_through(uint64_t seq) {
@@ -178,32 +195,25 @@ void ReassemblyQueue::insert(uint64_t seq, Payload bytes) {
   }
 }
 
-std::vector<std::pair<uint64_t, uint64_t>> ReassemblyQueue::sack_ranges(
+ReassemblyQueue::SackRanges ReassemblyQueue::sack_ranges(
     size_t max_n) const {
-  // Merge adjacent chunks into maximal ranges.
-  std::vector<std::pair<uint64_t, uint64_t>> merged;
-  for (const auto& [seq, bytes] : chunks_) {
-    const uint64_t end = seq + bytes.size();
-    if (!merged.empty() && merged.back().second == seq) {
-      merged.back().second = end;
-    } else {
-      merged.emplace_back(seq, end);
-    }
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> out;
+  SackRanges out;
   // The range containing the most recent arrival goes first so the sender
   // learns fresh information even if earlier ACKs were lost.
-  for (const auto& r : merged) {
-    if (last_insert_seq_ >= r.first && last_insert_seq_ < r.second) {
-      out.push_back(r);
-      break;
+  for_each_range([&](uint64_t b, uint64_t e) {
+    if (last_insert_seq_ >= b && last_insert_seq_ < e) {
+      out.push_back({b, e});
+      return false;
     }
-  }
-  for (const auto& r : merged) {
-    if (out.size() >= max_n) break;
-    if (!out.empty() && r == out.front()) continue;
-    out.push_back(r);
-  }
+    return true;
+  });
+  for_each_range([&](uint64_t b, uint64_t e) {
+    if (out.size() >= max_n) return false;
+    if (out.empty() || out.front() != SackRanges::Range{b, e}) {
+      out.push_back({b, e});
+    }
+    return true;
+  });
   return out;
 }
 

@@ -14,6 +14,7 @@
 // or pop on the same buffer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -159,10 +160,32 @@ class ReassemblyQueue {
   size_t chunk_count() const { return chunks_.size(); }
   bool empty() const { return chunks_.empty(); }
 
-  /// Up to `max_n` disjoint received ranges for SACK generation, with the
-  /// range containing the most recent arrival first (RFC 2018 ordering),
-  /// then the remaining ranges in ascending order.
-  std::vector<std::pair<uint64_t, uint64_t>> sack_ranges(size_t max_n) const;
+  /// Received ranges for SACK generation, held inline: at most four fit
+  /// in a segment's option space (RFC 2018).
+  class SackRanges {
+   public:
+    using Range = std::pair<uint64_t, uint64_t>;  ///< [begin, end)
+    static constexpr size_t kMax = 4;
+    void push_back(const Range& r) {
+      if (n_ < kMax) r_[n_++] = r;
+    }
+    size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    const Range& operator[](size_t i) const { return r_[i]; }
+    const Range& front() const { return r_[0]; }
+    const Range* begin() const { return r_.data(); }
+    const Range* end() const { return r_.data() + n_; }
+
+   private:
+    std::array<Range, kMax> r_{};
+    size_t n_ = 0;
+  };
+
+  /// Up to `max_n` (at most SackRanges::kMax) disjoint received ranges
+  /// for SACK generation, with the range containing the most recent
+  /// arrival first (RFC 2018 ordering), then the remaining ranges in
+  /// ascending order.
+  SackRanges sack_ranges(size_t max_n) const;
 
   /// Drops everything (connection reset).
   void clear() {
@@ -171,6 +194,26 @@ class ReassemblyQueue {
   }
 
  private:
+  /// Calls `f(begin, end)` for each maximal run of adjacent chunks, in
+  /// ascending order, until `f` returns false.
+  template <typename F>
+  void for_each_range(F&& f) const {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    bool open = false;
+    for (const auto& [seq, bytes] : chunks_) {
+      if (open && end == seq) {
+        end = seq + bytes.size();
+        continue;
+      }
+      if (open && !f(begin, end)) return;
+      begin = seq;
+      end = seq + bytes.size();
+      open = true;
+    }
+    if (open) f(begin, end);
+  }
+
   std::map<uint64_t, Payload> chunks_;
   size_t ooo_bytes_ = 0;
   uint64_t last_insert_seq_ = 0;

@@ -813,11 +813,10 @@ void TcpConnection::send_ack() {
     // At most two blocks: pure ACKs also carry MPTCP DSS options, and the
     // 40-byte option budget is tight (the same compromise real MPTCP
     // stacks make).
-    SackOption sack;
+    auto& sack = std::get<SackOption>(seg.options.emplace_back(SackOption{}));
     for (const auto& [b, e] : reassembly_.sack_ranges(2)) {
       sack.blocks.push_back({seq_wrap(b), seq_wrap(e)});
     }
-    seg.options.push_back(std::move(sack));
   }
   build_segment_options(seg.options, snd_nxt_, 0);
   last_advertised_window_ = advertised_window_bytes();
@@ -998,10 +997,10 @@ void TcpConnection::finish_close(bool reset) {
 // Hooks (default implementations).
 // --------------------------------------------------------------------------
 
-void TcpConnection::build_syn_options(std::vector<TcpOption>&) {}
-void TcpConnection::build_synack_options(std::vector<TcpOption>&,
+void TcpConnection::build_syn_options(OptionList&) {}
+void TcpConnection::build_synack_options(OptionList&,
                                          const TcpSegment&) {}
-void TcpConnection::build_segment_options(std::vector<TcpOption>&, uint64_t,
+void TcpConnection::build_segment_options(OptionList&, uint64_t,
                                           size_t) {}
 void TcpConnection::process_incoming_options(const TcpSegment&) {}
 void TcpConnection::on_established() {}

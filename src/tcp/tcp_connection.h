@@ -162,14 +162,14 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
  protected:
   // --- hooks for MPTCP subflows -------------------------------------------
   /// Adds options to an outgoing SYN (active open).
-  virtual void build_syn_options(std::vector<TcpOption>& opts);
+  virtual void build_syn_options(OptionList& opts);
   /// Adds options to an outgoing SYN/ACK; `syn` is the SYN being answered.
-  virtual void build_synack_options(std::vector<TcpOption>& opts,
+  virtual void build_synack_options(OptionList& opts,
                                     const TcpSegment& syn);
   /// Adds options to every outgoing non-SYN segment. `payload_seq` is the
   /// unwrapped sequence of the first payload byte (snd_nxt for pure ACKs),
   /// `payload_len` the payload length.
-  virtual void build_segment_options(std::vector<TcpOption>& opts,
+  virtual void build_segment_options(OptionList& opts,
                                      uint64_t payload_seq,
                                      size_t payload_len);
   /// Called for every acceptable incoming segment, before data processing.

@@ -140,6 +140,24 @@ class CheckBenchTest(unittest.TestCase):
         r = run_check(base, smaller, "--tolerance", "0.30")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
+    def test_allocs_per_pkt_hop_gates_lower_with_plain_tolerance(self):
+        base = self.write("base.json", {"smoke_allocs_per_pkt_hop": 0.25})
+        worse = self.write("worse.json", {"smoke_allocs_per_pkt_hop": 0.4})
+        r = run_check(base, worse, "--tolerance", "0.30",
+                      "--seconds-tolerance", "0.75")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("REGRESSION", r.stdout)
+        self.assertIn("lower-better", r.stdout)
+        within = self.write("within.json", {"smoke_allocs_per_pkt_hop": 0.3})
+        r = run_check(base, within, "--tolerance", "0.30",
+                      "--seconds-tolerance", "0.75")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        # Fewer allocations never fail (they would on a default
+        # higher-is-better key).
+        fewer = self.write("fewer.json", {"smoke_allocs_per_pkt_hop": 0.05})
+        r = run_check(base, fewer, "--tolerance", "0.30")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
     def test_zero_spill_baseline_gates_exactly_at_zero(self):
         base = self.write("base.json",
                           {"spsc_spills_total": 0.0, "events_per_sec": 1e6})
