@@ -30,8 +30,9 @@
 // VmHWM is a process-wide high-water mark, so the smoke scale always
 // runs first. smoke_allocs_per_pkt_hop, also gated lower-is-better, is
 // the heap allocations the smoke capacity run makes (bench_util's
-// counting operator new, set-up excluded) per packet-hop. The simulated results are deterministic: CI also digests
-// the same topology twice via `sim_digest --scenario capacity`.
+// counting operator new, set-up excluded) per packet-hop. The simulated
+// results are deterministic: CI also digests the same topology twice via
+// `sim_digest --scenario capacity`.
 //
 // --shards N adds the sharded engine runs (see run_sharded_scale below):
 // the same cell-ring topology executed single-shard and with N worker
