@@ -50,6 +50,7 @@
 #include <cstring>
 #include <map>
 
+#include "app/digest.h"
 #include "app/harness.h"
 #include "app/workload.h"
 #include "bench_util.h"
@@ -384,59 +385,6 @@ struct ShardedRunResult {
   std::map<std::string, double> merged;  ///< merged per-shard stats export
 };
 
-/// Shard-count-invariant view of a merged export, for the 1-shard vs
-/// N-shard equality self-check. Execution-dependent keys (thread-local
-/// allocator pools, per-loop scheduler bookkeeping under sim.* minus
-/// links/routers) are dropped; per-connection live scopes
-/// (mptcp.client#N / mptcp.server#N, whose #N instance suffix is
-/// allocated per registry and so depends on the shard split) are
-/// compared as sorted value multisets with the suffix stripped; every
-/// other key (link/router counters, workload metrics, FCT histograms,
-/// summed tcp.* counters) must match exactly.
-struct Canonical {
-  std::map<std::string, double> exact;
-  std::map<std::string, std::vector<double>> per_conn;
-};
-
-Canonical canonicalize(const std::map<std::string, double>& merged) {
-  Canonical c;
-  for (const auto& [raw_key, value] : merged) {
-    if (raw_key.rfind("payload.pool.", 0) == 0) continue;
-    if (raw_key.rfind("sim.", 0) == 0 &&
-        raw_key.rfind("sim.link.", 0) != 0 &&
-        raw_key.rfind("sim.router.", 0) != 0) {
-      continue;
-    }
-    // Strip the per-shard scope tag ("@s<k>", possibly fused with a
-    // "#<n>" instance counter): merged exports shard-qualify scope
-    // names, but the quantities are shard-count-invariant.
-    std::string key = raw_key;
-    const size_t at = key.find('@');
-    if (at != std::string::npos) {
-      const size_t dot = key.find('.', at);
-      key.erase(at, (dot == std::string::npos ? key.size() : dot) - at);
-    }
-    if (key.rfind("mptcp.client", 0) == 0 ||
-        key.rfind("mptcp.server", 0) == 0) {
-      // Per-connection scopes: also drop the "#<n>" instance counter
-      // (allocated per registry, so it depends on the shard split) and
-      // compare as value multisets.
-      const size_t hash = key.find('#');
-      if (hash != std::string::npos) {
-        const size_t dot = key.find('.', hash);
-        key.erase(hash, (dot == std::string::npos ? key.size() : dot) - hash);
-      }
-      c.per_conn[key].push_back(value);
-      continue;
-    }
-    c.exact[key] = value;
-  }
-  for (auto& [key, values] : c.per_conn) {
-    std::sort(values.begin(), values.end());
-  }
-  return c;
-}
-
 ShardedRunResult run_sharded(const ShardedCapacitySpec& spec,
                              const FlowClass& local, const FlowClass& cross,
                              size_t shards, uint64_t seed, SimTime duration) {
@@ -468,8 +416,8 @@ ShardedRunResult run_sharded(const ShardedCapacitySpec& spec,
 /// simulation bit for bit).
 size_t compare_merged(const std::map<std::string, double>& ref_raw,
                       const std::map<std::string, double>& got_raw) {
-  const Canonical ref = canonicalize(ref_raw);
-  const Canonical got = canonicalize(got_raw);
+  const CanonicalStats ref = canonicalize(ref_raw);
+  const CanonicalStats got = canonicalize(got_raw);
   size_t bad = 0;
   auto report = [&bad](const std::string& key, const char* what) {
     if (++bad <= 8) std::fprintf(stderr, "MISMATCH: %s %s\n",

@@ -1,9 +1,9 @@
 #include "app/digest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <regex>
 #include <set>
 #include <vector>
 
@@ -82,16 +82,11 @@ void fold_outcomes(uint64_t& hash, const WorkloadEngine& e) {
   }
 }
 
-/// FNV-1a over the distinct stats key names, each with the parts a run
-/// picks removed: unique_scope()'s "#<n>" instance and "@s<k>" shard
-/// suffixes, and the subflow id in ".sf<id>". What is left names what
-/// the export measures, whatever instances and shards the run used.
+/// FNV-1a over the distinct stats key names, each in its canonical_key()
+/// form.
 uint64_t schema_hash(const std::map<std::string, double>& flat) {
-  static const std::regex kRunPicked(R"(#\d+|@s\d+|(\.sf)\d+)");
   std::set<std::string> names;
-  for (const auto& entry : flat) {
-    names.insert(std::regex_replace(entry.first, kRunPicked, "$1"));
-  }
+  for (const auto& entry : flat) names.insert(canonical_key(entry.first));
   uint64_t hash = kFnvOffset;
   for (const std::string& name : names) {
     for (char c : name) fnv_byte(hash, static_cast<uint8_t>(c));
@@ -517,6 +512,49 @@ DigestResult run_digest_scenario(const DigestConfig& cfg) {
       break;
   }
   return run_two_host_digest(cfg);
+}
+
+std::string canonical_key(std::string_view key) {
+  const auto digits_end = [key](size_t i) {
+    while (i < key.size() && key[i] >= '0' && key[i] <= '9') ++i;
+    return i;
+  };
+  std::string out;
+  for (size_t i = 0; i < key.size();) {
+    // A run-picked number follows "#", "@s" or ".sf"; ".sf" itself stays.
+    size_t mark = 0;
+    for (const std::string_view m : {"#", "@s", ".sf"}) {
+      if (key.compare(i, m.size(), m) == 0) mark = m.size();
+    }
+    const size_t end = mark > 0 ? digits_end(i + mark) : i;
+    if (end == i + mark) {
+      out += key[i++];
+      continue;
+    }
+    if (mark == 3) out += ".sf";
+    i = end;
+  }
+  return out;
+}
+
+CanonicalStats canonicalize(const std::map<std::string, double>& merged) {
+  CanonicalStats c;
+  for (const auto& [key, value] : merged) {
+    if (key.starts_with("payload.pool.")) continue;
+    if (key.starts_with("sim.") && !key.starts_with("sim.link.") &&
+        !key.starts_with("sim.router.")) {
+      continue;
+    }
+    if (key.starts_with("mptcp.client") || key.starts_with("mptcp.server")) {
+      c.per_conn[canonical_key(key)].push_back(value);
+    } else {
+      c.exact[canonical_key(key)] = value;
+    }
+  }
+  for (auto& [key, values] : c.per_conn) {
+    std::sort(values.begin(), values.end());
+  }
+  return c;
 }
 
 std::string digest_hex(uint64_t digest) {

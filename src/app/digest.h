@@ -17,7 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "sim/event_loop.h"
@@ -82,5 +85,28 @@ DigestResult run_digest_scenario(const DigestConfig& cfg = {});
 
 /// 16-digit lowercase hex rendering of a digest.
 std::string digest_hex(uint64_t digest);
+
+/// A stats key with the parts a run picks removed: unique_scope()'s
+/// "#<n>" instance and "@s<k>" shard suffixes, and the subflow id in
+/// ".sf<id>". What is left names what the key measures, whatever
+/// instances and shards the run used (the schema hash is over these).
+std::string canonical_key(std::string_view key);
+
+/// A merged stats export in a form that does not depend on the shard
+/// count, for checking that one simulation split over 1 and N shards
+/// measured the same. Three kinds of key:
+///   * execution-dependent (the thread-local payload pool, the loops'
+///     own sim.* bookkeeping; links and routers stay): dropped;
+///   * per-connection (mptcp.client / mptcp.server): the same connection
+///     gets other run-picked numbers under another shard split, so each
+///     canonical key holds the sorted values of all of them -- exact and
+///     permutation-invariant;
+///   * everything else (link/router counters, workload metrics, summed
+///     tcp.* counters): compared exactly under its canonical key.
+struct CanonicalStats {
+  std::map<std::string, double> exact;
+  std::map<std::string, std::vector<double>> per_conn;
+};
+CanonicalStats canonicalize(const std::map<std::string, double>& merged);
 
 }  // namespace mptcp

@@ -74,84 +74,60 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
   StatsRegistry& reg = topo_.stats(cfg_.shard);
   classes_.reserve(cfg_.classes.size());
   for (size_t k = 0; k < cfg_.classes.size(); ++k) {
-    ClassState cs;
+    ClassState& cs = classes_.emplace_back();
     cs.spec = cfg_.classes[k];
-    cs.scope =
-        reg.unique_scope(cfg_.scope_prefix + "workload." + cs.spec.name);
-    classes_.push_back(std::move(cs));
-  }
-  // Register after the vector is final so the lambdas can capture stable
-  // element pointers.
-  for (ClassState& cs : classes_) {
-    ClassState* p = &cs;
-    reg.sampled(cs.scope + ".started",
-                [p] { return static_cast<double>(p->started); });
-    reg.sampled(cs.scope + ".completed",
-                [p] { return static_cast<double>(p->completed); });
-    reg.sampled(cs.scope + ".errors",
-                [p] { return static_cast<double>(p->errors); });
-    reg.sampled(cs.scope + ".bytes_received",
-                [p] { return static_cast<double>(p->bytes); });
-    cs.fct_us = &reg.histogram(cs.scope + ".fct_us");
-    Histogram* h = cs.fct_us;
-    reg.sampled(cs.scope + ".fct_p50_us",
-                [h] { return static_cast<double>(h->approx_percentile(0.5)); });
-    reg.sampled(cs.scope + ".fct_p99_us",
-                [h] { return static_cast<double>(h->approx_percentile(0.99)); });
-  }
-  // Serving-stack keys exist only for serving-mode classes: the request
-  // FCT FineHistogram is ~15 KiB per class, and the fleet workload runs
-  // 400 single-class engines, so registering it for every class would
-  // add ~6 MB of zeros.
-  for (size_t k = 0; k < classes_.size(); ++k) {
-    ClassState& cs = classes_[k];
-    if (cs.spec.app_mode == FlowClass::AppMode::kConnectionPerTransfer) {
-      continue;
+    // The request FCT FineHistogram is ~15 KiB, so it exists only for
+    // serving-mode classes: the fleet workload runs 400 single-class
+    // engines, and one per class would add ~6 MB of zeros.
+    if (cs.spec.app_mode != FlowClass::AppMode::kConnectionPerTransfer) {
+      cs.req_fct_us = std::make_unique<FineHistogram>();
     }
-    ClassState* p = &cs;
-    cs.req_fct_us = &reg.fine_histogram(cs.scope + ".req_fct_us");
-    reg.sampled(cs.scope + ".requests_rejected",
-                [p] { return static_cast<double>(p->rejected); });
-    reg.sampled(cs.scope + ".outstanding", [this, k] {
-      return static_cast<double>(outstanding_requests(k));
-    });
-    // Server-side admission counters, summed over this class's servers.
-    const auto sum_servers = [this, k](auto&& get) {
-      double n = 0;
-      for (size_t i = k; i < servers_.size(); i += classes_.size()) {
-        if (servers_[i].serving) n += get(*servers_[i].serving);
-      }
-      return n;
-    };
-    reg.sampled(cs.scope + ".srv_served", [sum_servers] {
-      return sum_servers(
-          [](const ServerApp& s) { return s.requests_served(); });
-    });
-    reg.sampled(cs.scope + ".srv_rejected", [sum_servers] {
-      return sum_servers(
-          [](const ServerApp& s) { return s.requests_rejected(); });
-    });
-    reg.sampled(cs.scope + ".srv_peak_inflight", [sum_servers] {
-      return sum_servers(
-          [](const ServerApp& s) { return s.peak_inflight(); });
-    });
-    reg.sampled(cs.scope + ".srv_conns_refused", [sum_servers] {
-      return sum_servers(
-          [](const ServerApp& s) { return s.conns_refused(); });
-    });
-    if (cs.spec.app_mode == FlowClass::AppMode::kStreaming) {
-      reg.sampled(cs.scope + ".rebuffers",
-                  [p] { return static_cast<double>(p->rebuffers); });
-      reg.sampled(cs.scope + ".ladder_up",
-                  [p] { return static_cast<double>(p->ladder_up); });
-      reg.sampled(cs.scope + ".ladder_down",
-                  [p] { return static_cast<double>(p->ladder_down); });
+    cs.stats = reg.group(
+        reg.unique_scope(cfg_.scope_prefix + "workload." + cs.spec.name),
+        [this, k](SampleSink& out) { sample_class(k, out); });
+  }
+  stats_handle_ =
+      reg.group(cfg_.scope_prefix + "workload", [this](SampleSink& out) {
+        out.emit("concurrent", static_cast<double>(flows_.size()));
+        out.emit("peak_concurrent", static_cast<double>(peak_concurrent_));
+      });
+}
+
+void WorkloadEngine::sample_class(size_t k, SampleSink& out) const {
+  const ClassState& cs = classes_[k];
+  out.emit("started", static_cast<double>(cs.started));
+  out.emit("completed", static_cast<double>(cs.completed));
+  out.emit("errors", static_cast<double>(cs.errors));
+  out.emit("bytes_received", static_cast<double>(cs.bytes));
+  out.emit_histogram("fct_us", cs.fct_us);
+  out.emit("fct_p50_us",
+           static_cast<double>(cs.fct_us.approx_percentile(0.5)));
+  out.emit("fct_p99_us",
+           static_cast<double>(cs.fct_us.approx_percentile(0.99)));
+  // Serving-stack keys exist only for serving-mode classes.
+  if (cs.req_fct_us == nullptr) return;
+  out.emit_histogram("req_fct_us", *cs.req_fct_us);
+  out.emit("requests_rejected", static_cast<double>(cs.rejected));
+  out.emit("outstanding", static_cast<double>(outstanding_requests(k)));
+  // Server-side admission counters, summed over this class's servers.
+  double served = 0, rejected = 0, peak_inflight = 0, refused = 0;
+  for (size_t i = k; i < servers_.size(); i += classes_.size()) {
+    if (const ServerApp* s = servers_[i].serving.get()) {
+      served += s->requests_served();
+      rejected += s->requests_rejected();
+      peak_inflight += s->peak_inflight();
+      refused += s->conns_refused();
     }
   }
-  reg.sampled(cfg_.scope_prefix + "workload.concurrent",
-              [this] { return static_cast<double>(flows_.size()); });
-  reg.sampled(cfg_.scope_prefix + "workload.peak_concurrent",
-              [this] { return static_cast<double>(peak_concurrent_); });
+  out.emit("srv_served", served);
+  out.emit("srv_rejected", rejected);
+  out.emit("srv_peak_inflight", peak_inflight);
+  out.emit("srv_conns_refused", refused);
+  if (cs.spec.app_mode == FlowClass::AppMode::kStreaming) {
+    out.emit("rebuffers", static_cast<double>(cs.rebuffers));
+    out.emit("ladder_up", static_cast<double>(cs.ladder_up));
+    out.emit("ladder_down", static_cast<double>(cs.ladder_down));
+  }
 }
 
 WorkloadEngine::~WorkloadEngine() {
@@ -163,10 +139,6 @@ WorkloadEngine::~WorkloadEngine() {
       flow->sock->on_closed = nullptr;
     }
   }
-  StatsRegistry& reg = topo_.stats(cfg_.shard);
-  for (ClassState& cs : classes_) reg.remove_scope(cs.scope);
-  reg.remove(cfg_.scope_prefix + "workload.concurrent");
-  reg.remove(cfg_.scope_prefix + "workload.peak_concurrent");
 }
 
 void WorkloadEngine::start() {
@@ -373,7 +345,7 @@ void WorkloadEngine::finish(Flow& f, bool ok) {
   if (ok) {
     ++cls.completed;
     if (!f.persistent) {
-      cls.fct_us->record(static_cast<uint64_t>(
+      cls.fct_us.record(static_cast<uint64_t>(
           (topo_.loop(cfg_.shard).now() - f.start) / 1000));
     }
   } else {
@@ -498,7 +470,7 @@ void WorkloadEngine::on_request_outcome(ClientSlot& slot,
   cls.bytes += out.bytes;
   if (out.ok) {
     ++cls.completed;
-    cls.fct_us->record(fct_us);
+    cls.fct_us.record(fct_us);
     if (cls.req_fct_us != nullptr) cls.req_fct_us->record(fct_us);
   } else if (out.rejected) {
     ++cls.rejected;

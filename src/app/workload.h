@@ -34,10 +34,11 @@
 // topology. Everything is written against StreamSocket/SocketFactory;
 // the engine never names a transport.
 //
-// Observability: per-class scopes "workload.<name>" in the loop's
-// StatsRegistry -- started/completed/errors/bytes counters, a concurrent
-// gauge, peak concurrency, a power-of-two FCT histogram and sampled
-// p50/p99 completion times -- all exported by Topology::dump_stats().
+// Observability: one registry group per class, "workload.<name>" in the
+// loop's StatsRegistry -- started/completed/errors/bytes counters, a
+// power-of-two FCT histogram and its p50/p99 -- plus the engine's own
+// "workload" group (concurrent and peak concurrent flows), all exported
+// by Topology::dump_stats().
 #pragma once
 
 #include <functional>
@@ -278,7 +279,7 @@ class WorkloadEngine {
   uint64_t completed(size_t cls) const { return classes_[cls].completed; }
   uint64_t errors(size_t cls) const { return classes_[cls].errors; }
   uint64_t bytes_received(size_t cls) const { return classes_[cls].bytes; }
-  const Histogram& fct_us(size_t cls) const { return *classes_[cls].fct_us; }
+  const Histogram& fct_us(size_t cls) const { return classes_[cls].fct_us; }
   size_t class_count() const { return classes_.size(); }
 
   // --- serving-stack introspection (kServing / kStreaming classes) -----
@@ -289,7 +290,7 @@ class WorkloadEngine {
   /// Fine-grained request-FCT histogram (microseconds); null for
   /// kConnectionPerTransfer classes.
   const FineHistogram* request_fct_us(size_t cls) const {
-    return classes_[cls].req_fct_us;
+    return classes_[cls].req_fct_us.get();
   }
   /// Requests submitted but not yet finished (on connections or queued in
   /// pools) for one class, across all client slots.
@@ -318,20 +319,20 @@ class WorkloadEngine {
  private:
   struct ClassState {
     FlowClass spec;
-    std::string scope;
     uint64_t started = 0;
     uint64_t completed = 0;
     uint64_t errors = 0;
     uint64_t bytes = 0;
-    Histogram* fct_us = nullptr;  ///< completion times, microseconds
+    Histogram fct_us;  ///< completion times, microseconds
     // Serving-stack extras (kServing / kStreaming only; their stats keys,
     // and the request-FCT histogram's memory, exist only for those modes).
     uint64_t rejected = 0;   ///< server answered a reject frame
     uint64_t rebuffers = 0;  ///< kStreaming: segment FCT > duration
     uint64_t ladder_up = 0;
     uint64_t ladder_down = 0;
-    FineHistogram* req_fct_us = nullptr;  ///< request FCT, microseconds
-    double rate_scale = 1.0;              ///< flash-crowd multiplier
+    std::unique_ptr<FineHistogram> req_fct_us;  ///< request FCT, microseconds
+    double rate_scale = 1.0;                    ///< flash-crowd multiplier
+    StatsRegistry::Handle stats;  ///< "<prefix>workload.<name>" group
   };
 
   /// One adaptive-streaming session (kStreaming).
@@ -377,6 +378,8 @@ class WorkloadEngine {
   void detach(Flow& f);  ///< clears socket callbacks and erases the flow
 
   // Serving-stack paths.
+  /// Emits class `k`'s export values (its registry group).
+  void sample_class(size_t k, SampleSink& out) const;
   void start_serving_slot(ClientSlot& slot, uint64_t gid);
   void submit_request(ClientSlot& slot);
   void submit_segment(ClientSlot& slot, size_t stream);
@@ -399,6 +402,7 @@ class WorkloadEngine {
   size_t peak_concurrent_ = 0;
   bool started_ = false;
   bool stopped_ = false;
+  StatsRegistry::Handle stats_handle_;  ///< "<prefix>workload" group
 };
 
 }  // namespace mptcp

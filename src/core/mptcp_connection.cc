@@ -61,52 +61,55 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, const TcpSegment& syn)
 }
 
 MptcpConnection::~MptcpConnection() {
-  // Drop this connection's (and its subflows') registry entries before any
-  // member destructs: the sampled callbacks read state that dies with us.
-  stack_.loop().stats().remove_scope(stats_scope_);
   if (token_registered_) stack_.tokens().unregister(local_token_);
 }
 
 void MptcpConnection::register_stats() {
   StatsRegistry& reg = stack_.loop().stats();
-  stats_scope_ = reg.unique_scope(
-      role_ == Role::kClient ? "mptcp.client" : "mptcp.server");
-
-  // One registry entry for the whole scope: the hot paths keep bumping
-  // plain fields, this callback reads them only when someone exports.
-  reg.sampled_group(stats_scope_, [this](SampleSink& out) {
-    out.emit("scheduler_picks", static_cast<double>(n_scheduler_picks_));
-    out.emit("dss_mappings_emitted", static_cast<double>(n_dss_mappings_));
-    out.emit("data_ack_advances", static_cast<double>(n_data_ack_advances_));
-    out.emit("data_acked_bytes", static_cast<double>(n_data_acked_bytes_));
-    out.emit("window_stalls", static_cast<double>(n_window_stalls_));
-    out.emit("m3_autotune_resizes", static_cast<double>(n_autotune_resizes_));
-    out.emit("m1_opportunistic_rtx",
-             static_cast<double>(meta_stats_.opportunistic_retransmits));
-    out.emit("m2_penalizations",
-             static_cast<double>(meta_stats_.penalizations));
-    out.emit("m4_cap_activations", static_cast<double>(cc_cap_activations()));
-    out.emit("meta_rtx_timeouts",
-             static_cast<double>(meta_stats_.meta_rtx_timeouts));
-    out.emit("reinjected_bytes",
-             static_cast<double>(meta_stats_.reinjected_bytes));
-    out.emit("checksum_failures",
-             static_cast<double>(meta_stats_.checksum_failures));
-    out.emit("subflow_resets",
-             static_cast<double>(meta_stats_.subflow_resets));
-    out.emit("fallbacks", static_cast<double>(meta_stats_.fallbacks));
-    out.emit("rx_duplicate_bytes",
-             static_cast<double>(meta_stats_.rx_duplicate_bytes));
-    out.emit("delivered_bytes", static_cast<double>(delivered_bytes_));
-    out.emit("snd_mem_bytes", static_cast<double>(meta_snd_.size()));
-    out.emit("rcv_mem_bytes", static_cast<double>(receiver_memory()));
-    out.emit("rx_app_queue_bytes", static_cast<double>(app_rx_.size()));
-    out.emit("subflows", static_cast<double>(subflows_.size()));
-    out.emit("mode", static_cast<double>(mode_));
-    const std::string sched =
-        "sched." + std::string(to_string(scheduler_->policy()));
-    out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
-  });
+  // One registry entry for the connection and its live subflows: the hot
+  // paths keep bumping plain fields, this callback reads them only when
+  // someone exports.
+  stats_handle_ = reg.group(
+      reg.unique_scope(role_ == Role::kClient ? "mptcp.client"
+                                              : "mptcp.server"),
+      [this](SampleSink& out) {
+        out.emit("scheduler_picks", static_cast<double>(n_scheduler_picks_));
+        out.emit("dss_mappings_emitted",
+                 static_cast<double>(n_dss_mappings_));
+        out.emit("data_ack_advances",
+                 static_cast<double>(n_data_ack_advances_));
+        out.emit("data_acked_bytes", static_cast<double>(n_data_acked_bytes_));
+        out.emit("window_stalls", static_cast<double>(n_window_stalls_));
+        out.emit("m3_autotune_resizes",
+                 static_cast<double>(n_autotune_resizes_));
+        out.emit("m1_opportunistic_rtx",
+                 static_cast<double>(meta_stats_.opportunistic_retransmits));
+        out.emit("m2_penalizations",
+                 static_cast<double>(meta_stats_.penalizations));
+        out.emit("m4_cap_activations",
+                 static_cast<double>(cc_cap_activations()));
+        out.emit("meta_rtx_timeouts",
+                 static_cast<double>(meta_stats_.meta_rtx_timeouts));
+        out.emit("reinjected_bytes",
+                 static_cast<double>(meta_stats_.reinjected_bytes));
+        out.emit("checksum_failures",
+                 static_cast<double>(meta_stats_.checksum_failures));
+        out.emit("subflow_resets",
+                 static_cast<double>(meta_stats_.subflow_resets));
+        out.emit("fallbacks", static_cast<double>(meta_stats_.fallbacks));
+        out.emit("rx_duplicate_bytes",
+                 static_cast<double>(meta_stats_.rx_duplicate_bytes));
+        out.emit("delivered_bytes", static_cast<double>(delivered_bytes_));
+        out.emit("snd_mem_bytes", static_cast<double>(meta_snd_.size()));
+        out.emit("rcv_mem_bytes", static_cast<double>(receiver_memory()));
+        out.emit("rx_app_queue_bytes", static_cast<double>(app_rx_.size()));
+        out.emit("subflows", static_cast<double>(subflows_.size()));
+        out.emit("mode", static_cast<double>(mode_));
+        const std::string sched =
+            "sched." + std::string(to_string(scheduler_->policy()));
+        out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
+        for (const auto& sf : subflows_) sf->sample_stats(out);
+      });
 }
 
 // ---------------------------------------------------------------------------

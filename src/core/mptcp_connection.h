@@ -134,9 +134,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   const CoupledGroup& coupled_group() const { return cc_group_; }
 
   /// Scope prefix of this connection in the loop's StatsRegistry
-  /// ("mptcp.client", "mptcp.server#2", ...); subflows publish under
-  /// "<scope>.sf<id>".
-  const std::string& stats_scope() const { return stats_scope_; }
+  /// ("mptcp.client", "mptcp.server#2", ...); its live subflows appear
+  /// under "<scope>.sf<id>".
+  const std::string& stats_scope() const { return stats_handle_.scope(); }
   /// Called by subflows for every DSS mapping they emit.
   void count_dss_mapping() { ++n_dss_mappings_; }
 
@@ -329,11 +329,11 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   MetaStats meta_stats_;
 
   // Observability (net/stats.h): hot paths bump these plain fields; the
-  // registry reads them only at export, through ONE sampled_group entry
-  // per connection (register_stats()), removed wholesale by the
-  // destructor. Connection churn therefore costs one registry insert and
-  // one erase, however many values the scope exposes.
-  std::string stats_scope_;
+  // registry reads them only at export, through ONE group entry per
+  // connection (register_stats()), which stats_handle_ erases when the
+  // connection dies. Connection churn therefore costs one registry insert
+  // and one erase, however many values the connection and its subflows
+  // expose.
   uint64_t n_scheduler_picks_ = 0;
   uint64_t n_dss_mappings_ = 0;
   uint64_t n_data_ack_advances_ = 0;
@@ -345,6 +345,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   bool connected_notified_ = false;
   bool fastclose_sent_ = false;
   bool auto_destroy_ = false;
+  StatsRegistry::Handle stats_handle_;  ///< last: erased before any member dies
 };
 
 }  // namespace mptcp

@@ -1,6 +1,7 @@
 #include "core/subflow.h"
 
 #include <cassert>
+#include <string>
 
 #include "core/mptcp_connection.h"
 #include "core/mptcp_stack.h"
@@ -20,35 +21,24 @@ MptcpSubflow::MptcpSubflow(MptcpConnection& meta, size_t id, SubflowKind kind,
       fallback_check_timer_(host.loop(),
                             [this] { check_peer_speaks_mptcp(); }) {
   local_nonce_ = rng().next_u32();
-  register_stats();
 }
 
-MptcpSubflow::~MptcpSubflow() {
-  // Sampled callbacks read members that are about to die.
-  loop().stats().remove_scope(stats_scope_);
-}
-
-void MptcpSubflow::register_stats() {
-  StatsRegistry& reg = loop().stats();
-  stats_scope_ = meta_.stats_scope() + ".sf" + std::to_string(id_);
-  // One registry entry for the whole subflow: views of the per-connection
-  // TCP stats struct, read only at export. Subflow churn costs one map
-  // insert at birth and one erase at death.
-  reg.sampled_group(stats_scope_, [this](SampleSink& out) {
-    out.emit("dss_mappings_emitted", static_cast<double>(n_mappings_));
-    out.emit("scheduler_picks", static_cast<double>(n_picks_));
-    out.emit("bytes_sent", static_cast<double>(stats().bytes_sent));
-    out.emit("bytes_acked", static_cast<double>(stats().bytes_acked));
-    out.emit("bytes_delivered", static_cast<double>(stats().bytes_delivered));
-    out.emit("segments_sent", static_cast<double>(stats().segments_sent));
-    out.emit("segments_received",
-             static_cast<double>(stats().segments_received));
-    out.emit("retransmits", static_cast<double>(stats().retransmits));
-    out.emit("rto_firings", static_cast<double>(stats().timeouts));
-    out.emit("srtt_us",
-             static_cast<double>(srtt()) / 1e3);  // SimTime is nanoseconds
-    out.emit("cwnd_bytes", static_cast<double>(cwnd()));
-  });
+void MptcpSubflow::sample_stats(SampleSink& out) const {
+  const std::string sf = "sf" + std::to_string(id_) + ".";
+  out.emit(sf + "dss_mappings_emitted", static_cast<double>(n_mappings_));
+  out.emit(sf + "scheduler_picks", static_cast<double>(n_picks_));
+  out.emit(sf + "bytes_sent", static_cast<double>(stats().bytes_sent));
+  out.emit(sf + "bytes_acked", static_cast<double>(stats().bytes_acked));
+  out.emit(sf + "bytes_delivered",
+           static_cast<double>(stats().bytes_delivered));
+  out.emit(sf + "segments_sent", static_cast<double>(stats().segments_sent));
+  out.emit(sf + "segments_received",
+           static_cast<double>(stats().segments_received));
+  out.emit(sf + "retransmits", static_cast<double>(stats().retransmits));
+  out.emit(sf + "rto_firings", static_cast<double>(stats().timeouts));
+  out.emit(sf + "srtt_us",
+           static_cast<double>(srtt()) / 1e3);  // SimTime is nanoseconds
+  out.emit(sf + "cwnd_bytes", static_cast<double>(cwnd()));
 }
 
 // ---------------------------------------------------------------------------

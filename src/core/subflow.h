@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/dss.h"
@@ -33,7 +32,6 @@ class MptcpSubflow final : public TcpConnection {
   MptcpSubflow(MptcpConnection& meta, size_t id, SubflowKind kind,
                uint8_t addr_id, Host& host, TcpConfig config, Endpoint local,
                Endpoint remote, std::unique_ptr<CongestionControl> cc);
-  ~MptcpSubflow() override;
 
   size_t id() const { return id_; }
   SubflowKind kind() const { return kind_; }
@@ -103,8 +101,9 @@ class MptcpSubflow final : public TcpConnection {
     return rx_mappings_.unmapped_bytes();
   }
 
-  /// Registry prefix for this subflow ("<meta scope>.sf<id>").
-  const std::string& stats_scope() const { return stats_scope_; }
+  /// Emits this subflow's export values as "sf<id>.<name>", through its
+  /// connection's registry group (a subflow has no entry of its own).
+  void sample_stats(SampleSink& out) const;
 
   /// The meta scheduler chose this subflow for a chunk of data.
   void note_scheduler_pick() { ++n_picks_; }
@@ -141,7 +140,6 @@ class MptcpSubflow final : public TcpConnection {
   size_t clamp_segment_len(uint64_t seq, size_t len) const override;
 
  private:
-  void register_stats();
   void handle_mp_capable(const MpCapableOption& mpc, const TcpSegment& seg);
   void handle_mp_join(const MpJoinOption& mpj, const TcpSegment& seg);
   void handle_dss(const DssOption& dss, const TcpSegment& seg);
@@ -171,7 +169,6 @@ class MptcpSubflow final : public TcpConnection {
   OptionList pending_control_options_;
   Timer fallback_check_timer_;
 
-  std::string stats_scope_;
   uint64_t n_mappings_ = 0;  ///< DSS mappings created on this subflow
   uint64_t n_picks_ = 0;     ///< times the scheduler chose us
   MetaState meta_state_;

@@ -1,18 +1,19 @@
-// Cross-layer observability: a lightweight registry of named counters,
-// gauges, histograms and lazily-sampled values.
+// Cross-layer observability: a lightweight registry of named gauges,
+// histograms and groups of values read where they live.
 //
 // Design rules, in order of importance:
-//  * Near-zero overhead when unread. Hot paths touch plain integers --
-//    Counter::inc() is one add, Histogram::record() is a bit_width and two
-//    adds. Anything that costs more (walking data structures, formatting)
-//    happens only at export time, via sampled() callbacks.
+//  * Near-zero overhead when unread. Hot paths touch plain integers in
+//    the objects that own them -- Histogram::record() is a bit_width and
+//    two adds. Anything that costs more (walking objects, formatting
+//    names) happens only at export time, through group callbacks.
 //  * Deterministic export. Entries live in an ordered map keyed by name,
 //    so two identical runs serialize byte-identical JSON -- the property
 //    the determinism digest (app/digest.h) and CI lean on.
-//  * Explicit lifetime. Components that register callbacks reading their
-//    own state must remove_scope() them before dying; the registry never
-//    guesses. Scopes handed out by unique_scope() make per-instance
-//    prefixes collision-free ("sim.link.wifi-ab", "sim.link.wifi-ab#2").
+//  * One entry per live object, owned by the object. group() returns a
+//    Handle that erases the entry when its owner dies, so nothing
+//    unregisters by hand. Scopes handed out by unique_scope() make
+//    per-instance prefixes collision-free ("sim.link.wifi-ab",
+//    "sim.link.wifi-ab#2").
 #pragma once
 
 #include <array>
@@ -24,18 +25,9 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace mptcp {
-
-/// Monotonic event count.
-class Counter {
- public:
-  void inc(uint64_t n = 1) { v_ += n; }
-  uint64_t value() const { return v_; }
-
- private:
-  uint64_t v_ = 0;
-};
 
 /// Instantaneous signed level (queue depths, occupancy).
 class Gauge {
@@ -154,51 +146,111 @@ class FineHistogram {
   uint64_t max_ = 0;
 };
 
-/// Export-time receiver for sampled_group() callbacks: the group emits
-/// (name, value) pairs relative to its scope.
+/// Export-time receiver for groups: a group emits (name, value) pairs
+/// relative to its scope.
 class SampleSink {
  public:
   virtual void emit(std::string_view name, double value) = 0;
+  /// A histogram member, as name.{count,sum,min,max,mean}. An empty name
+  /// emits the bare fields (a registry histogram's own expansion).
+  void emit_histogram(std::string_view name, const Histogram& h);
+  /// As above plus name.{p50,p99,p999}, the quantiles the pow2 Histogram
+  /// cannot report stably (see FineHistogram).
+  void emit_histogram(std::string_view name, const FineHistogram& h);
 
  protected:
   ~SampleSink() = default;
 };
 
+/// Export state that a registry owns (StatsRegistry::owned): made on first
+/// use and kept until the registry dies, like a gauge or a histogram.
+class OwnedGroup {
+ public:
+  virtual ~OwnedGroup() = default;
+  virtual void sample(SampleSink& out) const = 0;
+};
+
 class StatsRegistry {
  public:
-  /// Read at export time only; must stay valid until removed.
-  using SampleFn = std::function<double()>;
+  /// Read at export time only; must stay valid while its Handle lives.
   using GroupFn = std::function<void(SampleSink&)>;
 
-  /// Returns the counter/gauge/histogram registered under `name`, creating
-  /// it on first use. References stay valid until the entry is removed.
+ private:
+  struct Entry {
+    // Exactly one of these is set.
+    std::unique_ptr<Gauge> gauge;
+    std::unique_ptr<Histogram> hist;
+    GroupFn group;
+    std::unique_ptr<OwnedGroup> owned;
+  };
+  // A multimap, so that two objects registering one name (two workload
+  // engines sharing a scope prefix) each erase only their own entry.
+  using Entries = std::multimap<std::string, Entry, std::less<>>;
+
+ public:
+  /// Owns one group entry and erases it when destroyed, so an object's
+  /// values leave the export with the object. Move-only: a moved-from
+  /// handle owns nothing and erases nothing. Must die before its registry.
+  class Handle {
+   public:
+    Handle() = default;
+    Handle(Handle&& o) noexcept
+        : reg_(std::exchange(o.reg_, nullptr)), it_(o.it_) {}
+    Handle& operator=(Handle&& o) noexcept {
+      if (this != &o) {
+        reset();
+        reg_ = std::exchange(o.reg_, nullptr);
+        it_ = o.it_;
+      }
+      return *this;
+    }
+    ~Handle() { reset(); }
+
+    /// The entry's scope ("sim.link.wifi-ab", "mptcp.client#2", ...);
+    /// empty when the handle owns nothing.
+    const std::string& scope() const;
+
+   private:
+    friend class StatsRegistry;
+    Handle(StatsRegistry& reg, Entries::iterator it) : reg_(&reg), it_(it) {}
+    void reset();
+
+    StatsRegistry* reg_ = nullptr;
+    Entries::iterator it_{};
+  };
+
+  /// Returns the gauge/histogram registered under `name`, creating it on
+  /// first use. References stay valid for the registry's lifetime.
   /// Looking up an existing name allocates nothing.
-  Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
+  /// Histograms stay registry-owned where several objects (or shards)
+  /// record into one distribution: merged exports fold them bucket by
+  /// bucket, where group keys are summed as plain numbers.
   Histogram& histogram(std::string_view name);
-  /// Fine-resolution variant; flattens to name.{count,sum,min,max,mean,
-  /// p50,p99,p999}, the three quantiles being what the pow2 Histogram
-  /// cannot report stably (see FineHistogram).
-  FineHistogram& fine_histogram(std::string_view name);
 
-  /// Registers a value sampled lazily at export time. Replaces any
-  /// previous entry under the same name.
-  void sampled(const std::string& name, SampleFn fn);
-
-  /// Registers a whole scope's worth of sampled values behind ONE map
-  /// entry: at export the callback emits (suffix, value) pairs which
-  /// appear as "<scope>.<suffix>". This is the registration path for
-  /// short-lived instances (connections, subflows) -- one insert at
-  /// birth, one erase at death, regardless of how many values the scope
+  /// Registers one object's values behind ONE entry: at export the
+  /// callback emits (suffix, value) pairs, which appear as
+  /// "<scope>.<suffix>", and histogram members expand to their fields.
+  /// Registration costs one map insert at birth and, through the
+  /// returned handle, one erase at death, however many values the object
   /// exposes. value("<scope>.<suffix>") resolves through the group too.
-  void sampled_group(const std::string& scope, GroupFn fn);
+  [[nodiscard]] Handle group(std::string scope, GroupFn fn);
+
+  /// The registry-owned group under `scope`, made from `*this` on first
+  /// use. For state shared by every object of a kind on one loop (the
+  /// "tcp" totals); always the same T for one scope.
+  template <class T>
+  T& owned(std::string_view scope) {
+    Entry& e = entry(scope);
+    if (!e.owned) e.owned = std::make_unique<T>(*this);
+    return static_cast<T&>(*e.owned);
+  }
 
   /// Reserves a collision-free scope prefix: the first caller gets `base`,
   /// later callers get "base#2", "base#3", ... (deterministic in
-  /// registration order). The '#' separator guarantees that
-  /// remove_scope("base") never touches "base#2.*" entries. The
-  /// registry's scope tag (if set) is appended to `base` first, so scopes
-  /// from different registries can never collide in a merged export.
+  /// registration order). The registry's scope tag (if set) is appended
+  /// to `base` first, so scopes from different registries can never
+  /// collide in a merged export.
   std::string unique_scope(const std::string& base);
 
   /// Tags every subsequent unique_scope() name with `tag` (e.g. "@s1").
@@ -210,46 +262,36 @@ class StatsRegistry {
   /// to the pre-sharding format.
   void set_scope_tag(std::string tag) { scope_tag_ = std::move(tag); }
 
-  /// Removes the entry named `scope` and every entry under "scope.".
-  /// Returns how many entries were dropped.
-  size_t remove_scope(std::string_view scope);
-  void remove(std::string_view name);
-
-  bool contains(std::string_view name) const;
+  /// Registry entries (not flat keys): one per live object, plus the
+  /// registry-owned gauges, histograms and groups.
   size_t size() const { return entries_.size(); }
 
-  /// Lookup helpers (mostly for tests); null when absent or of another kind.
-  const Counter* find_counter(std::string_view name) const;
+  /// Lookup helper (mostly for tests); null when absent or of another kind.
   const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
-  const FineHistogram* find_fine_histogram(std::string_view name) const;
 
   /// Current numeric value of a flat key as flatten() would produce it
   /// (histograms contribute "name.count" etc.); 0 when absent.
   double value(std::string_view flat_key) const;
 
-  /// Flat deterministic view: counters/gauges/sampled map to one key each,
-  /// histograms expand to name.{count,sum,min,max,mean}, sampled groups
-  /// to "<scope>.<suffix>" per emitted pair.
+  /// Flat deterministic view: merged_flatten() over this registry alone.
   std::map<std::string, double> flatten() const;
 
   /// One flat JSON object, keys sorted, doubles printed round-trippably.
   std::string to_json() const;
 
   /// Deterministic fold of several registry partitions into one flat
-  /// view (the export path for per-shard registries). Same-named
-  /// counters, gauges and sampled values sum; histograms bucket-merge
-  /// *before* expansion, so <name>.{count,sum,min,max} describe the
-  /// union of samples and <name>.mean is recomputed from the merged
-  /// totals rather than summed. Group entries expand first and their
-  /// flat keys sum like scalars. The caller passes partitions in a fixed
-  /// order (shard index); the result depends only on each partition's
-  /// contents, never on which shard finished last, so two identical runs
-  /// fold to byte-identical JSON.
+  /// view (the export path for per-shard registries). Gauges and group
+  /// keys sum as plain numbers; histograms bucket-merge *before*
+  /// expansion, so <name>.{count,sum,min,max} describe the union of
+  /// samples and <name>.mean is recomputed from the merged totals rather
+  /// than summed. The caller passes partitions in a fixed order (shard
+  /// index); the result depends only on each partition's contents, never
+  /// on which shard finished last, so two identical runs fold to
+  /// byte-identical JSON.
   static std::map<std::string, double> merged_flatten(
       std::span<const StatsRegistry* const> parts);
 
-  /// merged_flatten() serialized exactly like to_json().
+  /// merged_flatten() serialized as one flat JSON object.
   static std::string merged_to_json(std::span<const StatsRegistry* const> parts);
 
   /// Parses the exact shape to_json() emits (also tolerates the flat JSON
@@ -257,20 +299,12 @@ class StatsRegistry {
   static std::map<std::string, double> parse_flat_json(std::string_view json);
 
  private:
-  struct Entry {
-    // Exactly one of these is set. unique_ptr keeps addresses stable
-    // across map rebalancing and registry growth.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> hist;
-    SampleFn fn;
-    GroupFn group;
-    std::unique_ptr<FineHistogram> fine{};  // {}: Entry{...} may omit it
-  };
-
   Entry& entry(std::string_view name);
+  /// The one expansion of an entry into (suffix, value) pairs; a gauge
+  /// emits one pair with an empty suffix.
+  static void expand(const Entry& e, SampleSink& out);
 
-  std::map<std::string, Entry, std::less<>> entries_;
+  Entries entries_;
   std::map<std::string, int, std::less<>> scope_counts_;
   std::string scope_tag_;
 };

@@ -13,24 +13,14 @@ EventLoop::EventLoop() {
   // so identical runs in one process export identical stats (determinism
   // tests compare stats JSON across in-process runs).
   Payload::pool_reset();
-  stats_.sampled("payload.pool.hits", [] {
-    return static_cast<double>(Payload::pool_stats().hits);
+  stats_handle_ = stats_.group("sim", [this](SampleSink& out) {
+    out.emit("events_scheduled", static_cast<double>(ev_scheduled_));
+    out.emit("events_cancelled", static_cast<double>(ev_cancelled_));
+    out.emit("events_fired", static_cast<double>(ev_fired_));
+    out.emit("timer_gc_sweeps", static_cast<double>(gc_sweeps_));
+    out.emit("events_live", static_cast<double>(live_));
+    out.emit("now_ns", static_cast<double>(now_));
   });
-  stats_.sampled("payload.pool.misses", [] {
-    return static_cast<double>(Payload::pool_stats().misses);
-  });
-  stats_.sampled("sim.events_scheduled",
-                 [this] { return static_cast<double>(ev_scheduled_); });
-  stats_.sampled("sim.events_cancelled",
-                 [this] { return static_cast<double>(ev_cancelled_); });
-  stats_.sampled("sim.events_fired",
-                 [this] { return static_cast<double>(ev_fired_); });
-  stats_.sampled("sim.timer_gc_sweeps",
-                 [this] { return static_cast<double>(gc_sweeps_); });
-  stats_.sampled("sim.events_live",
-                 [this] { return static_cast<double>(live_); });
-  stats_.sampled("sim.now_ns",
-                 [this] { return static_cast<double>(now_); });
 }
 
 void EventLoop::pending_insert(const WheelEntry& e) {

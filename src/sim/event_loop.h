@@ -338,13 +338,14 @@ class EventLoop {
   std::vector<std::vector<WheelEntry>> spare_slots_;
   size_t entries_ = 0;  ///< entries stored anywhere, dead ones included
 
-  // Scheduling counters: plain increments on the hot path, exported via
-  // sampled registry entries installed by the constructor.
+  // Scheduling counters: plain increments on the hot path, exported by
+  // the "sim" group the constructor registers.
   uint64_t ev_scheduled_ = 0;
   uint64_t ev_cancelled_ = 0;
   uint64_t ev_fired_ = 0;
   uint64_t gc_sweeps_ = 0;
   StatsRegistry stats_;
+  StatsRegistry::Handle stats_handle_;  ///< after stats_: dies first
 };
 
 /// A re-armable one-shot timer bound to an EventLoop.

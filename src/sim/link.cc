@@ -12,25 +12,20 @@ Link::Link(EventLoop& loop, LinkConfig config, std::string name)
       name_(std::move(name)),
       rng_(config.loss_seed) {
   StatsRegistry& reg = loop_.stats();
-  scope_ = reg.unique_scope("sim.link." + name_);
-  reg.sampled(scope_ + ".enqueued_pkts",
-              [this] { return static_cast<double>(stats_.enqueued_pkts); });
-  reg.sampled(scope_ + ".delivered_pkts",
-              [this] { return static_cast<double>(stats_.delivered_pkts); });
-  reg.sampled(scope_ + ".delivered_bytes",
-              [this] { return static_cast<double>(stats_.delivered_bytes); });
-  reg.sampled(scope_ + ".dropped_overflow",
-              [this] { return static_cast<double>(stats_.dropped_overflow); });
-  reg.sampled(scope_ + ".dropped_loss",
-              [this] { return static_cast<double>(stats_.dropped_loss); });
-  reg.sampled(scope_ + ".dropped_down",
-              [this] { return static_cast<double>(stats_.dropped_down); });
-  reg.sampled(scope_ + ".queued_bytes",
-              [this] { return static_cast<double>(queued_bytes_); });
-  occupancy_hist_ = &reg.histogram(scope_ + ".occupancy_bytes");
+  stats_handle_ =
+      reg.group(reg.unique_scope("sim.link." + name_), [this](SampleSink& out) {
+        out.emit("enqueued_pkts", static_cast<double>(stats_.enqueued_pkts));
+        out.emit("delivered_pkts", static_cast<double>(stats_.delivered_pkts));
+        out.emit("delivered_bytes",
+                 static_cast<double>(stats_.delivered_bytes));
+        out.emit("dropped_overflow",
+                 static_cast<double>(stats_.dropped_overflow));
+        out.emit("dropped_loss", static_cast<double>(stats_.dropped_loss));
+        out.emit("dropped_down", static_cast<double>(stats_.dropped_down));
+        out.emit("queued_bytes", static_cast<double>(queued_bytes_));
+        out.emit_histogram("occupancy_bytes", occupancy_);
+      });
 }
-
-Link::~Link() { loop_.stats().remove_scope(scope_); }
 
 void Link::deliver(TcpSegment seg) {
   if (!up_) {
@@ -48,7 +43,7 @@ void Link::deliver(TcpSegment seg) {
   }
   ++stats_.enqueued_pkts;
   queued_bytes_ += size;
-  occupancy_hist_->record(queued_bytes_);
+  occupancy_.record(queued_bytes_);
   ring_.emplace_back(std::move(seg), size, nullptr);
   if (!transmitting_) start_transmission();
 }
@@ -70,7 +65,7 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
     qb += size;
     // The occupancy histogram is defined per enqueue: it samples the depth
     // after every individual segment, so it cannot be batched.
-    occupancy_hist_->record(qb);
+    occupancy_.record(qb);
     ring_.emplace_back(std::move(segs[i]), size, nullptr);
   }
   stats_.enqueued_pkts += admitted;

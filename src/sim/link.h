@@ -49,7 +49,6 @@ class Link : public PacketSink {
   };
 
   Link(EventLoop& loop, LinkConfig config, std::string name = "link");
-  ~Link() override;
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -91,9 +90,11 @@ class Link : public PacketSink {
   /// Wire bytes waiting for the transmitter; propagating segments are
   /// not counted.
   size_t queued_bytes() const { return queued_bytes_; }
+  /// Queue depth in bytes, sampled on every enqueue.
+  const Histogram& occupancy() const { return occupancy_; }
   /// Registry scope this link publishes under ("sim.link.<name>", made
   /// collision-free by the loop's registry).
-  const std::string& stats_scope() const { return scope_; }
+  const std::string& stats_scope() const { return stats_handle_.scope(); }
 
  private:
   void start_transmission();
@@ -135,8 +136,8 @@ class Link : public PacketSink {
   bool transmitting_ = false;
   bool up_ = true;
   Stats stats_;
-  std::string scope_;
-  Histogram* occupancy_hist_ = nullptr;  ///< queue depth sampled per enqueue
+  Histogram occupancy_;
+  StatsRegistry::Handle stats_handle_;
 };
 
 }  // namespace mptcp

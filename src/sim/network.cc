@@ -129,17 +129,14 @@ void Host::unbind(const Endpoint& local, const Endpoint& remote) {
   conns_.erase(FourTuple{local, remote});
 }
 
-Router::Router(EventLoop& loop, std::string name)
-    : loop_(loop), name_(std::move(name)) {
-  StatsRegistry& reg = loop_.stats();
-  scope_ = reg.unique_scope("sim.router." + name_);
-  reg.sampled(scope_ + ".forwarded",
-              [this] { return static_cast<double>(forwarded_); });
-  reg.sampled(scope_ + ".dropped_no_route",
-              [this] { return static_cast<double>(dropped_no_route_); });
+Router::Router(EventLoop& loop, std::string name) : name_(std::move(name)) {
+  StatsRegistry& reg = loop.stats();
+  stats_handle_ = reg.group(
+      reg.unique_scope("sim.router." + name_), [this](SampleSink& out) {
+        out.emit("forwarded", static_cast<double>(forwarded_));
+        out.emit("dropped_no_route", static_cast<double>(dropped_no_route_));
+      });
 }
-
-Router::~Router() { loop_.stats().remove_scope(scope_); }
 
 void Router::deliver(TcpSegment seg) {
   auto it = routes_.find(seg.tuple.dst.addr);

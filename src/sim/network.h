@@ -144,14 +144,13 @@ class Host : public PacketSink {
 class Router : public PacketSink {
  public:
   Router(EventLoop& loop, std::string name);
-  ~Router() override;
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
   const std::string& name() const { return name_; }
   /// Registry scope ("sim.router.<name>", made collision-free).
-  const std::string& stats_scope() const { return scope_; }
+  const std::string& stats_scope() const { return stats_handle_.scope(); }
 
   void add_route(IpAddr dst, PacketSink* next) { routes_[dst] = next; }
   void set_default_route(PacketSink* next) { default_ = next; }
@@ -175,13 +174,12 @@ class Router : public PacketSink {
   uint64_t dropped_no_route() const { return dropped_no_route_; }
 
  private:
-  EventLoop& loop_;
   std::string name_;
-  std::string scope_;
   std::unordered_map<IpAddr, PacketSink*> routes_;
   PacketSink* default_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t dropped_no_route_ = 0;
+  StatsRegistry::Handle stats_handle_;
 };
 
 }  // namespace mptcp

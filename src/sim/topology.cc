@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "net/payload.h"
 #include "net/ring_queue.h"
 
 namespace mptcp {
@@ -16,6 +17,15 @@ Topology::Topology(uint64_t seed, size_t shards) : seed_(seed) {
     // single-shard exports byte-identical to the pre-sharding format.
     if (s > 0) loops_.back()->stats().set_scope_tag("@s" + std::to_string(s));
   }
+  // The payload pool is per thread (net/payload.cc), and a merged export
+  // sums same-named keys over shards, so one loop publishes it: shard 0,
+  // whose thread builds the topology, runs shard 0 (ShardedEngine runs it
+  // on the calling thread) and exports. Shard threads' pools are not
+  // counted.
+  pool_stats_ = loops_[0]->stats().group("payload.pool", [](SampleSink& out) {
+    out.emit("hits", static_cast<double>(Payload::pool_stats().hits));
+    out.emit("misses", static_cast<double>(Payload::pool_stats().misses));
+  });
 }
 
 NodeId Topology::add_host(const std::string& name, size_t shard) {
@@ -160,9 +170,7 @@ std::vector<const StatsRegistry*> Topology::shard_stats() const {
 }
 
 std::string Topology::dump_stats() {
-  if (loops_.size() == 1) return loops_[0]->stats().to_json();
-  const auto parts = shard_stats();
-  return StatsRegistry::merged_to_json(parts);
+  return StatsRegistry::merged_to_json(shard_stats());
 }
 
 void Topology::build_routes() {

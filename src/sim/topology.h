@@ -146,9 +146,8 @@ class Topology {
   StatsRegistry& stats(size_t shard = 0) { return loops_[shard]->stats(); }
   /// All shard registry partitions, in shard order.
   std::vector<const StatsRegistry*> shard_stats() const;
-  /// Single-shard: the loop's stats JSON, byte-identical to what this
-  /// method always produced. Sharded: the deterministic ordered merge of
-  /// every shard partition (StatsRegistry::merged_to_json).
+  /// The deterministic ordered merge of every shard partition
+  /// (StatsRegistry::merged_to_json); one shard's is its loop's JSON.
   std::string dump_stats();
 
  private:
@@ -183,6 +182,7 @@ class Topology {
   }
 
   std::vector<std::unique_ptr<EventLoop>> loops_;  ///< one per shard
+  StatsRegistry::Handle pool_stats_;  ///< payload.pool.*, on shard 0
   uint64_t seed_;
   size_t ring_capacity_ = 1024;
   SimTime min_cross_prop_ = 0;

@@ -1,6 +1,7 @@
 #include "tcp/tcp_connection.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -16,6 +17,56 @@ uint8_t choose_wscale(size_t buf_max) {
 }
 
 }  // namespace
+
+/// One loop's "tcp" group: each key sums a Stats field over the live
+/// connections plus what destroyed ones folded in, so no key goes
+/// backwards. The cwnd and ssthresh samples go to registry histograms,
+/// which merge bucket by bucket across shards.
+class TcpConnection::Totals final : public OwnedGroup {
+ public:
+  explicit Totals(StatsRegistry& reg)
+      : cwnd(reg.histogram("tcp.cwnd_bytes")),
+        ssthresh(reg.histogram("tcp.ssthresh_bytes")) {}
+
+  void link(TcpConnection& c) {
+    c.live_next_ = head_;
+    if (head_ != nullptr) head_->live_prev_ = &c;
+    head_ = &c;
+  }
+
+  void retire(TcpConnection& c) {
+    for (size_t i = 0; i < kKeys.size(); ++i) {
+      retired_[i] += c.stats_.*kKeys[i].second;
+    }
+    (c.live_prev_ != nullptr ? c.live_prev_->live_next_ : head_) = c.live_next_;
+    if (c.live_next_ != nullptr) c.live_next_->live_prev_ = c.live_prev_;
+  }
+
+  void sample(SampleSink& out) const override {
+    for (size_t i = 0; i < kKeys.size(); ++i) {
+      uint64_t sum = retired_[i];
+      for (const TcpConnection* c = head_; c != nullptr; c = c->live_next_) {
+        sum += c->stats_.*kKeys[i].second;
+      }
+      out.emit(kKeys[i].first, static_cast<double>(sum));
+    }
+  }
+
+  Histogram& cwnd;      ///< sampled once per RTT measurement
+  Histogram& ssthresh;  ///< sampled on every reduction
+
+ private:
+  static constexpr std::array<std::pair<const char*, uint64_t Stats::*>, 7>
+      kKeys{{{"segments_sent", &Stats::segments_sent},
+             {"segments_received", &Stats::segments_received},
+             {"retransmits", &Stats::retransmits},
+             {"fast_retransmits", &Stats::fast_retransmits},
+             {"rto_firings", &Stats::timeouts},
+             {"persist_probes", &Stats::persist_probes},
+             {"rwnd_stalls", &Stats::rwnd_stalls}}};
+  TcpConnection* head_ = nullptr;
+  std::array<uint64_t, kKeys.size()> retired_{};
+};
 
 std::string_view to_string(TcpState s) {
   switch (s) {
@@ -49,26 +100,18 @@ TcpConnection::TcpConnection(Host& host, TcpConfig config, Endpoint local,
       time_wait_timer_(host.loop(), [this] { finish_close(false); }),
       delack_timer_(host.loop(), [this] {
         if (delack_pending_ > 0) send_ack();
-      }) {
+      }),
+      totals_(host.loop().stats().owned<Totals>("tcp")) {
   cc_->init(config_.mss, config_.initial_cwnd_segments);
   snd_buf_capacity_ = config_.autotune ? config_.buf_initial
                                        : config_.snd_buf_max;
   rcv_buf_capacity_ = config_.autotune ? config_.buf_initial
                                        : config_.rcv_buf_max;
-
-  StatsRegistry& reg = host_.loop().stats();
-  ct_segments_sent_ = &reg.counter("tcp.segments_sent");
-  ct_segments_received_ = &reg.counter("tcp.segments_received");
-  ct_retransmits_ = &reg.counter("tcp.retransmits");
-  ct_fast_retransmits_ = &reg.counter("tcp.fast_retransmits");
-  ct_rto_firings_ = &reg.counter("tcp.rto_firings");
-  ct_persist_probes_ = &reg.counter("tcp.persist_probes");
-  ct_rwnd_stalls_ = &reg.counter("tcp.rwnd_stalls");
-  hist_cwnd_ = &reg.histogram("tcp.cwnd_bytes");
-  hist_ssthresh_ = &reg.histogram("tcp.ssthresh_bytes");
+  totals_.link(*this);
 }
 
 TcpConnection::~TcpConnection() {
+  totals_.retire(*this);
   if (bound_) host_.unbind(local_, remote_);
 }
 
@@ -231,7 +274,6 @@ void TcpConnection::send_rst() {
 
 void TcpConnection::on_segment(const TcpSegment& seg) {
   ++stats_.segments_received;
-  ct_segments_received_->inc();
   if (state_ == TcpState::kClosed) return;
 
   if (const auto* ts = find_option<TimestampOption>(seg.options)) {
@@ -575,8 +617,7 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
         recovery_point_ = snd_nxt_;
         cc_->on_enter_recovery(cc_flight());
         ++stats_.fast_retransmits;
-        ct_fast_retransmits_->inc();
-        hist_ssthresh_->record(cc_->ssthresh());
+        totals_.ssthresh.record(cc_->ssthresh());
         rtx_next_hint_ = snd_una_;
         const uint64_t data_end = snd_buf_.end_seq();
         if (snd_una_ < data_end) {
@@ -722,7 +763,7 @@ void TcpConnection::try_send() {
   if (snd_nxt_ < data_end && snd_nxt_ >= fc_limit && flight_size() == 0 &&
       !persist_timer_.armed() && flow_control_limit() != UINT64_MAX) {
     // The peer's advertised window (not cwnd) is what is stopping us.
-    ct_rwnd_stalls_->inc();
+    ++stats_.rwnd_stalls;
     persist_timer_.arm_in(rtt_.rto());
   }
 }
@@ -775,7 +816,6 @@ void TcpConnection::send_data_segment(uint64_t seq, size_t len,
 
   if (retransmission) {
     ++stats_.retransmits;
-    ct_retransmits_->inc();
     rtx_out_ += len;
     // Karn: invalidate any RTT sample overlapping this range.
     if (rtt_sample_pending_ && rtt_sample_end_seq_ > seq) {
@@ -842,7 +882,6 @@ void TcpConnection::send_segment(TcpSegment seg) {
     break;  // nothing droppable left; carry the oversized set in-sim
   }
   ++stats_.segments_sent;
-  ct_segments_sent_->inc();
   if (bursting_) {
     egress_burst_.push_back(std::move(seg));
   } else {
@@ -879,7 +918,6 @@ void TcpConnection::on_rto() {
     rtt_.on_timeout();
     rtt_sample_pending_ = false;  // Karn: retransmitted SYN is not sampled
     ++stats_.timeouts;
-    ct_rto_firings_->inc();
     send_syn(with_options);
     rto_timer_.arm_in(rtt_.rto());
     return;
@@ -891,7 +929,6 @@ void TcpConnection::on_rto() {
     }
     rtt_.on_timeout();
     ++stats_.timeouts;
-    ct_rto_firings_->inc();
     send_synack();
     rto_timer_.arm_in(rtt_.rto());
     return;
@@ -908,10 +945,9 @@ void TcpConnection::on_rto() {
   }
 
   ++stats_.timeouts;
-  ct_rto_firings_->inc();
   rtt_.on_timeout();
   cc_->on_timeout(flight_size());
-  hist_ssthresh_->record(cc_->ssthresh());
+  totals_.ssthresh.record(cc_->ssthresh());
   in_recovery_ = false;
   dupack_count_ = 0;
   rtt_sample_pending_ = false;
@@ -940,7 +976,6 @@ void TcpConnection::on_rto() {
   } else {
     // Only the FIN is outstanding: resend it through the normal path.
     ++stats_.retransmits;
-    ct_retransmits_->inc();
     maybe_send_fin();
   }
   rto_timer_.arm_in(rtt_.rto());
@@ -953,7 +988,6 @@ void TcpConnection::on_persist() {
     return;
   }
   ++stats_.persist_probes;
-  ct_persist_probes_->inc();
   // Send one byte beyond the window; the peer will re-ack with its
   // current window.
   send_data_segment(snd_nxt_, 1, /*retransmission=*/false);
@@ -1036,7 +1070,7 @@ void TcpConnection::take_rtt_sample_if_valid(uint64_t acked_through) {
     rtt_sample_pending_ = false;
     // One cwnd sample per successful RTT measurement: frequent enough to
     // trace window dynamics, rare enough to stay off the per-ACK path.
-    hist_cwnd_->record(cc_->cwnd());
+    totals_.cwnd.record(cc_->cwnd());
   }
 }
 

@@ -43,6 +43,7 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
     uint64_t timeouts = 0;
     uint64_t dupacks_received = 0;
     uint64_t persist_probes = 0;
+    uint64_t rwnd_stalls = 0;  ///< sends blocked by the peer's window alone
   };
 
   TcpConnection(Host& host, TcpConfig config, Endpoint local, Endpoint remote,
@@ -338,19 +339,13 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   bool bound_ = false;
   bool closed_notified_ = false;
 
-  // Host-loop-wide aggregate observability (net/stats.h), shared by every
-  // connection on the loop and cached as pointers so the hot paths pay a
-  // single indirected increment. The per-connection Stats struct above
-  // stays the source of per-connection truth.
-  Counter* ct_segments_sent_ = nullptr;
-  Counter* ct_segments_received_ = nullptr;
-  Counter* ct_retransmits_ = nullptr;
-  Counter* ct_fast_retransmits_ = nullptr;
-  Counter* ct_rto_firings_ = nullptr;
-  Counter* ct_persist_probes_ = nullptr;
-  Counter* ct_rwnd_stalls_ = nullptr;
-  Histogram* hist_cwnd_ = nullptr;      ///< sampled once per RTT measurement
-  Histogram* hist_ssthresh_ = nullptr;  ///< sampled on every reduction
+  // The loop's tcp.* keys (net/stats.h) are read from stats_ at export:
+  // Totals sums its live connections, linked through these two pointers,
+  // plus what destroyed ones folded in. stats_ is the only store.
+  class Totals;
+  Totals& totals_;
+  TcpConnection* live_prev_ = nullptr;
+  TcpConnection* live_next_ = nullptr;
 };
 
 /// Accepts incoming SYNs on a port and spawns connections via a factory.

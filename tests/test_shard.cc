@@ -310,22 +310,25 @@ TEST(ShardChannel, FrozenPayloadCrossesSharedPooledOneIsDetached) {
 TEST(StatsMerge, ScalarsSumAndHistogramsFoldByBucket) {
   StatsRegistry a;
   StatsRegistry b;
-  a.counter("pkts").inc(10);
-  b.counter("pkts").inc(32);
+  const StatsRegistry::Handle ga = a.group(
+      "link", [](SampleSink& out) { out.emit("pkts", 10.0); });
+  const StatsRegistry::Handle gb = b.group("link", [](SampleSink& out) {
+    out.emit("pkts", 32.0);
+    out.emit("only_b", 7.0);
+  });
   a.gauge("depth").set(3);
   b.gauge("depth").set(4);
   a.histogram("fct").record(8);
   a.histogram("fct").record(100);
   b.histogram("fct").record(2);
   b.histogram("fct").record(5000);
-  b.counter("only_b").inc(7);
 
   const StatsRegistry* parts[] = {&a, &b};
   const std::map<std::string, double> m =
       StatsRegistry::merged_flatten(parts);
-  EXPECT_EQ(m.at("pkts"), 42.0);
+  EXPECT_EQ(m.at("link.pkts"), 42.0);
   EXPECT_EQ(m.at("depth"), 7.0);
-  EXPECT_EQ(m.at("only_b"), 7.0);
+  EXPECT_EQ(m.at("link.only_b"), 7.0);
   EXPECT_EQ(m.at("fct.count"), 4.0);
   EXPECT_EQ(m.at("fct.sum"), 5110.0);
   EXPECT_EQ(m.at("fct.min"), 2.0);
@@ -339,11 +342,11 @@ TEST(StatsMerge, ResultIndependentOfPartitionFillOrder) {
   // same contents must be byte-identical no matter which registry was
   // populated (or finished) first.
   auto fill_x = [](StatsRegistry& r) {
-    r.counter("x.pkts").inc(5);
+    r.gauge("x.pkts").set(5);
     r.histogram("x.fct").record(10);
   };
   auto fill_y = [](StatsRegistry& r) {
-    r.counter("y.pkts").inc(9);
+    r.gauge("y.pkts").set(9);
     r.histogram("x.fct").record(20);
   };
   StatsRegistry a1, b1;
@@ -416,60 +419,6 @@ TEST(ShardedEngine, ShardedCapacityDigestStableForFixedShardCount) {
   EXPECT_EQ(first.stats_json, second.stats_json);
 }
 
-/// Shard-count-invariant view of a merged export. Three kinds of key:
-///   * execution-dependent (thread-local allocator pools, per-loop
-///     scheduler bookkeeping under sim.* minus links/routers): dropped;
-///   * per-connection live scopes (mptcp.client#N / mptcp.server#N):
-///     the #N instance suffix is allocated per registry, so the same
-///     connection gets different numbers under different shard splits --
-///     compared as sorted value multisets with the suffix stripped,
-///     which is exact and permutation-invariant;
-///   * everything else (link/router counters, workload metrics, summed
-///     tcp.* counters): compared exactly.
-struct Canonical {
-  std::map<std::string, double> exact;
-  std::map<std::string, std::vector<double>> per_conn;
-};
-
-Canonical canonicalize(const std::map<std::string, double>& merged) {
-  Canonical c;
-  for (const auto& [raw_key, value] : merged) {
-    if (raw_key.rfind("payload.pool.", 0) == 0) continue;
-    if (raw_key.rfind("sim.", 0) == 0 &&
-        raw_key.rfind("sim.link.", 0) != 0 &&
-        raw_key.rfind("sim.router.", 0) != 0) {
-      continue;
-    }
-    // Strip the per-shard scope tag ("@s<k>", possibly fused with a
-    // "#<n>" instance counter): merged exports shard-qualify scope
-    // names, but the quantities are shard-count-invariant.
-    std::string key = raw_key;
-    const size_t at = key.find('@');
-    if (at != std::string::npos) {
-      const size_t dot = key.find('.', at);
-      key.erase(at, (dot == std::string::npos ? key.size() : dot) - at);
-    }
-    if (key.rfind("mptcp.client", 0) == 0 ||
-        key.rfind("mptcp.server", 0) == 0) {
-      // Per-connection scopes: also drop the "#<n>" instance counter
-      // (allocated per registry, so it depends on the shard split) and
-      // compare as value multisets.
-      const size_t hash = key.find('#');
-      if (hash != std::string::npos) {
-        const size_t dot = key.find('.', hash);
-        key.erase(hash, (dot == std::string::npos ? key.size() : dot) - hash);
-      }
-      c.per_conn[key].push_back(value);
-      continue;
-    }
-    c.exact[key] = value;
-  }
-  for (auto& [key, values] : c.per_conn) {
-    std::sort(values.begin(), values.end());
-  }
-  return c;
-}
-
 std::map<std::string, double> run_cells(size_t shards) {
   ShardedCapacitySpec spec;
   spec.cells = 2;
@@ -504,8 +453,8 @@ TEST(ShardedEngine, CellLocalWorkloadMetricsMatchSingleShard) {
   // cells are split across threads: every link/router counter, workload
   // metric and FCT histogram must agree bit for bit, and the live
   // per-connection scopes must agree as value multisets.
-  const Canonical one = canonicalize(run_cells(1));
-  const Canonical two = canonicalize(run_cells(2));
+  const CanonicalStats one = canonicalize(run_cells(1));
+  const CanonicalStats two = canonicalize(run_cells(2));
   EXPECT_FALSE(one.exact.empty());
   EXPECT_FALSE(one.per_conn.empty());
   EXPECT_EQ(one.exact, two.exact);

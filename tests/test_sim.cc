@@ -390,13 +390,8 @@ TEST(Link, DeliverBurstMatchesPerSegmentDeliver) {
     Outcome out;
     out.arrivals = sink.arrivals;
     out.stats = link.stats();
-    const Histogram* occ =
-        loop.stats().find_histogram(link.stats_scope() + ".occupancy_bytes");
-    EXPECT_NE(occ, nullptr);
-    if (occ != nullptr) {
-      out.occ_count = occ->count();
-      out.occ_sum = occ->sum();
-    }
+    out.occ_count = link.occupancy().count();
+    out.occ_sum = link.occupancy().sum();
     return out;
   };
   const Outcome single = run_once(false);

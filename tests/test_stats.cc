@@ -2,10 +2,10 @@
 // simulator / TCP / MPTCP layers publish into it, and the determinism
 // digest built on top.
 //
-// The scenario tests deliberately assert *exact* counter values: every
-// instrumented code path pairs its registry increment with the per-
-// connection stats struct it always updated, so the registry totals must
-// equal the struct sums -- that equality is the exactly-once proof.
+// The scenario tests deliberately assert *exact* counter values: the
+// registry's tcp.* totals are summed from the per-connection stats
+// structs (live ones plus those destroyed connections folded in), so they
+// must equal the struct sums, and keep their values when connections die.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,18 +26,13 @@ namespace {
 // Registry unit tests.
 // ---------------------------------------------------------------------------
 
-TEST(StatsRegistry, CounterGaugeHistogramBasics) {
+TEST(StatsRegistry, GaugeHistogramBasics) {
   StatsRegistry reg;
-  Counter& c = reg.counter("a.count");
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  EXPECT_EQ(&reg.counter("a.count"), &c);  // create-on-first-use is stable
-
   Gauge& g = reg.gauge("a.level");
   g.set(10);
   g.add(-3);
   EXPECT_EQ(g.value(), 7);
+  EXPECT_EQ(&reg.gauge("a.level"), &g);  // create-on-first-use is stable
 
   Histogram& h = reg.histogram("a.sizes");
   h.record(0);
@@ -53,20 +48,29 @@ TEST(StatsRegistry, CounterGaugeHistogramBasics) {
   EXPECT_EQ(h.bucket(3), 1u);  // 5 in [4,8)
   EXPECT_EQ(h.bucket(11), 1u);  // 1500 in [1024,2048)
   EXPECT_EQ(h.approx_percentile(1.0), 2048u);
+  EXPECT_DOUBLE_EQ(reg.value("a.sizes.count"), 4.0);
+  EXPECT_DOUBLE_EQ(reg.value("a.sizes.mean"), 1506.0 / 4.0);
 }
 
 TEST(StatsRegistry, SampledValuesAreLazy) {
   StatsRegistry reg;
   int calls = 0;
-  reg.sampled("lazy.value", [&calls] {
+  const StatsRegistry::Handle h = reg.group("lazy", [&calls](SampleSink& out) {
     ++calls;
-    return 3.5;
+    out.emit("value", 3.5);
   });
   EXPECT_EQ(calls, 0);  // registration alone never samples
   EXPECT_DOUBLE_EQ(reg.value("lazy.value"), 3.5);
   EXPECT_EQ(calls, 1);
   (void)reg.flatten();
   EXPECT_EQ(calls, 2);
+}
+
+StatsRegistry::Handle picks_group(StatsRegistry& reg, std::string scope,
+                                  double picks) {
+  return reg.group(std::move(scope), [picks](SampleSink& out) {
+    out.emit("picks", picks);
+  });
 }
 
 TEST(StatsRegistry, UniqueScopeAndHashSiblingRemoval) {
@@ -76,63 +80,93 @@ TEST(StatsRegistry, UniqueScopeAndHashSiblingRemoval) {
   EXPECT_EQ(s1, "mptcp.client");
   EXPECT_EQ(s2, "mptcp.client#2");
 
-  reg.counter(s1 + ".picks").inc();
-  reg.counter(s2 + ".picks").inc(5);
-  reg.counter("mptcp.clientele");  // shares a prefix but is NOT a child
+  StatsRegistry::Handle first = picks_group(reg, s1, 1.0);
+  StatsRegistry::Handle second = picks_group(reg, s2, 5.0);
+  // Shares a prefix but is NOT a child.
+  const StatsRegistry::Handle lookalike =
+      picks_group(reg, "mptcp.clientele", 2.0);
+  EXPECT_EQ(first.scope(), s1);
+  EXPECT_EQ(reg.size(), 3u);
 
-  // Removing the first instance's scope must not touch the second
-  // instance ('#' sorts before '.', so "#2" entries interleave) nor the
+  // Destroying the first instance's handle must not touch the second
+  // instance ('#' sorts before '.', so "#2" keys interleave) nor the
   // lookalike prefix.
-  EXPECT_EQ(reg.remove_scope(s1), 1u);
-  EXPECT_FALSE(reg.contains(s1 + ".picks"));
-  EXPECT_TRUE(reg.contains(s2 + ".picks"));
-  EXPECT_TRUE(reg.contains("mptcp.clientele"));
+  first = StatsRegistry::Handle();
+  auto flat = reg.flatten();
+  EXPECT_EQ(flat.count(s1 + ".picks"), 0u);
+  EXPECT_EQ(flat.count(s2 + ".picks"), 1u);
+  EXPECT_EQ(flat.count("mptcp.clientele.picks"), 1u);
   EXPECT_EQ(reg.value(s2 + ".picks"), 5.0);
+
+  // A moved-from handle erases nothing; the handle it moved to does.
+  {
+    StatsRegistry::Handle moved = std::move(second);
+    EXPECT_EQ(moved.scope(), s2);
+    EXPECT_TRUE(second.scope().empty());
+    second = StatsRegistry::Handle();  // destroys the empty handle
+    EXPECT_EQ(reg.value(s2 + ".picks"), 5.0);
+    EXPECT_EQ(reg.size(), 2u);
+  }
+  flat = reg.flatten();
+  EXPECT_EQ(flat.count(s2 + ".picks"), 0u);
+  EXPECT_EQ(flat.count("mptcp.clientele.picks"), 1u);
+  EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(StatsRegistry, SampledGroupExpandsLazilyAndRemovesAsOneEntry) {
   StatsRegistry reg;
   int calls = 0;
   uint64_t picks = 3;
-  reg.sampled_group("mptcp.client", [&](SampleSink& out) {
-    ++calls;
-    out.emit("scheduler_picks", static_cast<double>(picks));
-    out.emit("fallbacks", 1.0);
-  });
+  Histogram sizes;
+  sizes.record(100);
+  auto handle = std::make_unique<StatsRegistry::Handle>(
+      reg.group("mptcp.client", [&](SampleSink& out) {
+        ++calls;
+        out.emit("scheduler_picks", static_cast<double>(picks));
+        out.emit("fallbacks", 1.0);
+        out.emit_histogram("sizes", sizes);
+      }));
   EXPECT_EQ(calls, 0);  // registration alone never samples
   EXPECT_EQ(reg.size(), 1u);  // the whole scope is ONE map entry
 
-  // value() resolves "<scope>.<suffix>" through the group.
+  // value() resolves "<scope>.<suffix>" through the group, histogram
+  // members included.
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 3.0);
   picks = 9;
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 9.0);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.no_such_suffix"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.value("mptcp.client.sizes.sum"), 100.0);
 
   // flatten() expands the group into per-suffix keys.
   const auto flat = reg.flatten();
   EXPECT_DOUBLE_EQ(flat.at("mptcp.client.scheduler_picks"), 9.0);
   EXPECT_DOUBLE_EQ(flat.at("mptcp.client.fallbacks"), 1.0);
+  EXPECT_DOUBLE_EQ(flat.at("mptcp.client.sizes.count"), 1.0);
+  EXPECT_DOUBLE_EQ(flat.at("mptcp.client.sizes.mean"), 100.0);
   EXPECT_EQ(flat.count("mptcp.client"), 0u);  // the scope itself is no key
 
-  // remove_scope() drops the group with its single entry.
-  EXPECT_EQ(reg.remove_scope("mptcp.client"), 1u);
+  // Destroying the handle drops the group with its single entry.
+  handle.reset();
+  EXPECT_EQ(reg.size(), 0u);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 0.0);
   EXPECT_EQ(reg.flatten().count("mptcp.client.scheduler_picks"), 0u);
 }
 
 TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
   StatsRegistry reg;
-  reg.counter("z.count").inc(7);
   reg.gauge("a.gauge").set(-4);
   reg.histogram("m.hist").record(100);
-  reg.sampled("s.val", [] { return 0.125; });
+  const StatsRegistry::Handle h = reg.group("s", [](SampleSink& out) {
+    out.emit("val", 0.125);
+    out.emit("count", 7.0);
+  });
 
   const std::string json = reg.to_json();
   EXPECT_EQ(json.find("never_registered"), std::string::npos);
 
   const auto parsed = StatsRegistry::parse_flat_json(json);
   EXPECT_EQ(parsed, reg.flatten());
-  EXPECT_DOUBLE_EQ(parsed.at("z.count"), 7.0);
+  EXPECT_DOUBLE_EQ(parsed.at("s.count"), 7.0);
   EXPECT_DOUBLE_EQ(parsed.at("a.gauge"), -4.0);
   EXPECT_DOUBLE_EQ(parsed.at("m.hist.count"), 1.0);
   EXPECT_DOUBLE_EQ(parsed.at("m.hist.sum"), 100.0);
@@ -144,9 +178,9 @@ TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
 
 TEST(StatsRegistry, MalformedJsonYieldsPairsParsedSoFar) {
   StatsRegistry reg;
-  reg.counter("a.first").inc(1);
-  reg.counter("b.second").inc(2);
-  reg.counter("c.third").inc(3);
+  reg.gauge("a.first").set(1);
+  reg.gauge("b.second").set(2);
+  reg.gauge("c.third").set(3);
   const std::string json = reg.to_json();
   const std::map<std::string, double> first_two = {{"a.first", 1.0},
                                                    {"b.second", 2.0}};
@@ -185,8 +219,10 @@ TEST(StatsSim, EventLoopCountsScheduleCancelFire) {
 
 TEST(StatsSim, LinksRegisterScopedStats) {
   TwoHostRig rig({wifi_path()});
-  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-ab.delivered_pkts"));
-  EXPECT_TRUE(rig.stats().contains("sim.link.wifi-ba.delivered_pkts"));
+  const auto flat = rig.stats().flatten();
+  EXPECT_EQ(flat.count("sim.link.wifi-ab.delivered_pkts"), 1u);
+  EXPECT_EQ(flat.count("sim.link.wifi-ba.delivered_pkts"), 1u);
+  EXPECT_EQ(flat.count("sim.link.wifi-ab.occupancy_bytes.count"), 1u);
   EXPECT_EQ(rig.up_link(0).stats_scope(), "sim.link.wifi-ab");
 }
 
@@ -314,8 +350,7 @@ TEST(StatsMptcp, LosslessTwoSubflowRunHasExactCounters) {
 
 TEST(StatsMptcp, LossyRunPairsRetransmitCountersExactly) {
   // 2% loss on the weak 3G path forces real retransmissions; the registry
-  // totals must still match the per-connection structs exactly -- each
-  // instrumented site increments both, once.
+  // totals must still match the per-connection structs exactly.
   TwoSubflowRun f({wifi_path(), weak_threeg_path(0.02)}, 0, 8 * kSecond);
   ASSERT_NE(f.server_conn, nullptr);
   StatsRegistry& reg = f.rig.stats();
@@ -331,18 +366,69 @@ TEST(StatsMptcp, LossyRunPairsRetransmitCountersExactly) {
   EXPECT_DOUBLE_EQ(reg.value("tcp.rto_firings"), static_cast<double>(rto));
 
   // Dead connections must deregister: destroying the client stack drops
-  // every mptcp.client* export but leaves the loop-global ones.
+  // every mptcp.client* export but leaves the loop-global ones, and the
+  // tcp.* totals keep what the dead subflows counted.
   EXPECT_GT(reg.value("mptcp.client.scheduler_picks"), 0.0);
   EXPECT_GT(f.rig.stats().flatten().count("mptcp.client.sf0.scheduler_picks"),
             0u);
+  const double sent = reg.value("tcp.segments_sent");
+  EXPECT_GT(sent, 0.0);
   f.sender.reset();
   f.client_stack.reset();
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 0.0);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.sf0.scheduler_picks"), 0.0);
-  for (const auto& [name, v] : f.rig.stats().flatten()) {
+  const auto flat = f.rig.stats().flatten();
+  for (const auto& [name, v] : flat) {
     EXPECT_TRUE(name.rfind("mptcp.client", 0) != 0) << name;
   }
-  EXPECT_TRUE(reg.contains("tcp.retransmits"));
+  EXPECT_DOUBLE_EQ(flat.at("tcp.segments_sent"), sent);
+  EXPECT_DOUBLE_EQ(flat.at("tcp.retransmits"), static_cast<double>(rtx));
+  EXPECT_DOUBLE_EQ(flat.at("tcp.rto_firings"), static_cast<double>(rto));
+}
+
+TEST(StatsMptcp, EachLiveObjectHoldsOneRegistryEntry) {
+  // A link direction, a router, a workload class and an MPTCP connection
+  // with two subflows each publish through exactly one registry entry.
+  {
+    Topology topo;
+    StatsRegistry& reg = topo.stats();
+    const NodeId a = topo.add_host("a");
+    const NodeId b = topo.add_host("b");
+    size_t before = reg.size();
+    const NodeId r = topo.add_router("r");
+    EXPECT_EQ(reg.size() - before, 1u) << "router";
+    before = reg.size();
+    topo.connect(a, r, LinkConfig{}, LinkConfig{});
+    topo.connect(r, b, LinkConfig{}, LinkConfig{});
+    EXPECT_EQ(reg.size() - before, 4u) << "two links, two directions each";
+  }
+  {
+    CapacitySpec spec;
+    spec.clients = 1;
+    spec.servers = 1;
+    CapacityTopology cap = build_capacity_topology(spec, /*seed=*/1);
+    StatsRegistry& reg = cap.topo->stats();
+    const size_t before = reg.size();
+    WorkloadConfig wc;
+    wc.clients = cap.clients;
+    wc.servers = cap.servers;
+    FlowClass bulk;
+    bulk.name = "bulk";
+    FlowClass serving;
+    serving.name = "serving";
+    serving.app_mode = FlowClass::AppMode::kServing;
+    wc.classes = {bulk, serving};
+    WorkloadEngine engine(*cap.topo, wc);
+    EXPECT_EQ(reg.size() - before, 3u) << "one per class plus the engine's";
+  }
+  TwoSubflowRun f({wifi_path(), threeg_path()}, 0, 2 * kSecond);
+  ASSERT_NE(f.server_conn, nullptr);
+  ASSERT_EQ(f.client_conn->subflow_count(), 2u);
+  StatsRegistry& reg = f.rig.stats();
+  const size_t before = reg.size();
+  f.sender.reset();
+  f.client_stack.reset();
+  EXPECT_EQ(before - reg.size(), 1u) << "the client connection";
 }
 
 TEST(StatsMptcp, DumpStatsRoundTrips) {

@@ -373,7 +373,8 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
     MptcpSubflow* extra = conn->open_subflow(
         topo.addr(cap.clients[0], 1), {topo.addr(cap.servers[0]), 81});
     ASSERT_NE(extra, nullptr);
-    const std::string extra_scope = extra->stats_scope() + ".";
+    const std::string extra_scope =
+        conn->stats_scope() + ".sf" + std::to_string(extra->id()) + ".";
     topo.loop().run_until(topo.loop().now() + 2 * kSecond);
     ASSERT_EQ(conn->subflow_count(), 3u);
     extra = conn->subflow(2);
