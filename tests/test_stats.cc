@@ -16,8 +16,10 @@
 #include "app/bulk_app.h"
 #include "app/digest.h"
 #include "app/scenario.h"
+#include "app/workload.h"
 #include "core/mptcp_stack.h"
 #include "net/stats.h"
+#include "sim/shard.h"
 
 namespace mptcp {
 namespace {
@@ -429,6 +431,134 @@ TEST(StatsMptcp, EachLiveObjectHoldsOneRegistryEntry) {
   f.sender.reset();
   f.client_stack.reset();
   EXPECT_EQ(before - reg.size(), 1u) << "the client connection";
+}
+
+// ---------------------------------------------------------------------------
+// Scope names: instance numbers, shard tags and the value() lookup path.
+// ---------------------------------------------------------------------------
+
+TEST(StatsNaming, ConnectionNumbersFollowBirthOrderAndAreNeverReused) {
+  TwoHostRig rig({wifi_path()});
+  MptcpStack client(rig.client(), default_cfg());
+  MptcpStack server(rig.server(), default_cfg());
+  server.listen(80, [](MptcpConnection&) {});
+  const auto open = [&]() -> MptcpConnection& {
+    return client.connect(rig.client_addr(0), Endpoint{rig.server_addr(), 80});
+  };
+  MptcpConnection& first = open();
+  MptcpConnection& second = open();
+  MptcpConnection& third = open();
+  rig.loop().run_until(200 * kMillisecond);
+  EXPECT_EQ(first.stats_scope(), "mptcp.client");
+  EXPECT_EQ(second.stats_scope(), "mptcp.client#2");
+  EXPECT_EQ(third.stats_scope(), "mptcp.client#3");
+
+  client.destroy_later(&second);
+  rig.loop().run_until(201 * kMillisecond);
+  // A fourth connection takes the next number, not the freed "#2" and not
+  // a count of the live ones (which would collide with "#3").
+  MptcpConnection& fourth = open();
+  EXPECT_EQ(fourth.stats_scope(), "mptcp.client#4");
+  rig.loop().run_until(400 * kMillisecond);
+
+  const auto flat = rig.stats().flatten();
+  EXPECT_EQ(flat.count("mptcp.client.subflows"), 1u);
+  EXPECT_EQ(flat.count("mptcp.client#2.subflows"), 0u);
+  EXPECT_EQ(flat.count("mptcp.client#3.subflows"), 1u);
+  EXPECT_EQ(flat.count("mptcp.client#4.subflows"), 1u);
+  EXPECT_EQ(flat.count("mptcp.server#4.subflows"), 1u);
+}
+
+TEST(StatsNaming, ShardOneScopesCarryTheShardTag) {
+  ShardedCapacitySpec spec;
+  spec.cells = 2;
+  spec.cell.clients = 2;
+  spec.cell.servers = 1;
+  spec.cell.bottleneck_rate_bps = 100e6;
+  ShardedCapacity net = build_sharded_capacity(spec, /*seed=*/5, /*shards=*/2);
+  FlowClass local;
+  local.name = "bulk";
+  local.persistent_per_client = 2;
+  local.arrival_rate_hz = 0;
+  local.transport.mptcp.tcp.seed = 5;
+  FlowClass off;
+  off.arrival_rate_hz = 0;
+  off.persistent_per_client = 0;
+  ShardedCapacityWorkload workload(net, local, off, /*seed=*/5);
+  workload.start();
+  ShardedEngine engine(*net.topo);
+  engine.run_until(1200 * kMillisecond);  // persistent flows open within 1 s
+
+  // Cell j runs on shard j: shard 1's objects carry "@s1" right after
+  // their name, before any "#<n>"; shard 0's and the engines' shared
+  // scopes carry no tag.
+  const auto flat = StatsRegistry::merged_flatten(net.topo->shard_stats());
+  for (const char* key : {"mptcp.client@s1.subflows",
+                          "mptcp.client@s1#2.subflows",
+                          "mptcp.server@s1.subflows",
+                          "sim.link.c1.bottleneck-a-ab@s1.enqueued_pkts",
+                          "sim.router.c1.agg-a@s1.forwarded",
+                          "c1.workload.bulk@s1.started",
+                          "mptcp.client.subflows",
+                          "sim.link.c0.bottleneck-a-ab.enqueued_pkts",
+                          "sim.router.c0.agg-a.forwarded",
+                          "c0.workload.bulk.started",
+                          "c1.workload.concurrent",
+                          "sim.events_fired"}) {
+    EXPECT_EQ(flat.count(key), 1u) << key;
+  }
+  for (const auto& [key, v] : flat) {
+    EXPECT_TRUE(key.rfind("sim.router.c1.agg-a.", 0) != 0) << key;
+    EXPECT_TRUE(key.rfind("c1.workload.bulk.", 0) != 0) << key;
+  }
+
+  // perfbench's path: value() on a tagged, numbered scope reads what the
+  // export holds for that connection.
+  size_t checked = 0;
+  workload.engine(1).for_each_open_socket(
+      [&](StreamSocket& s, const FlowReport&) {
+        auto* conn = dynamic_cast<MptcpConnection*>(&s);
+        ASSERT_NE(conn, nullptr);
+        const std::string scope = conn->stats_scope();
+        EXPECT_EQ(scope.rfind("mptcp.client@s1", 0), 0u) << scope;
+        const std::string key = scope + ".dss_mappings_emitted";
+        EXPECT_DOUBLE_EQ(net.topo->stats(1).value(key), flat.at(key)) << key;
+        ++checked;
+      });
+  EXPECT_EQ(checked, 4u);
+}
+
+TEST(StatsNaming, SameNamedLinksOnOneLoopNumberInRegistrationOrder) {
+  EventLoop loop;
+  Link first(loop, LinkConfig{}, "hop");
+  Link second(loop, LinkConfig{}, "hop");
+  second.set_up(false);
+  second.deliver(TcpSegment{});
+  const auto flat = loop.stats().flatten();
+  EXPECT_DOUBLE_EQ(flat.at("sim.link.hop.dropped_down"), 0.0);
+  EXPECT_DOUBLE_EQ(flat.at("sim.link.hop#2.dropped_down"), 1.0);
+  EXPECT_DOUBLE_EQ(loop.stats().value("sim.link.hop#2.dropped_down"), 1.0);
+}
+
+TEST(StatsNaming, ValueOfConnectionScopeReadsItsOwnCounts) {
+  // M1 off: every mapping is one scheduler pick on one of the two live
+  // subflows, so the connection's count has two independent witnesses.
+  MptcpConfig cfg = default_cfg();
+  cfg.opportunistic_retransmit = false;
+  TwoSubflowRun f({wifi_path(), threeg_path()}, 200 * 1000, 5 * kSecond, cfg);
+  ASSERT_NE(f.server_conn, nullptr);
+  ASSERT_EQ(f.client_conn->subflow_count(), 2u);
+  const StatsRegistry& reg = f.rig.stats();
+  const auto flat = reg.flatten();
+  const std::string scope = f.client_conn->stats_scope();
+  const double maps = reg.value(scope + ".dss_mappings_emitted");
+  EXPECT_GT(maps, 0.0);
+  EXPECT_DOUBLE_EQ(maps, flat.at(scope + ".dss_mappings_emitted"));
+  EXPECT_DOUBLE_EQ(maps, reg.value(scope + ".scheduler_picks"));
+  EXPECT_DOUBLE_EQ(maps, reg.value(scope + ".sf0.dss_mappings_emitted") +
+                             reg.value(scope + ".sf1.dss_mappings_emitted"));
+  const std::string server = f.server_conn->stats_scope();
+  EXPECT_DOUBLE_EQ(reg.value(server + ".delivered_bytes"), 200.0 * 1000);
 }
 
 TEST(StatsMptcp, DumpStatsRoundTrips) {
