@@ -98,7 +98,6 @@ void BlockSender::fill() {
         current_[i] = static_cast<uint8_t>(ts >> ((7 - i) * 8));
       }
       current_off_ = 0;
-      ++blocks_started_;
     }
     const size_t n = sock_.write(
         std::span<const uint8_t>(current_).subspan(current_off_));

@@ -23,7 +23,6 @@ class BulkSender {
   }
 
   void start() { fill(); }
-  uint64_t bytes_written() const { return written_; }
   bool done() const { return total_ != 0 && written_ >= total_; }
 
  private:
@@ -66,7 +65,6 @@ class BlockSender {
 
   BlockSender(EventLoop& loop, StreamSocket& sock);
 
-  uint64_t blocks_sent() const { return blocks_started_; }
   /// Kick for sockets that were already connected at construction.
   void fill_now() { fill(); }
 
@@ -77,7 +75,6 @@ class BlockSender {
   StreamSocket& sock_;
   std::vector<uint8_t> current_;  ///< remainder of the block being written
   size_t current_off_ = 0;
-  uint64_t blocks_started_ = 0;
 };
 
 class BlockReceiver {

@@ -86,9 +86,9 @@ DigestResult run_digest_scenario(const DigestConfig& cfg = {});
 /// 16-digit lowercase hex rendering of a digest.
 std::string digest_hex(uint64_t digest);
 
-/// A stats key with the parts a run picks removed: unique_scope()'s
-/// "#<n>" instance and "@s<k>" shard suffixes, and the subflow id in
-/// ".sf<id>". What is left names what the key measures, whatever
+/// A stats key with the parts a run picks removed: a scope's "#<n>"
+/// instance and "@s<k>" shard suffixes (net/stats.h, StatsOut), and the
+/// subflow id in ".sf<id>". What is left names what the key measures, whatever
 /// instances and shards the run used (the schema hash is over these).
 std::string canonical_key(std::string_view key);
 

@@ -194,10 +194,6 @@ class FleetEngine {
   size_t island_server_link(size_t i) const {
     return islands_[i].shape.server_link;
   }
-  /// Link index of island i's path k.
-  size_t island_path_link(size_t i, size_t k) const {
-    return islands_[i].shape.paths[k];
-  }
   WorkloadEngine& island_engine(size_t i);
   Nat* island_nat(size_t i, size_t k);
 

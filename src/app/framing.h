@@ -109,11 +109,6 @@ class FrameReader {
   /// the pumping_ latch: the outer pump loop picks up the new bytes).
   void pump(StreamSocket& s);
 
-  /// Bytes of the current frame's payload not yet delivered (0 between
-  /// frames). A reader dying mid-frame means the peer quit mid-response.
-  uint32_t payload_remaining() const { return remaining_; }
-  bool mid_frame() const { return in_payload_ && remaining_ > 0; }
-
  private:
   FrameHeader hdr_;
   uint32_t remaining_ = 0;

@@ -211,7 +211,6 @@ class Scenario {
   Topology& topo() { return *topo_; }
 
   // --- middlebox access by declaration handle ------------------------------
-  size_t middlebox_count() const { return mboxes_.size(); }
   OptionStripper* option_stripper(size_t h) {
     return mboxes_[h].stripper.get();
   }
@@ -230,11 +229,6 @@ class Scenario {
   void stop_workloads() {
     for (auto& e : engines_) e->stop();
   }
-
-  /// Interface address the link's host-side endpoint gained on link `l`
-  /// (side a preferred when both ends are hosts); the address a NAT on
-  /// that link translates.
-  IpAddr link_host_addr(size_t l) const { return link_host_addr_.at(l); }
 
   /// Hands the bare Topology to callers that predate Scenario ownership
   /// (the capacity builders). Only legal when the spec declared no

@@ -64,14 +64,15 @@ CapacityTopology build_capacity_topology(const CapacitySpec& spec,
 }
 
 WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
-    : topo_(topo), cfg_(std::move(cfg)) {
+    : topo_(topo),
+      cfg_(std::move(cfg)),
+      stats_hook_(topo_.stats(cfg_.shard), *this) {
 #ifndef NDEBUG
   // The engine's timers, flow bookkeeping and stats all live in shard
   // cfg_.shard; a client host in another shard would be driven from the
   // wrong thread.
   for (NodeId c : cfg_.clients) assert(topo_.shard_of(c) == cfg_.shard);
 #endif
-  StatsRegistry& reg = topo_.stats(cfg_.shard);
   classes_.reserve(cfg_.classes.size());
   for (size_t k = 0; k < cfg_.classes.size(); ++k) {
     ClassState& cs = classes_.emplace_back();
@@ -82,18 +83,24 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
     if (cs.spec.app_mode != FlowClass::AppMode::kConnectionPerTransfer) {
       cs.req_fct_us = std::make_unique<FineHistogram>();
     }
-    cs.stats = reg.group(
-        reg.unique_scope(cfg_.scope_prefix + "workload." + cs.spec.name),
-        [this, k](SampleSink& out) { sample_class(k, out); });
   }
-  stats_handle_ =
-      reg.group(cfg_.scope_prefix + "workload", [this](SampleSink& out) {
-        out.emit("concurrent", static_cast<double>(flows_.size()));
-        out.emit("peak_concurrent", static_cast<double>(peak_concurrent_));
-      });
 }
 
-void WorkloadEngine::sample_class(size_t k, SampleSink& out) const {
+void WorkloadEngine::publish_stats(StatsOut& out) const {
+  // Engines sharing a prefix sum into one "<prefix>workload" scope; each
+  // class has its own.
+  std::string scope = cfg_.scope_prefix + "workload";
+  if (out.open_shared(scope)) {
+    out.emit("concurrent", static_cast<double>(flows_.size()));
+    out.emit("peak_concurrent", static_cast<double>(peak_concurrent_));
+  }
+  scope += '.';
+  for (size_t k = 0; k < classes_.size(); ++k) {
+    if (out.open(scope, classes_[k].spec.name)) sample_class(k, out);
+  }
+}
+
+void WorkloadEngine::sample_class(size_t k, StatsOut& out) const {
   const ClassState& cs = classes_[k];
   out.emit("started", static_cast<double>(cs.started));
   out.emit("completed", static_cast<double>(cs.completed));

@@ -305,6 +305,11 @@ class WorkloadEngine {
   size_t peak_concurrent() const { return peak_concurrent_; }
   uint64_t total_completed() const;
 
+  /// Exports "<prefix>workload.{concurrent,peak_concurrent}" (summed with
+  /// other engines of the same prefix) and each class under
+  /// "<prefix>workload.<class>".
+  void publish_stats(StatsOut& out) const;
+
   /// Visits every still-open client-side flow in launch order (flows get
   /// monotonic ids; the map itself is pointer-keyed and unordered), so
   /// end-of-run sweeps over persistent connections are deterministic.
@@ -332,7 +337,6 @@ class WorkloadEngine {
     uint64_t ladder_down = 0;
     std::unique_ptr<FineHistogram> req_fct_us;  ///< request FCT, microseconds
     double rate_scale = 1.0;                    ///< flash-crowd multiplier
-    StatsRegistry::Handle stats;  ///< "<prefix>workload.<name>" group
   };
 
   /// One adaptive-streaming session (kStreaming).
@@ -378,8 +382,8 @@ class WorkloadEngine {
   void detach(Flow& f);  ///< clears socket callbacks and erases the flow
 
   // Serving-stack paths.
-  /// Emits class `k`'s export values (its registry group).
-  void sample_class(size_t k, SampleSink& out) const;
+  /// Emits class `k`'s export values.
+  void sample_class(size_t k, StatsOut& out) const;
   void start_serving_slot(ClientSlot& slot, uint64_t gid);
   void submit_request(ClientSlot& slot);
   void submit_segment(ClientSlot& slot, size_t stream);
@@ -402,7 +406,7 @@ class WorkloadEngine {
   size_t peak_concurrent_ = 0;
   bool started_ = false;
   bool stopped_ = false;
-  StatsRegistry::Handle stats_handle_;  ///< "<prefix>workload" group
+  StatsHook stats_hook_;  ///< last: dies first
 };
 
 }  // namespace mptcp

@@ -20,7 +20,9 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, Endpoint local,
       reap_timer_(stack.loop(), [this] { reap_closed_subflows(); }),
       meta_rto_timer_(stack.loop(), [this] { on_meta_rto(); }),
       meta_recv_(config_.recv_algo),
-      autotune_timer_(stack.loop(), [this] { autotune_tick(); }) {
+      autotune_timer_(stack.loop(), [this] { autotune_tick(); }),
+      stats_instance_(stack.loop().stats().next_instance(stats_head())),
+      stats_hook_(stack.loop().stats(), *this) {
   checksum_in_use_ = config_.dss_checksum;
   meta_snd_capacity_ = config_.meta_autotune
                            ? std::min<size_t>(config_.meta_snd_buf_max,
@@ -34,7 +36,6 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, Endpoint local,
   pending_local_ = local;
   pending_remote_ = remote;
   scheduler_ = Scheduler::make(config_.scheduler);
-  register_stats();
 }
 
 MptcpConnection::MptcpConnection(MptcpStack& stack, const TcpSegment& syn)
@@ -44,7 +45,9 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, const TcpSegment& syn)
       reap_timer_(stack.loop(), [this] { reap_closed_subflows(); }),
       meta_rto_timer_(stack.loop(), [this] { on_meta_rto(); }),
       meta_recv_(config_.recv_algo),
-      autotune_timer_(stack.loop(), [this] { autotune_tick(); }) {
+      autotune_timer_(stack.loop(), [this] { autotune_tick(); }),
+      stats_instance_(stack.loop().stats().next_instance(stats_head())),
+      stats_hook_(stack.loop().stats(), *this) {
   checksum_in_use_ = config_.dss_checksum;
   meta_snd_capacity_ = config_.meta_autotune
                            ? std::min<size_t>(config_.meta_snd_buf_max,
@@ -57,59 +60,48 @@ MptcpConnection::MptcpConnection(MptcpStack& stack, const TcpSegment& syn)
   pending_local_ = syn.tuple.dst;
   pending_remote_ = syn.tuple.src;
   scheduler_ = Scheduler::make(config_.scheduler);
-  register_stats();
 }
 
 MptcpConnection::~MptcpConnection() {
   if (token_registered_) stack_.tokens().unregister(local_token_);
 }
 
-void MptcpConnection::register_stats() {
-  StatsRegistry& reg = stack_.loop().stats();
-  // One registry entry for the connection and its live subflows: the hot
-  // paths keep bumping plain fields, this callback reads them only when
-  // someone exports.
-  stats_handle_ = reg.group(
-      reg.unique_scope(role_ == Role::kClient ? "mptcp.client"
-                                              : "mptcp.server"),
-      [this](SampleSink& out) {
-        out.emit("scheduler_picks", static_cast<double>(n_scheduler_picks_));
-        out.emit("dss_mappings_emitted",
-                 static_cast<double>(n_dss_mappings_));
-        out.emit("data_ack_advances",
-                 static_cast<double>(n_data_ack_advances_));
-        out.emit("data_acked_bytes", static_cast<double>(n_data_acked_bytes_));
-        out.emit("window_stalls", static_cast<double>(n_window_stalls_));
-        out.emit("m3_autotune_resizes",
-                 static_cast<double>(n_autotune_resizes_));
-        out.emit("m1_opportunistic_rtx",
-                 static_cast<double>(meta_stats_.opportunistic_retransmits));
-        out.emit("m2_penalizations",
-                 static_cast<double>(meta_stats_.penalizations));
-        out.emit("m4_cap_activations",
-                 static_cast<double>(cc_cap_activations()));
-        out.emit("meta_rtx_timeouts",
-                 static_cast<double>(meta_stats_.meta_rtx_timeouts));
-        out.emit("reinjected_bytes",
-                 static_cast<double>(meta_stats_.reinjected_bytes));
-        out.emit("checksum_failures",
-                 static_cast<double>(meta_stats_.checksum_failures));
-        out.emit("subflow_resets",
-                 static_cast<double>(meta_stats_.subflow_resets));
-        out.emit("fallbacks", static_cast<double>(meta_stats_.fallbacks));
-        out.emit("rx_duplicate_bytes",
-                 static_cast<double>(meta_stats_.rx_duplicate_bytes));
-        out.emit("delivered_bytes", static_cast<double>(delivered_bytes_));
-        out.emit("snd_mem_bytes", static_cast<double>(meta_snd_.size()));
-        out.emit("rcv_mem_bytes", static_cast<double>(receiver_memory()));
-        out.emit("rx_app_queue_bytes", static_cast<double>(app_rx_.size()));
-        out.emit("subflows", static_cast<double>(subflows_.size()));
-        out.emit("mode", static_cast<double>(mode_));
-        const std::string sched =
-            "sched." + std::string(to_string(scheduler_->policy()));
-        out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
-        for (const auto& sf : subflows_) sf->sample_stats(out);
-      });
+std::string MptcpConnection::stats_scope() const {
+  return stack_.loop().stats().instance_scope(stats_head(), stats_instance_);
+}
+
+void MptcpConnection::publish_stats(StatsOut& out) const {
+  if (!out.open_instance(stats_head(), stats_instance_)) return;
+  out.emit("scheduler_picks", static_cast<double>(n_scheduler_picks_));
+  out.emit("dss_mappings_emitted", static_cast<double>(n_dss_mappings_));
+  out.emit("data_ack_advances", static_cast<double>(n_data_ack_advances_));
+  out.emit("data_acked_bytes", static_cast<double>(n_data_acked_bytes_));
+  out.emit("window_stalls", static_cast<double>(n_window_stalls_));
+  out.emit("m3_autotune_resizes", static_cast<double>(n_autotune_resizes_));
+  out.emit("m1_opportunistic_rtx",
+           static_cast<double>(meta_stats_.opportunistic_retransmits));
+  out.emit("m2_penalizations", static_cast<double>(meta_stats_.penalizations));
+  out.emit("m4_cap_activations", static_cast<double>(cc_cap_activations()));
+  out.emit("meta_rtx_timeouts",
+           static_cast<double>(meta_stats_.meta_rtx_timeouts));
+  out.emit("reinjected_bytes",
+           static_cast<double>(meta_stats_.reinjected_bytes));
+  out.emit("checksum_failures",
+           static_cast<double>(meta_stats_.checksum_failures));
+  out.emit("subflow_resets", static_cast<double>(meta_stats_.subflow_resets));
+  out.emit("fallbacks", static_cast<double>(meta_stats_.fallbacks));
+  out.emit("rx_duplicate_bytes",
+           static_cast<double>(meta_stats_.rx_duplicate_bytes));
+  out.emit("delivered_bytes", static_cast<double>(delivered_bytes_));
+  out.emit("snd_mem_bytes", static_cast<double>(meta_snd_.size()));
+  out.emit("rcv_mem_bytes", static_cast<double>(receiver_memory()));
+  out.emit("rx_app_queue_bytes", static_cast<double>(app_rx_.size()));
+  out.emit("subflows", static_cast<double>(subflows_.size()));
+  out.emit("mode", static_cast<double>(mode_));
+  const std::string sched =
+      "sched." + std::string(to_string(scheduler_->policy()));
+  out.emit(sched + ".allocs", static_cast<double>(scheduler_->allocs()));
+  for (const auto& sf : subflows_) sf->sample_stats(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +144,6 @@ void MptcpConnection::init_client_keys() {
   idsn_local_ = kt.idsn;
   snd_base_d_ = idsn_local_ + 1;
   meta_snd_.reset(snd_base_d_);
-  meta_snd_end_ = snd_base_d_;
   snd_una_d_ = snd_nxt_d_ = snd_base_d_;
 }
 
@@ -189,7 +180,6 @@ void MptcpConnection::accept(const TcpSegment& syn) {
     idsn_local_ = kt.idsn;
     snd_base_d_ = idsn_local_ + 1;
     meta_snd_.reset(snd_base_d_);
-    meta_snd_end_ = snd_base_d_;
     snd_una_d_ = snd_nxt_d_ = snd_base_d_;
   } else {
     // Plain TCP client (or MPTCP disabled here): serve it as TCP.
@@ -275,7 +265,6 @@ size_t MptcpConnection::write_shared(Payload bytes) {
   }
   const size_t n =
       meta_snd_.append_shared(std::move(bytes), meta_snd_capacity_);
-  meta_snd_end_ = meta_snd_.end_seq();
   if (n > 0) schedule();
   return n;
 }

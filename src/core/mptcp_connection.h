@@ -99,9 +99,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint32_t remote_token() const { return remote_token_; }
 
   uint64_t data_acked() const { return snd_una_d_; }
-  uint64_t data_written() const { return meta_snd_end_ - snd_base_d_; }
-  uint64_t data_delivered() const { return delivered_bytes_; }
-  uint64_t bytes_in_flight_meta() const { return snd_nxt_d_ - snd_una_d_; }
 
   /// Sender-side memory: connection-level send queue occupancy (Fig. 5).
   size_t sender_memory() const { return meta_snd_.size(); }
@@ -133,10 +130,13 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   /// The LIA coupling across this connection's subflows.
   const CoupledGroup& coupled_group() const { return cc_group_; }
 
-  /// Scope prefix of this connection in the loop's StatsRegistry
-  /// ("mptcp.client", "mptcp.server#2", ...); its live subflows appear
-  /// under "<scope>.sf<id>".
-  const std::string& stats_scope() const { return stats_handle_.scope(); }
+  /// Scope of this connection in the loop's stats export ("mptcp.client",
+  /// "mptcp.server#2", "mptcp.client@s1#3", ...); its live subflows appear
+  /// under "<scope>.sf<id>". Built on each call from the role, the shard
+  /// tag and the instance number drawn at birth.
+  std::string stats_scope() const;
+  /// The connection's and its live subflows' values, under stats_scope().
+  void publish_stats(StatsOut& out) const;
   /// Called by subflows for every DSS mapping they emit.
   void count_dss_mapping() { ++n_dss_mappings_; }
 
@@ -188,7 +188,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint64_t meta_receive_window() const;
   bool dss_checksum_enabled() const { return checksum_in_use_; }
   uint64_t idsn_local() const { return idsn_local_; }
-  uint64_t idsn_remote() const { return idsn_remote_; }
 
   /// Runs the packet scheduler: one pass of the configured policy over
   /// the buffered data (see core/scheduler.h), then the DATA_FIN rule
@@ -233,7 +232,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   void sched_window_blocked(MptcpSubflow& fast) override {
     window_blocked(&fast);
   }
-  void register_stats();
+  const char* stats_head() const {
+    return role_ == Role::kClient ? "mptcp.client" : "mptcp.server";
+  }
   void init_client_keys();
   void fallback_to_tcp(const char* reason);
   /// Hooks the surviving subflow's send-space signal up to the
@@ -286,7 +287,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // --- sender state (data sequence space) -----------------------------------
   SendBuffer meta_snd_;
   uint64_t snd_base_d_ = 0;   ///< first data byte's dsn (idsn_local + 1)
-  uint64_t meta_snd_end_ = 0; ///< == meta_snd_.end_seq(), tracked for stats
   uint64_t snd_una_d_ = 0;    ///< DATA_ACK received
   uint64_t snd_nxt_d_ = 0;    ///< next dsn to allocate to a subflow
   size_t meta_snd_capacity_ = 0;
@@ -329,11 +329,10 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   MetaStats meta_stats_;
 
   // Observability (net/stats.h): hot paths bump these plain fields; the
-  // registry reads them only at export, through ONE group entry per
-  // connection (register_stats()), which stats_handle_ erases when the
-  // connection dies. Connection churn therefore costs one registry insert
-  // and one erase, however many values the connection and its subflows
-  // expose.
+  // registry reads them only at export, through stats_hook_ and
+  // publish_stats(). Connection churn costs linking and unlinking the
+  // hook and no allocation, however many values the connection and its
+  // subflows expose.
   uint64_t n_scheduler_picks_ = 0;
   uint64_t n_dss_mappings_ = 0;
   uint64_t n_data_ack_advances_ = 0;
@@ -345,7 +344,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   bool connected_notified_ = false;
   bool fastclose_sent_ = false;
   bool auto_destroy_ = false;
-  StatsRegistry::Handle stats_handle_;  ///< last: erased before any member dies
+  /// This connection's number among its role's on the loop, from birth.
+  const uint32_t stats_instance_;
+  StatsHook stats_hook_;  ///< last: dies first
 };
 
 }  // namespace mptcp

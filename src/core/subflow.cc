@@ -23,7 +23,7 @@ MptcpSubflow::MptcpSubflow(MptcpConnection& meta, size_t id, SubflowKind kind,
   local_nonce_ = rng().next_u32();
 }
 
-void MptcpSubflow::sample_stats(SampleSink& out) const {
+void MptcpSubflow::sample_stats(StatsOut& out) const {
   const std::string sf = "sf" + std::to_string(id_) + ".";
   out.emit(sf + "dss_mappings_emitted", static_cast<double>(n_mappings_));
   out.emit(sf + "scheduler_picks", static_cast<double>(n_picks_));

@@ -96,14 +96,9 @@ class MptcpSubflow final : public TcpConnection {
   /// MP_JOIN handshake nonces/macs (exposed for tests).
   uint32_t local_nonce() const { return local_nonce_; }
 
-  /// Subflow-level receive stats.
-  uint64_t unmapped_dropped_bytes() const {
-    return rx_mappings_.unmapped_bytes();
-  }
-
   /// Emits this subflow's export values as "sf<id>.<name>", through its
   /// connection's registry group (a subflow has no entry of its own).
-  void sample_stats(SampleSink& out) const;
+  void sample_stats(StatsOut& out) const;
 
   /// The meta scheduler chose this subflow for a chunk of data.
   void note_scheduler_pick() { ++n_picks_; }

@@ -26,18 +26,10 @@ namespace mptcp {
 /// One-directional in-path element.
 class SimpleMiddlebox : public Middlebox {
  public:
-  void deliver(TcpSegment seg) final {
-    ++seen_;
-    process(std::move(seg));
-  }
-
-  uint64_t segments_seen() const { return seen_; }
+  void deliver(TcpSegment seg) final { process(std::move(seg)); }
 
  protected:
   virtual void process(TcpSegment seg) = 0;
-
- private:
-  uint64_t seen_ = 0;
 };
 
 /// Two-directional element: owns a forward sink (toward the server) and a

@@ -21,7 +21,6 @@ class Nat final : public DuplexMiddlebox {
 
   IpAddr public_addr() const { return public_addr_; }
   size_t mappings() const { return out_map_.size(); }
-  uint64_t rebinds() const { return rebinds_; }
 
   /// Models a NAT reboot or mapping timeout mid-connection: every binding
   /// is forgotten. In-flight return traffic to the old public ports is
@@ -32,7 +31,6 @@ class Nat final : public DuplexMiddlebox {
   void rebind() {
     out_map_.clear();
     in_map_.clear();
-    ++rebinds_;
   }
 
  protected:
@@ -44,7 +42,6 @@ class Nat final : public DuplexMiddlebox {
   Port next_port_;
   std::unordered_map<Endpoint, Endpoint> out_map_;  ///< private -> public
   std::unordered_map<Endpoint, Endpoint> in_map_;   ///< public -> private
-  uint64_t rebinds_ = 0;
 };
 
 }  // namespace mptcp

@@ -41,12 +41,8 @@ void ProactiveAcker::on_reverse(TcpSegment seg) {
     st.last_window = seg.window;
     if (seg.ack_flag && st.synced && policy_ != AckPolicy::kPassThrough &&
         seq32_lt(st.highest_end, seg.ack)) {
-      if (policy_ == AckPolicy::kDropUnseen) {
-        ++suppressed_;
-        return;
-      }
+      if (policy_ == AckPolicy::kDropUnseen) return;
       seg.ack = st.highest_end;  // kCorrectUnseen
-      ++suppressed_;
     }
   }
   emit_reverse(std::move(seg));

@@ -30,7 +30,6 @@ class ProactiveAcker final : public DuplexMiddlebox {
       : policy_(policy) {}
 
   uint64_t forged_acks() const { return forged_; }
-  uint64_t suppressed_acks() const { return suppressed_; }
 
  protected:
   void on_forward(TcpSegment seg) override;
@@ -46,7 +45,6 @@ class ProactiveAcker final : public DuplexMiddlebox {
   AckPolicy policy_;
   std::unordered_map<FourTuple, FlowState> flows_;
   uint64_t forged_ = 0;
-  uint64_t suppressed_ = 0;
 };
 
 }  // namespace mptcp

@@ -47,12 +47,6 @@ struct TcpSegment {
 
   size_t payload_size() const { return payload.size(); }
 
-  /// Bytes of sequence space this segment occupies (SYN and FIN count 1).
-  uint32_t seq_space_len() const {
-    return static_cast<uint32_t>(payload.size()) + (syn ? 1u : 0u) +
-           (fin ? 1u : 0u);
-  }
-
   /// Size of the encoded TCP options, padded to a 4-byte boundary.
   size_t options_wire_size() const {
     size_t n = 0;

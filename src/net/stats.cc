@@ -1,59 +1,27 @@
 #include "net/stats.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <type_traits>
+#include <vector>
 
 namespace mptcp {
 
 uint64_t Histogram::approx_percentile(double p) const {
-  if (count_ == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const double target = p * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target && buckets_[i] > 0) {
-      return i == 0 ? 0 : uint64_t{1} << i;
-    }
-  }
-  return max_;
-}
-
-void Histogram::merge_from(const Histogram& o) {
-  if (o.count_ == 0) return;
-  for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
-  if (count_ == 0 || o.min_ < min_) min_ = o.min_;
-  if (o.max_ > max_) max_ = o.max_;
-  count_ += o.count_;
-  sum_ += o.sum_;
+  const size_t i = rank_bucket(p);
+  if (count() == 0 || i == 0) return 0;
+  if (i == kBuckets) return max();
+  // The top bucket, [2^63, 2^64), has no representable bound.
+  return i < 64 ? uint64_t{1} << i : UINT64_MAX;
 }
 
 uint64_t FineHistogram::percentile(double p) const {
-  if (count_ == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  const double target = p * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target && buckets_[i] > 0) {
-      return bucket_floor(i);
-    }
-  }
-  return max_;
-}
-
-void FineHistogram::merge_from(const FineHistogram& o) {
-  if (o.count_ == 0) return;
-  for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
-  if (count_ == 0 || o.min_ < min_) min_ = o.min_;
-  if (o.max_ > max_) max_ = o.max_;
-  count_ += o.count_;
-  sum_ += o.sum_;
+  const size_t i = rank_bucket(p);
+  if (count() == 0) return 0;
+  return i == kBuckets ? max() : bucket_floor(i);
 }
 
 namespace {
@@ -71,7 +39,7 @@ std::string join(std::string_view scope, std::string_view name) {
 /// The one histogram expansion, shared by groups' histogram members,
 /// registry histograms and value().
 template <class H>
-void emit_fields(SampleSink& out, std::string_view name, const H& h) {
+void emit_fields(StatsOut& out, std::string_view name, const H& h) {
   const auto put = [&](std::string_view field, double v) {
     out.emit(join(name, field), v);
   };
@@ -87,52 +55,109 @@ void emit_fields(SampleSink& out, std::string_view name, const H& h) {
   }
 }
 
-/// Adds every emitted pair to `out` under "<scope>.<name>".
-class AddSink final : public SampleSink {
+/// Appends a scope's instance suffix: "#<n>" for n > 1, else nothing.
+void append_number(std::string& scope, uint32_t n) {
+  if (n > 1) scope += '#' + std::to_string(n);
+}
+
+/// Walks one registry's hooks in registration order (start() per
+/// registry), naming each scope a hook opens as StatsOut documents. With
+/// a map it adds every emitted pair under "<scope>.<name>"; without one
+/// it collects the scope names and takes no values (value()'s index).
+class NamingOut final : public StatsOut {
  public:
-  AddSink(std::map<std::string, double>& out, std::string_view scope)
-      : out_(out), scope_(scope) {}
-  void emit(std::string_view name, double value) override {
-    out_[join(scope_, name)] += value;
+  explicit NamingOut(std::map<std::string, double>* out) : out_(out) {}
+
+  void start(std::string_view tag) {
+    tag_ = tag;
+    numbered_.clear();
   }
 
+  bool open_shared(std::string_view name) override {
+    scope.assign(name);
+    return opened();
+  }
+
+  bool open(std::string_view head, std::string_view name) override {
+    scope.assign(head).append(name).append(tag_);
+    append_number(scope, ++numbered_[scope]);
+    return opened();
+  }
+
+  bool open_instance(std::string_view head, uint32_t n) override {
+    scope.assign(head).append(tag_);
+    append_number(scope, n);
+    return opened();
+  }
+
+  void emit(std::string_view name, double value) override {
+    (*out_)[join(scope, name)] += value;
+  }
+
+  std::string scope;                ///< the open scope's full name
+  std::vector<std::string> scopes;  ///< without a map: the names opened
+
  private:
-  std::map<std::string, double>& out_;
-  std::string_view scope_;
+  bool opened() {
+    if (out_ != nullptr) return true;
+    scopes.push_back(scope);
+    return false;
+  }
+
+  std::map<std::string, double>* out_;
+  std::string_view tag_;
+  /// Live objects seen so far per unnumbered scope, this registry.
+  std::map<std::string, uint32_t> numbered_;
 };
 
-/// Sums the emitted values named `want`.
-class FindSink final : public SampleSink {
+/// Sums the values emitted as `want`, by a registry entry or under the
+/// `nth` scope a hook opens.
+class FindOut final : public StatsOut {
  public:
-  explicit FindSink(std::string_view want) : want_(want) {}
+  explicit FindOut(std::string_view want, size_t nth = SIZE_MAX)
+      : want_(want), nth_(nth), open_(nth == SIZE_MAX) {}
+
+  bool open_shared(std::string_view) override { return next(); }
+  bool open(std::string_view, std::string_view) override { return next(); }
+  bool open_instance(std::string_view, uint32_t) override { return next(); }
+
   void emit(std::string_view name, double value) override {
-    if (name == want_) found_ += value;
+    if (open_ && name == want_) found += value;
   }
-  double found() const { return found_; }
+
+  double found = 0.0;
 
  private:
+  bool next() { return open_ = opened_++ == nth_; }
+
   std::string_view want_;
-  double found_ = 0.0;
+  size_t nth_;
+  size_t opened_ = 0;
+  bool open_;
 };
 
 }  // namespace
 
-void SampleSink::emit_histogram(std::string_view name, const Histogram& h) {
+void StatsOut::emit_histogram(std::string_view name, const Histogram& h) {
   emit_fields(*this, name, h);
 }
 
-void SampleSink::emit_histogram(std::string_view name,
+void StatsOut::emit_histogram(std::string_view name,
                                 const FineHistogram& h) {
   emit_fields(*this, name, h);
 }
 
-const std::string& StatsRegistry::Handle::scope() const {
-  static const std::string kNone;
-  return reg_ != nullptr ? it_->first : kNone;
+void StatsHook::link() {
+  prev_ = reg_.tail_;
+  (prev_ != nullptr ? prev_->next_ : reg_.head_) = this;
+  reg_.tail_ = this;
+  reg_.index_valid_ = false;
 }
 
-void StatsRegistry::Handle::reset() {
-  if (reg_ != nullptr) std::exchange(reg_, nullptr)->entries_.erase(it_);
+StatsHook::~StatsHook() {
+  (prev_ != nullptr ? prev_->next_ : reg_.head_) = next_;
+  (next_ != nullptr ? next_->prev_ : reg_.tail_) = prev_;
+  reg_.index_valid_ = false;
 }
 
 // The transparent find keeps the lookup-of-existing path allocation-free:
@@ -140,69 +165,92 @@ void StatsRegistry::Handle::reset() {
 // materializing a std::string per call.
 StatsRegistry::Entry& StatsRegistry::entry(std::string_view name) {
   auto it = entries_.find(name);
-  if (it == entries_.end()) it = entries_.emplace(name, Entry{});
+  if (it == entries_.end()) it = entries_.emplace(name, Entry{}).first;
   return it->second;
 }
 
 Gauge& StatsRegistry::gauge(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.gauge) e = Entry{std::make_unique<Gauge>(), nullptr, {}, nullptr};
+  if (!e.gauge) e = Entry{std::make_unique<Gauge>(), nullptr, nullptr};
   return *e.gauge;
 }
 
 Histogram& StatsRegistry::histogram(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.hist) e = Entry{nullptr, std::make_unique<Histogram>(), {}, nullptr};
+  if (!e.hist) e = Entry{nullptr, std::make_unique<Histogram>(), nullptr};
   return *e.hist;
 }
 
-StatsRegistry::Handle StatsRegistry::group(std::string scope, GroupFn fn) {
-  return Handle(*this, entries_.emplace(std::move(scope),
-                                        Entry{nullptr, nullptr, std::move(fn),
-                                              nullptr}));
+uint32_t StatsRegistry::next_instance(std::string_view head) {
+  auto it = instances_.find(head);
+  if (it == instances_.end()) it = instances_.emplace(head, 0).first;
+  return ++it->second;
 }
 
-std::string StatsRegistry::unique_scope(const std::string& base) {
-  const std::string tagged = base + scope_tag_;
-  const int n = ++scope_counts_[tagged];
-  if (n == 1) return tagged;
-  return tagged + "#" + std::to_string(n);
+std::string StatsRegistry::instance_scope(std::string_view head,
+                                          uint32_t n) const {
+  std::string scope = std::string(head) + scope_tag_;
+  append_number(scope, n);
+  return scope;
 }
 
-const Gauge* StatsRegistry::find_gauge(std::string_view name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : it->second.gauge.get();
-}
-
-void StatsRegistry::expand(const Entry& e, SampleSink& out) {
+void StatsRegistry::expand(const Entry& e, StatsOut& out) {
   if (e.gauge) {
     out.emit({}, static_cast<double>(e.gauge->value()));
   } else if (e.hist) {
     out.emit_histogram({}, *e.hist);
-  } else if (e.group) {
-    e.group(out);
   } else if (e.owned) {
     e.owned->sample(out);
   }
 }
 
-double StatsRegistry::value(std::string_view flat_key) const {
-  // The longest prefix of the key (at a '.') that names an entry decides:
-  // that entry's expansion is searched for the rest of the key. Export
-  // path only -- O(depth) lookups.
-  size_t end = flat_key.size();
-  while (end > 0) {
-    const auto [lo, hi] = entries_.equal_range(flat_key.substr(0, end));
-    if (lo != hi) {
-      FindSink sink(end < flat_key.size() ? flat_key.substr(end + 1)
-                                          : std::string_view{});
-      for (auto it = lo; it != hi; ++it) expand(it->second, sink);
-      return sink.found();
+void StatsRegistry::build_index() const {
+  index_.clear();
+  NamingOut out(nullptr);
+  out.start(scope_tag_);
+  for (const StatsHook* h = head_; h != nullptr; h = h->next_) {
+    out.scopes.clear();
+    h->publish(out);
+    for (uint32_t i = 0; i < out.scopes.size(); ++i) {
+      index_.push_back({std::move(out.scopes[i]), h, i});
     }
+  }
+  std::sort(index_.begin(), index_.end(),
+            [](const IndexedScope& a, const IndexedScope& b) {
+              return a.name < b.name;
+            });
+  index_valid_ = true;
+}
+
+double StatsRegistry::value(std::string_view flat_key) const {
+  if (!index_valid_) build_index();
+  // Every prefix of the key at a '.', and the key itself, may name an
+  // entry or a hook's scope; each one found is asked for the rest of the
+  // key. Export path only -- O(depth) lookups.
+  double sum = 0.0;
+  size_t end = flat_key.size();
+  while (true) {
+    const std::string_view scope = flat_key.substr(0, end);
+    const std::string_view want =
+        end < flat_key.size() ? flat_key.substr(end + 1) : std::string_view{};
+    if (const auto e = entries_.find(scope); e != entries_.end()) {
+      FindOut find(want);
+      expand(e->second, find);
+      sum += find.found;
+    }
+    auto it = std::lower_bound(
+        index_.begin(), index_.end(), scope,
+        [](const IndexedScope& s, std::string_view k) { return s.name < k; });
+    for (; it != index_.end() && it->name == scope; ++it) {
+      FindOut find(want, it->nth);
+      it->hook->publish(find);
+      sum += find.found;
+    }
+    if (end == 0) break;
     end = flat_key.rfind('.', end - 1);
     if (end == std::string_view::npos) break;
   }
-  return 0.0;
+  return sum;
 }
 
 std::map<std::string, double> StatsRegistry::flatten() const {
@@ -218,6 +266,7 @@ std::string StatsRegistry::to_json() const {
 std::map<std::string, double> StatsRegistry::merged_flatten(
     std::span<const StatsRegistry* const> parts) {
   std::map<std::string, double> out;
+  NamingOut sink(&out);
   // Histograms accumulate here first so a name present in several
   // partitions expands once, from the union of samples, instead of
   // summing per-partition means/mins.
@@ -227,13 +276,17 @@ std::map<std::string, double> StatsRegistry::merged_flatten(
       if (e.hist) {
         hists[name].merge_from(*e.hist);
       } else {
-        AddSink sink(out, name);
+        sink.scope = name;
         expand(e, sink);
       }
     }
+    sink.start(part->scope_tag_);
+    for (const StatsHook* h = part->head_; h != nullptr; h = h->next_) {
+      h->publish(sink);
+    }
   }
   for (const auto& [name, h] : hists) {
-    AddSink sink(out, name);
+    sink.scope = name;
     sink.emit_histogram({}, h);
   }
   return out;

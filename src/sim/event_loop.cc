@@ -13,14 +13,16 @@ EventLoop::EventLoop() {
   // so identical runs in one process export identical stats (determinism
   // tests compare stats JSON across in-process runs).
   Payload::pool_reset();
-  stats_handle_ = stats_.group("sim", [this](SampleSink& out) {
-    out.emit("events_scheduled", static_cast<double>(ev_scheduled_));
-    out.emit("events_cancelled", static_cast<double>(ev_cancelled_));
-    out.emit("events_fired", static_cast<double>(ev_fired_));
-    out.emit("timer_gc_sweeps", static_cast<double>(gc_sweeps_));
-    out.emit("events_live", static_cast<double>(live_));
-    out.emit("now_ns", static_cast<double>(now_));
-  });
+}
+
+void EventLoop::publish_stats(StatsOut& out) const {
+  if (!out.open_shared("sim")) return;
+  out.emit("events_scheduled", static_cast<double>(ev_scheduled_));
+  out.emit("events_cancelled", static_cast<double>(ev_cancelled_));
+  out.emit("events_fired", static_cast<double>(ev_fired_));
+  out.emit("timer_gc_sweeps", static_cast<double>(gc_sweeps_));
+  out.emit("events_live", static_cast<double>(live_));
+  out.emit("now_ns", static_cast<double>(now_));
 }
 
 void EventLoop::pending_insert(const WheelEntry& e) {

@@ -168,6 +168,9 @@ class EventLoop {
   /// bump plain integers, and the registry walks them at export time.
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
+  /// The loop's own counters, under the shared scope "sim" (merged exports
+  /// sum them over shards).
+  void publish_stats(StatsOut& out) const;
 
   uint64_t events_scheduled() const { return ev_scheduled_; }
   uint64_t events_cancelled() const { return ev_cancelled_; }
@@ -338,14 +341,14 @@ class EventLoop {
   std::vector<std::vector<WheelEntry>> spare_slots_;
   size_t entries_ = 0;  ///< entries stored anywhere, dead ones included
 
-  // Scheduling counters: plain increments on the hot path, exported by
-  // the "sim" group the constructor registers.
+  // Scheduling counters: plain increments on the hot path, exported
+  // through stats_hook_.
   uint64_t ev_scheduled_ = 0;
   uint64_t ev_cancelled_ = 0;
   uint64_t ev_fired_ = 0;
   uint64_t gc_sweeps_ = 0;
   StatsRegistry stats_;
-  StatsRegistry::Handle stats_handle_;  ///< after stats_: dies first
+  StatsHook stats_hook_{stats_, *this};  ///< after stats_: dies first
 };
 
 /// A re-armable one-shot timer bound to an EventLoop.
@@ -362,7 +365,6 @@ class Timer {
   void arm_in(SimTime dt) { arm_at(loop_.now() + dt); }
 
   void arm_at(SimTime t) {
-    expiry_ = t;
     if (armed_) {
       // Re-arm keeps the scheduled callback and just moves the deadline;
       // same observable behavior as cancel + schedule, none of the cost.
@@ -388,13 +390,11 @@ class Timer {
   }
 
   bool armed() const { return armed_; }
-  SimTime expiry() const { return expiry_; }
 
  private:
   EventLoop& loop_;
   EventLoop::Callback cb_;
   EventLoop::EventId id_ = 0;
-  SimTime expiry_ = 0;
   bool armed_ = false;
 };
 

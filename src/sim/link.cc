@@ -10,21 +10,18 @@ Link::Link(EventLoop& loop, LinkConfig config, std::string name)
     : loop_(loop),
       config_(config),
       name_(std::move(name)),
-      rng_(config.loss_seed) {
-  StatsRegistry& reg = loop_.stats();
-  stats_handle_ =
-      reg.group(reg.unique_scope("sim.link." + name_), [this](SampleSink& out) {
-        out.emit("enqueued_pkts", static_cast<double>(stats_.enqueued_pkts));
-        out.emit("delivered_pkts", static_cast<double>(stats_.delivered_pkts));
-        out.emit("delivered_bytes",
-                 static_cast<double>(stats_.delivered_bytes));
-        out.emit("dropped_overflow",
-                 static_cast<double>(stats_.dropped_overflow));
-        out.emit("dropped_loss", static_cast<double>(stats_.dropped_loss));
-        out.emit("dropped_down", static_cast<double>(stats_.dropped_down));
-        out.emit("queued_bytes", static_cast<double>(queued_bytes_));
-        out.emit_histogram("occupancy_bytes", occupancy_);
-      });
+      rng_(config.loss_seed) {}
+
+void Link::publish_stats(StatsOut& out) const {
+  if (!out.open("sim.link.", name_)) return;
+  out.emit("enqueued_pkts", static_cast<double>(stats_.enqueued_pkts));
+  out.emit("delivered_pkts", static_cast<double>(stats_.delivered_pkts));
+  out.emit("delivered_bytes", static_cast<double>(stats_.delivered_bytes));
+  out.emit("dropped_overflow", static_cast<double>(stats_.dropped_overflow));
+  out.emit("dropped_loss", static_cast<double>(stats_.dropped_loss));
+  out.emit("dropped_down", static_cast<double>(stats_.dropped_down));
+  out.emit("queued_bytes", static_cast<double>(queued_bytes_));
+  out.emit_histogram("occupancy_bytes", occupancy_);
 }
 
 void Link::deliver(TcpSegment seg) {

@@ -79,7 +79,6 @@ class Link : public PacketSink {
   /// Administrative up/down; a downed link drops everything, modelling
   /// loss of an interface (mobility scenarios).
   void set_up(bool up) { up_ = up; }
-  bool is_up() const { return up_; }
 
   /// Changes the loss probability mid-run (scenario scripting).
   void set_loss_prob(double p) { config_.loss_prob = p; }
@@ -92,9 +91,9 @@ class Link : public PacketSink {
   size_t queued_bytes() const { return queued_bytes_; }
   /// Queue depth in bytes, sampled on every enqueue.
   const Histogram& occupancy() const { return occupancy_; }
-  /// Registry scope this link publishes under ("sim.link.<name>", made
-  /// collision-free by the loop's registry).
-  const std::string& stats_scope() const { return stats_handle_.scope(); }
+  /// Exports the counters under "sim.link.<name>" (numbered "#2", ...
+  /// after the first live link of that name on the loop).
+  void publish_stats(StatsOut& out) const;
 
  private:
   void start_transmission();
@@ -137,7 +136,7 @@ class Link : public PacketSink {
   bool up_ = true;
   Stats stats_;
   Histogram occupancy_;
-  StatsRegistry::Handle stats_handle_;
+  StatsHook stats_hook_{loop_.stats(), *this};  ///< last: dies first
 };
 
 }  // namespace mptcp

@@ -81,7 +81,6 @@ void Host::send_burst(std::vector<TcpSegment>& batch) {
 }
 
 void Host::deliver(TcpSegment seg) {
-  ++delivered_segments_;
   const SimTime cost =
       cpu_.per_segment +
       cpu_.per_byte * static_cast<SimTime>(seg.payload_size());
@@ -93,7 +92,6 @@ void Host::deliver(TcpSegment seg) {
   // through its backlog plus this segment's own cost.
   const SimTime start = std::max(loop_.now(), cpu_free_at_);
   cpu_free_at_ = start + cost;
-  cpu_busy_total_ += cost;
   cpu_pending_.push_back(std::move(seg));
   loop_.schedule_at(cpu_free_at_, [this] { process_queued(); });
 }
@@ -129,13 +127,13 @@ void Host::unbind(const Endpoint& local, const Endpoint& remote) {
   conns_.erase(FourTuple{local, remote});
 }
 
-Router::Router(EventLoop& loop, std::string name) : name_(std::move(name)) {
-  StatsRegistry& reg = loop.stats();
-  stats_handle_ = reg.group(
-      reg.unique_scope("sim.router." + name_), [this](SampleSink& out) {
-        out.emit("forwarded", static_cast<double>(forwarded_));
-        out.emit("dropped_no_route", static_cast<double>(dropped_no_route_));
-      });
+Router::Router(EventLoop& loop, std::string name)
+    : name_(std::move(name)), stats_hook_(loop.stats(), *this) {}
+
+void Router::publish_stats(StatsOut& out) const {
+  if (!out.open("sim.router.", name_)) return;
+  out.emit("forwarded", static_cast<double>(forwarded_));
+  out.emit("dropped_no_route", static_cast<double>(dropped_no_route_));
 }
 
 void Router::deliver(TcpSegment seg) {

@@ -98,9 +98,7 @@ class Host : public PacketSink {
   /// Charges extra CPU time from within segment processing; extends the
   /// busy period seen by subsequent segments.
   void charge_cpu(SimTime cost) { cpu_free_at_ += cost; }
-  SimTime cpu_busy_total() const { return cpu_busy_total_; }
 
-  uint64_t delivered_segments() const { return delivered_segments_; }
   uint64_t demux_misses() const { return demux_misses_; }
 
  private:
@@ -123,7 +121,6 @@ class Host : public PacketSink {
 
   CpuConfig cpu_;
   SimTime cpu_free_at_ = 0;
-  SimTime cpu_busy_total_ = 0;
   /// Segments awaiting the modelled CPU. Completion times are scheduled in
   /// non-decreasing order (cpu_free_at_ is monotonic), so each completion
   /// event processes the front -- the queue keeps segments out of the event
@@ -131,7 +128,6 @@ class Host : public PacketSink {
   RingQueue<TcpSegment> cpu_pending_;
 
   uint64_t send_drops_ = 0;
-  uint64_t delivered_segments_ = 0;
   uint64_t demux_misses_ = 0;
 };
 
@@ -149,8 +145,8 @@ class Router : public PacketSink {
   Router& operator=(const Router&) = delete;
 
   const std::string& name() const { return name_; }
-  /// Registry scope ("sim.router.<name>", made collision-free).
-  const std::string& stats_scope() const { return stats_handle_.scope(); }
+  /// Exports the counters under "sim.router.<name>".
+  void publish_stats(StatsOut& out) const;
 
   void add_route(IpAddr dst, PacketSink* next) { routes_[dst] = next; }
   void set_default_route(PacketSink* next) { default_ = next; }
@@ -158,7 +154,6 @@ class Router : public PacketSink {
     routes_.clear();
     default_ = nullptr;
   }
-  size_t route_count() const { return routes_.size(); }
   /// The installed next hop for `dst`, or null (scenario builders mirror
   /// an existing route under an alias address, e.g. a NAT's public side).
   PacketSink* next_hop(IpAddr dst) const {
@@ -179,7 +174,7 @@ class Router : public PacketSink {
   PacketSink* default_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t dropped_no_route_ = 0;
-  StatsRegistry::Handle stats_handle_;
+  StatsHook stats_hook_;  ///< last: dies first
 };
 
 }  // namespace mptcp

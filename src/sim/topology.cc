@@ -12,20 +12,23 @@ Topology::Topology(uint64_t seed, size_t shards) : seed_(seed) {
   loops_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     loops_.push_back(std::make_unique<EventLoop>());
-    // Tag non-zero shards' per-instance scope names so partitions can
+    // Tag non-zero shards' per-object scope names so partitions can
     // never alias in a merged export; shard 0 stays untagged to keep
     // single-shard exports byte-identical to the pre-sharding format.
     if (s > 0) loops_.back()->stats().set_scope_tag("@s" + std::to_string(s));
   }
+  pool_hook_.emplace(loops_[0]->stats(), *this);
+}
+
+void Topology::publish_stats(StatsOut& out) const {
   // The payload pool is per thread (net/payload.cc), and a merged export
   // sums same-named keys over shards, so one loop publishes it: shard 0,
   // whose thread builds the topology, runs shard 0 (ShardedEngine runs it
   // on the calling thread) and exports. Shard threads' pools are not
   // counted.
-  pool_stats_ = loops_[0]->stats().group("payload.pool", [](SampleSink& out) {
-    out.emit("hits", static_cast<double>(Payload::pool_stats().hits));
-    out.emit("misses", static_cast<double>(Payload::pool_stats().misses));
-  });
+  if (!out.open_shared("payload.pool")) return;
+  out.emit("hits", static_cast<double>(Payload::pool_stats().hits));
+  out.emit("misses", static_cast<double>(Payload::pool_stats().misses));
 }
 
 NodeId Topology::add_host(const std::string& name, size_t shard) {

@@ -42,6 +42,7 @@
 
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,6 +150,9 @@ class Topology {
   /// The deterministic ordered merge of every shard partition
   /// (StatsRegistry::merged_to_json); one shard's is its loop's JSON.
   std::string dump_stats();
+  /// The thread-local payload pool's counters, under "payload.pool"
+  /// (published by shard 0 only).
+  void publish_stats(StatsOut& out) const;
 
  private:
   struct Node {
@@ -182,7 +186,7 @@ class Topology {
   }
 
   std::vector<std::unique_ptr<EventLoop>> loops_;  ///< one per shard
-  StatsRegistry::Handle pool_stats_;  ///< payload.pool.*, on shard 0
+  std::optional<StatsHook> pool_hook_;  ///< payload.pool.*, on shard 0
   uint64_t seed_;
   size_t ring_capacity_ = 1024;
   SimTime min_cross_prop_ = 0;

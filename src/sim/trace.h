@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,8 +33,6 @@ class TimeSeries {
     for (const auto& p : samples_) m = std::max(m, p.value);
     return m;
   }
-
-  double last() const { return samples_.empty() ? 0.0 : samples_.back().value; }
 
   /// Mean restricted to samples taken at or after `t0` (skips warm-up).
   double mean_after(SimTime t0) const {
@@ -86,14 +83,6 @@ class Distribution {
                : *std::max_element(values_.begin(), values_.end());
   }
 
-  double stddev() const {
-    if (values_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0;
-    for (double v : values_) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(values_.size() - 1));
-  }
-
   /// p in [0,1]; nearest-rank percentile.
   double percentile(double p) const {
     if (values_.empty()) return 0.0;
@@ -121,8 +110,6 @@ class Distribution {
     for (double& x : h) x /= static_cast<double>(values_.size());
     return h;
   }
-
-  const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<double> values_;

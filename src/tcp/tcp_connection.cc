@@ -42,7 +42,7 @@ class TcpConnection::Totals final : public OwnedGroup {
     if (c.live_next_ != nullptr) c.live_next_->live_prev_ = c.live_prev_;
   }
 
-  void sample(SampleSink& out) const override {
+  void sample(StatsOut& out) const override {
     for (size_t i = 0; i < kKeys.size(); ++i) {
       uint64_t sum = retired_[i];
       for (const TcpConnection* c = head_; c != nullptr; c = c->live_next_) {
@@ -1079,8 +1079,6 @@ uint32_t TcpConnection::current_tsval() const {
   return static_cast<uint32_t>(host_.loop().now() / kMicrosecond) + 1;
 }
 
-double TcpConnection::delivery_rate_bps() const { return delivery_rate_bps_; }
-
 void TcpConnection::autotune_rcv_buf() {
   // Dynamic right-sizing: measure delivered bytes over one receiver-RTT
   // window and size the buffer at twice that (Linux-style DRS).
@@ -1093,8 +1091,6 @@ void TcpConnection::autotune_rcv_buf() {
   }
   const SimTime elapsed = now - rate_window_start_;
   if (elapsed < rtt) return;
-  delivery_rate_bps_ = static_cast<double>(rate_window_bytes_) * 8.0 *
-                       kSecond / static_cast<double>(elapsed);
   const size_t target = std::min<size_t>(
       config_.rcv_buf_max, 2 * static_cast<size_t>(rate_window_bytes_ *
                                                    rtt / elapsed));
@@ -1105,10 +1101,6 @@ void TcpConnection::autotune_rcv_buf() {
 
 void TcpConnection::set_rcv_buf_capacity(size_t bytes) {
   rcv_buf_capacity_ = std::max(rcv_buf_capacity_, bytes);
-}
-
-void TcpConnection::set_snd_buf_capacity(size_t bytes) {
-  snd_buf_capacity_ = std::max(snd_buf_capacity_, bytes);
 }
 
 }  // namespace mptcp

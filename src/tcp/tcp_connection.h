@@ -143,15 +143,12 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   size_t rcv_buf_in_use() const {
     return reassembly_.ooo_bytes() + app_rx_.size();
   }
-  size_t snd_buf_capacity() const { return snd_buf_capacity_; }
   size_t rcv_buf_capacity() const { return rcv_buf_capacity_; }
   size_t snd_buf_space() const { return snd_buf_.space(snd_buf_capacity_); }
 
   /// Receiver-side RTT estimate (from echoed timestamps), used by
   /// receive-buffer autotuning.
   SimTime receiver_rtt() const { return rcv_rtt_; }
-  /// Receiver-side delivery-rate estimate in bytes/sec.
-  double delivery_rate_bps() const;
 
   // --- SegmentHandler -----------------------------------------------------
   void on_segment(const TcpSegment& seg) override;
@@ -209,16 +206,13 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   void send_ack();
   void send_rst();
   void reset_from_peer();
-  uint32_t effective_mss() const { return config_.mss; }
   /// Scale shift applied to incoming raw window fields (peer's wscale).
   uint8_t incoming_window_scale() const { return snd_wscale_; }
   EventLoop& loop() { return host_.loop(); }
   Rng& rng() { return rng_; }
-  bool fin_received() const { return fin_received_; }
 
   /// Grows the receive buffer (autotuning); never shrinks.
   void set_rcv_buf_capacity(size_t bytes);
-  void set_snd_buf_capacity(size_t bytes);
 
  private:
   void handle_syn_sent(const TcpSegment& seg);
@@ -233,7 +227,6 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   void maybe_send_fin();
   void on_rto();
   void on_persist();
-  void arm_rto();
   /// Merges SACK blocks into the scoreboard; returns newly-sacked bytes.
   uint64_t merge_sack_blocks(const SackOption& sack);
   /// The RFC 6675 "pipe" estimate: bytes believed in flight. Sacked bytes
@@ -333,7 +326,6 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   // Receiver-side delivery-rate estimation for autotuning.
   SimTime rate_window_start_ = 0;
   uint64_t rate_window_bytes_ = 0;
-  double delivery_rate_bps_ = 0;
 
   Stats stats_;
   bool bound_ = false;

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "app/digest.h"
@@ -307,15 +308,23 @@ TEST(ShardChannel, FrozenPayloadCrossesSharedPooledOneIsDetached) {
 // Deterministic stats merge.
 // ---------------------------------------------------------------------------
 
+/// Publishes fixed values under the shared scope "link".
+struct LinkValues {
+  LinkValues(StatsRegistry& reg, std::map<std::string, double> v)
+      : values(std::move(v)), hook(reg, *this) {}
+  void publish_stats(StatsOut& out) const {
+    if (!out.open_shared("link")) return;
+    for (const auto& [name, v] : values) out.emit(name, v);
+  }
+  std::map<std::string, double> values;
+  StatsHook hook;
+};
+
 TEST(StatsMerge, ScalarsSumAndHistogramsFoldByBucket) {
   StatsRegistry a;
   StatsRegistry b;
-  const StatsRegistry::Handle ga = a.group(
-      "link", [](SampleSink& out) { out.emit("pkts", 10.0); });
-  const StatsRegistry::Handle gb = b.group("link", [](SampleSink& out) {
-    out.emit("pkts", 32.0);
-    out.emit("only_b", 7.0);
-  });
+  const LinkValues ga(a, {{"pkts", 10.0}});
+  const LinkValues gb(b, {{"pkts", 32.0}, {"only_b", 7.0}});
   a.gauge("depth").set(3);
   b.gauge("depth").set(4);
   a.histogram("fct").record(8);
@@ -733,11 +742,10 @@ TEST(ScenarioSpec, AutoPlaceWeldsZeroDelayLinksAndExportsGauges) {
   // cross-shard links have positive delay) and export the quality
   // gauges on shard 0.
   Scenario scn = spec.build();
-  const Gauge* cut = scn.topo().stats(0).find_gauge("placement.cut_edges");
-  ASSERT_NE(cut, nullptr);
-  EXPECT_EQ(cut->value(), static_cast<int64_t>(p.cut_edges));
-  EXPECT_NE(scn.topo().stats(0).find_gauge("placement.imbalance_permille"),
-            nullptr);
+  const auto flat = scn.topo().stats(0).flatten();
+  ASSERT_EQ(flat.count("placement.cut_edges"), 1u);
+  EXPECT_EQ(flat.at("placement.cut_edges"), static_cast<double>(p.cut_edges));
+  EXPECT_EQ(flat.count("placement.imbalance_permille"), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "app/bulk_app.h"
@@ -52,94 +54,168 @@ TEST(StatsRegistry, GaugeHistogramBasics) {
   EXPECT_EQ(h.approx_percentile(1.0), 2048u);
   EXPECT_DOUBLE_EQ(reg.value("a.sizes.count"), 4.0);
   EXPECT_DOUBLE_EQ(reg.value("a.sizes.mean"), 1506.0 / 4.0);
+
+  // The top bucket, [2^63, 2^64), has no representable power-of-two
+  // bound: its percentile saturates.
+  Histogram top;
+  top.record(UINT64_MAX);
+  EXPECT_EQ(top.bucket(64), 1u);
+  EXPECT_EQ(top.approx_percentile(1.0), UINT64_MAX);
+  top.record(uint64_t{1} << 63);
+  EXPECT_EQ(top.approx_percentile(0.5), UINT64_MAX);
 }
+
+/// A publishing object for the registry tests: emits `values` under a
+/// scope opened the way its constructor picked, and counts the samples
+/// (scopes the reader accepted).
+class TestObject {
+ public:
+  using Values = std::map<std::string, double>;
+
+  /// Shared scope, used as is.
+  TestObject(StatsRegistry& reg, std::string scope, Values values)
+      : head_(std::move(scope)), values_(std::move(values)), hook_(reg, *this) {}
+  /// Own scope "<head><name>", numbered at export.
+  TestObject(StatsRegistry& reg, std::string head, std::string name,
+             Values values)
+      : head_(std::move(head)),
+        name_(std::move(name)),
+        numbered_(true),
+        values_(std::move(values)),
+        hook_(reg, *this) {}
+  /// Own scope "<head>", numbered at birth.
+  TestObject(StatsRegistry& reg, std::string head, Values values,
+             uint32_t instance)
+      : head_(std::move(head)),
+        instance_(instance),
+        values_(std::move(values)),
+        hook_(reg, *this) {}
+
+  void publish_stats(StatsOut& out) const {
+    const bool open = instance_ > 0 ? out.open_instance(head_, instance_)
+                      : numbered_   ? out.open(head_, name_)
+                                    : out.open_shared(head_);
+    if (!open) return;
+    ++samples_;
+    for (const auto& [name, v] : values_) out.emit(name, v);
+    if (sizes_ != nullptr) out.emit_histogram("sizes", *sizes_);
+  }
+
+  void set(const std::string& name, double v) { values_[name] = v; }
+  void add_histogram(const Histogram& h) { sizes_ = &h; }
+  int samples() const { return samples_; }
+
+ private:
+  std::string head_;
+  std::string name_;
+  bool numbered_ = false;
+  uint32_t instance_ = 0;
+  Values values_;
+  const Histogram* sizes_ = nullptr;
+  mutable int samples_ = 0;
+  StatsHook hook_;
+};
 
 TEST(StatsRegistry, SampledValuesAreLazy) {
   StatsRegistry reg;
-  int calls = 0;
-  const StatsRegistry::Handle h = reg.group("lazy", [&calls](SampleSink& out) {
-    ++calls;
-    out.emit("value", 3.5);
-  });
-  EXPECT_EQ(calls, 0);  // registration alone never samples
+  const TestObject lazy(reg, "lazy", {{"value", 3.5}});
+  EXPECT_EQ(lazy.samples(), 0);  // registration alone never samples
   EXPECT_DOUBLE_EQ(reg.value("lazy.value"), 3.5);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(lazy.samples(), 1);
+  EXPECT_DOUBLE_EQ(reg.value("other.value"), 0.0);
+  EXPECT_EQ(lazy.samples(), 1);  // a key outside its scope does not sample
   (void)reg.flatten();
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(lazy.samples(), 2);
 }
 
-StatsRegistry::Handle picks_group(StatsRegistry& reg, std::string scope,
-                                  double picks) {
-  return reg.group(std::move(scope), [picks](SampleSink& out) {
-    out.emit("picks", picks);
-  });
-}
-
-TEST(StatsRegistry, UniqueScopeAndHashSiblingRemoval) {
+TEST(StatsRegistry, InstanceNumbersAndHashSiblingRemoval) {
   StatsRegistry reg;
-  const std::string s1 = reg.unique_scope("mptcp.client");
-  const std::string s2 = reg.unique_scope("mptcp.client");
-  EXPECT_EQ(s1, "mptcp.client");
-  EXPECT_EQ(s2, "mptcp.client#2");
+  const uint32_t n1 = reg.next_instance("mptcp.client");
+  const uint32_t n2 = reg.next_instance("mptcp.client");
+  EXPECT_EQ(reg.instance_scope("mptcp.client", n1), "mptcp.client");
+  EXPECT_EQ(reg.instance_scope("mptcp.client", n2), "mptcp.client#2");
 
-  StatsRegistry::Handle first = picks_group(reg, s1, 1.0);
-  StatsRegistry::Handle second = picks_group(reg, s2, 5.0);
+  auto first = std::make_unique<TestObject>(
+      reg, "mptcp.client", TestObject::Values{{"picks", 1.0}}, n1);
+  auto second = std::make_unique<TestObject>(
+      reg, "mptcp.client", TestObject::Values{{"picks", 5.0}}, n2);
   // Shares a prefix but is NOT a child.
-  const StatsRegistry::Handle lookalike =
-      picks_group(reg, "mptcp.clientele", 2.0);
-  EXPECT_EQ(first.scope(), s1);
-  EXPECT_EQ(reg.size(), 3u);
+  const TestObject lookalike(reg, "mptcp.clientele", {{"picks", 2.0}});
+  EXPECT_EQ(reg.size(), 0u);  // hooks are not registry entries
 
-  // Destroying the first instance's handle must not touch the second
-  // instance ('#' sorts before '.', so "#2" keys interleave) nor the
-  // lookalike prefix.
-  first = StatsRegistry::Handle();
+  // Destroying the first instance must not touch the second ('#' sorts
+  // before '.', so "#2" keys interleave) nor the lookalike prefix.
+  first.reset();
   auto flat = reg.flatten();
-  EXPECT_EQ(flat.count(s1 + ".picks"), 0u);
-  EXPECT_EQ(flat.count(s2 + ".picks"), 1u);
+  EXPECT_EQ(flat.count("mptcp.client.picks"), 0u);
+  EXPECT_EQ(flat.count("mptcp.client#2.picks"), 1u);
   EXPECT_EQ(flat.count("mptcp.clientele.picks"), 1u);
-  EXPECT_EQ(reg.value(s2 + ".picks"), 5.0);
+  EXPECT_EQ(reg.value("mptcp.client#2.picks"), 5.0);
+  EXPECT_EQ(reg.value("mptcp.client.picks"), 0.0);
 
-  // A moved-from handle erases nothing; the handle it moved to does.
-  {
-    StatsRegistry::Handle moved = std::move(second);
-    EXPECT_EQ(moved.scope(), s2);
-    EXPECT_TRUE(second.scope().empty());
-    second = StatsRegistry::Handle();  // destroys the empty handle
-    EXPECT_EQ(reg.value(s2 + ".picks"), 5.0);
-    EXPECT_EQ(reg.size(), 2u);
-  }
+  // A number is never handed out twice.
+  const TestObject third(reg, "mptcp.client", {{"picks", 7.0}},
+                         reg.next_instance("mptcp.client"));
+  EXPECT_EQ(reg.value("mptcp.client#3.picks"), 7.0);
+  second.reset();
   flat = reg.flatten();
-  EXPECT_EQ(flat.count(s2 + ".picks"), 0u);
+  EXPECT_EQ(flat.count("mptcp.client#2.picks"), 0u);
+  EXPECT_EQ(flat.count("mptcp.client#3.picks"), 1u);
   EXPECT_EQ(flat.count("mptcp.clientele.picks"), 1u);
-  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.size(), 0u);
 }
 
-TEST(StatsRegistry, SampledGroupExpandsLazilyAndRemovesAsOneEntry) {
+TEST(StatsRegistry, ExportNumbersFollowTheLiveHooksInRegistrationOrder) {
+  // Objects numbered at export (links, routers, workload classes) take
+  // their "#<n>" from the live objects of the same name before them; the
+  // shard tag goes before the number.
   StatsRegistry reg;
-  int calls = 0;
-  uint64_t picks = 3;
+  reg.set_scope_tag("@s1");
+  auto a = std::make_unique<TestObject>(reg, "sim.link.", "hop",
+                                        TestObject::Values{{"pkts", 1.0}});
+  const TestObject other(reg, "sim.link.", "hop2", {{"pkts", 9.0}});
+  const TestObject b(reg, "sim.link.", "hop", {{"pkts", 2.0}});
+  const TestObject c(reg, "sim.link.", "hop", {{"pkts", 3.0}});
+  auto flat = reg.flatten();
+  EXPECT_EQ(flat.at("sim.link.hop@s1.pkts"), 1.0);
+  EXPECT_EQ(flat.at("sim.link.hop@s1#2.pkts"), 2.0);
+  EXPECT_EQ(flat.at("sim.link.hop@s1#3.pkts"), 3.0);
+  EXPECT_EQ(flat.at("sim.link.hop2@s1.pkts"), 9.0);
+  EXPECT_EQ(reg.value("sim.link.hop@s1#3.pkts"), 3.0);
+  EXPECT_EQ(reg.value("sim.link.hop2@s1.pkts"), 9.0);
+  EXPECT_EQ(reg.value("sim.link.hop.pkts"), 0.0);  // untagged: no such key
+
+  // The numbers are a view of the live set: without the first "hop",
+  // the others move up.
+  a.reset();
+  flat = reg.flatten();
+  EXPECT_EQ(flat.at("sim.link.hop@s1.pkts"), 2.0);
+  EXPECT_EQ(flat.at("sim.link.hop@s1#2.pkts"), 3.0);
+  EXPECT_EQ(flat.count("sim.link.hop@s1#3.pkts"), 0u);
+  EXPECT_EQ(reg.value("sim.link.hop@s1#2.pkts"), 3.0);
+}
+
+TEST(StatsRegistry, HookExpandsLazilyAndLeavesWithItsObject) {
+  StatsRegistry reg;
   Histogram sizes;
   sizes.record(100);
-  auto handle = std::make_unique<StatsRegistry::Handle>(
-      reg.group("mptcp.client", [&](SampleSink& out) {
-        ++calls;
-        out.emit("scheduler_picks", static_cast<double>(picks));
-        out.emit("fallbacks", 1.0);
-        out.emit_histogram("sizes", sizes);
-      }));
-  EXPECT_EQ(calls, 0);  // registration alone never samples
-  EXPECT_EQ(reg.size(), 1u);  // the whole scope is ONE map entry
+  auto object = std::make_unique<TestObject>(
+      reg, "mptcp.client",
+      TestObject::Values{{"scheduler_picks", 3.0}, {"fallbacks", 1.0}},
+      reg.next_instance("mptcp.client"));
+  object->add_histogram(sizes);
+  EXPECT_EQ(object->samples(), 0);  // registration alone never samples
+  EXPECT_EQ(reg.size(), 0u);        // and adds no registry entry
 
-  // value() resolves "<scope>.<suffix>" through the group, histogram
+  // value() resolves "<scope>.<suffix>" through the object, histogram
   // members included.
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 3.0);
-  picks = 9;
+  object->set("scheduler_picks", 9.0);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 9.0);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.no_such_suffix"), 0.0);
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.sizes.sum"), 100.0);
 
-  // flatten() expands the group into per-suffix keys.
+  // flatten() expands the object into per-suffix keys.
   const auto flat = reg.flatten();
   EXPECT_DOUBLE_EQ(flat.at("mptcp.client.scheduler_picks"), 9.0);
   EXPECT_DOUBLE_EQ(flat.at("mptcp.client.fallbacks"), 1.0);
@@ -147,21 +223,18 @@ TEST(StatsRegistry, SampledGroupExpandsLazilyAndRemovesAsOneEntry) {
   EXPECT_DOUBLE_EQ(flat.at("mptcp.client.sizes.mean"), 100.0);
   EXPECT_EQ(flat.count("mptcp.client"), 0u);  // the scope itself is no key
 
-  // Destroying the handle drops the group with its single entry.
-  handle.reset();
-  EXPECT_EQ(reg.size(), 0u);
+  // Destroying the object takes its values out of the export.
+  object.reset();
   EXPECT_DOUBLE_EQ(reg.value("mptcp.client.scheduler_picks"), 0.0);
   EXPECT_EQ(reg.flatten().count("mptcp.client.scheduler_picks"), 0u);
+  EXPECT_TRUE(reg.flatten().empty());
 }
 
 TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
   StatsRegistry reg;
   reg.gauge("a.gauge").set(-4);
   reg.histogram("m.hist").record(100);
-  const StatsRegistry::Handle h = reg.group("s", [](SampleSink& out) {
-    out.emit("val", 0.125);
-    out.emit("count", 7.0);
-  });
+  const TestObject s(reg, "s", {{"val", 0.125}, {"count", 7.0}});
 
   const std::string json = reg.to_json();
   EXPECT_EQ(json.find("never_registered"), std::string::npos);
@@ -225,7 +298,6 @@ TEST(StatsSim, LinksRegisterScopedStats) {
   EXPECT_EQ(flat.count("sim.link.wifi-ab.delivered_pkts"), 1u);
   EXPECT_EQ(flat.count("sim.link.wifi-ba.delivered_pkts"), 1u);
   EXPECT_EQ(flat.count("sim.link.wifi-ab.occupancy_bytes.count"), 1u);
-  EXPECT_EQ(rig.up_link(0).stats_scope(), "sim.link.wifi-ab");
 }
 
 // ---------------------------------------------------------------------------
@@ -388,21 +460,25 @@ TEST(StatsMptcp, LossyRunPairsRetransmitCountersExactly) {
   EXPECT_DOUBLE_EQ(flat.at("tcp.rto_firings"), static_cast<double>(rto));
 }
 
-TEST(StatsMptcp, EachLiveObjectHoldsOneRegistryEntry) {
-  // A link direction, a router, a workload class and an MPTCP connection
-  // with two subflows each publish through exactly one registry entry.
+TEST(StatsMptcp, PublishingObjectsAddNoRegistryEntry) {
+  // A router, a link pair, a two-class workload engine and an MPTCP
+  // connection with two subflows publish through hooks: creating or
+  // destroying one leaves the registry's entries as they were.
   {
     Topology topo;
     StatsRegistry& reg = topo.stats();
     const NodeId a = topo.add_host("a");
     const NodeId b = topo.add_host("b");
-    size_t before = reg.size();
+    const size_t before = reg.size();
     const NodeId r = topo.add_router("r");
-    EXPECT_EQ(reg.size() - before, 1u) << "router";
-    before = reg.size();
+    EXPECT_EQ(reg.size(), before) << "router";
     topo.connect(a, r, LinkConfig{}, LinkConfig{});
     topo.connect(r, b, LinkConfig{}, LinkConfig{});
-    EXPECT_EQ(reg.size() - before, 4u) << "two links, two directions each";
+    EXPECT_EQ(reg.size(), before) << "two links, two directions each";
+    const auto flat = reg.flatten();
+    EXPECT_EQ(flat.count("sim.router.r.forwarded"), 1u);
+    EXPECT_EQ(flat.count("sim.link.a-r-ab.enqueued_pkts"), 1u);
+    EXPECT_EQ(flat.count("sim.link.r-b-ba.enqueued_pkts"), 1u);
   }
   {
     CapacitySpec spec;
@@ -421,16 +497,22 @@ TEST(StatsMptcp, EachLiveObjectHoldsOneRegistryEntry) {
     serving.app_mode = FlowClass::AppMode::kServing;
     wc.classes = {bulk, serving};
     WorkloadEngine engine(*cap.topo, wc);
-    EXPECT_EQ(reg.size() - before, 3u) << "one per class plus the engine's";
+    EXPECT_EQ(reg.size(), before) << "two classes and the engine's keys";
+    const auto flat = reg.flatten();
+    EXPECT_EQ(flat.count("workload.bulk.started"), 1u);
+    EXPECT_EQ(flat.count("workload.serving.srv_served"), 1u);
+    EXPECT_EQ(flat.count("workload.concurrent"), 1u);
   }
   TwoSubflowRun f({wifi_path(), threeg_path()}, 0, 2 * kSecond);
   ASSERT_NE(f.server_conn, nullptr);
   ASSERT_EQ(f.client_conn->subflow_count(), 2u);
   StatsRegistry& reg = f.rig.stats();
   const size_t before = reg.size();
+  EXPECT_GT(reg.flatten().count("mptcp.client.sf1.scheduler_picks"), 0u);
   f.sender.reset();
   f.client_stack.reset();
-  EXPECT_EQ(before - reg.size(), 1u) << "the client connection";
+  EXPECT_EQ(reg.size(), before) << "the client connection";
+  EXPECT_EQ(reg.flatten().count("mptcp.client.sf1.scheduler_picks"), 0u);
 }
 
 // ---------------------------------------------------------------------------
