@@ -88,8 +88,9 @@ std::string digest_hex(uint64_t digest);
 
 /// A stats key with the parts a run picks removed: a scope's "#<n>"
 /// instance and "@s<k>" shard suffixes (net/stats.h, StatsOut), and the
-/// subflow id in ".sf<id>". What is left names what the key measures, whatever
-/// instances and shards the run used (the schema hash is over these).
+/// subflow id in ".sf<id>". What is left names what the key measures,
+/// whatever instances and shards the run used (the schema hash is over
+/// these).
 std::string canonical_key(std::string_view key);
 
 /// A merged stats export in a form that does not depend on the shard

@@ -34,10 +34,10 @@
 // topology. Everything is written against StreamSocket/SocketFactory;
 // the engine never names a transport.
 //
-// Observability: one registry group per class, "workload.<name>" in the
-// loop's StatsRegistry -- started/completed/errors/bytes counters, a
-// power-of-two FCT histogram and its p50/p99 -- plus the engine's own
-// "workload" group (concurrent and peak concurrent flows), all exported
+// Observability: each class exports "workload.<name>" through the
+// engine's stats hook -- started/completed/errors/bytes counters, a
+// power-of-two FCT histogram and its p50/p99 -- plus the engine's shared
+// "workload" scope (concurrent and peak concurrent flows), all exported
 // by Topology::dump_stats().
 #pragma once
 

@@ -122,7 +122,7 @@ class Scheduler {
   virtual void run(SchedulerHost& host);
 
   /// Chunks allocated through allocate(); exported as
-  /// "<conn>.sched.<policy>.allocs" by the connection's stats group.
+  /// "<conn>.sched.<policy>.allocs" by the connection's stats hook.
   uint64_t allocs() const { return allocs_; }
 
   static std::unique_ptr<Scheduler> make(SchedulerPolicy policy);

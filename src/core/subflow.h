@@ -97,7 +97,7 @@ class MptcpSubflow final : public TcpConnection {
   uint32_t local_nonce() const { return local_nonce_; }
 
   /// Emits this subflow's export values as "sf<id>.<name>", through its
-  /// connection's registry group (a subflow has no entry of its own).
+  /// connection's stats hook (a subflow publishes nothing of its own).
   void sample_stats(StatsOut& out) const;
 
   /// The meta scheduler chose this subflow for a chunk of data.

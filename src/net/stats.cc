@@ -36,7 +36,7 @@ std::string join(std::string_view scope, std::string_view name) {
   return key;
 }
 
-/// The one histogram expansion, shared by groups' histogram members,
+/// The one histogram expansion, shared by hooks' histogram members,
 /// registry histograms and value().
 template <class H>
 void emit_fields(StatsOut& out, std::string_view name, const H& h) {
@@ -142,8 +142,7 @@ void StatsOut::emit_histogram(std::string_view name, const Histogram& h) {
   emit_fields(*this, name, h);
 }
 
-void StatsOut::emit_histogram(std::string_view name,
-                                const FineHistogram& h) {
+void StatsOut::emit_histogram(std::string_view name, const FineHistogram& h) {
   emit_fields(*this, name, h);
 }
 

@@ -156,7 +156,8 @@ class FineHistogram : public BucketCounts<1920> {
 /// emits (suffix, value) pairs, which appear as "<scope>.<suffix>". Each
 /// open call returns whether the reader wants that scope's values; the
 /// object skips the emits of a scope it is refused, which is how value()
-/// reads one object's values without sampling the rest.
+/// reads one object's values without sampling the rest. An object opens
+/// the same scopes in the same order for as long as it lives.
 class StatsOut {
  public:
   /// A scope that objects of one kind share and sum into ("sim",
@@ -257,13 +258,10 @@ class StatsRegistry {
   /// ("mptcp.client@s1#2").
   std::string instance_scope(std::string_view head, uint32_t n) const;
 
-  /// Tags the scope of every object that publishes here with `tag` (e.g.
-  /// "@s1"). Sharded topologies tag each non-zero shard's registry so
-  /// that per-object scopes ("mptcp.client@s1", "mptcp.client@s1#2", ...)
-  /// stay distinct across partitions -- otherwise merged_flatten() would
-  /// silently sum shard 0's "mptcp.client#2" with shard 1's. Shard 0 is
-  /// left untagged, which keeps every single-shard export byte-identical
-  /// to the pre-sharding format.
+  /// Tags every per-object scope published here (e.g. "@s1"). Sharded
+  /// topologies tag each non-zero shard's registry, so merged_flatten()
+  /// never sums shard 0's "mptcp.client#2" with shard 1's; shard 0 stays
+  /// untagged, as single-shard exports always were.
   void set_scope_tag(std::string tag) { scope_tag_ = std::move(tag); }
 
   /// Registry-owned gauges, histograms and groups; hooks are no entries.

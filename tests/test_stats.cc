@@ -74,7 +74,9 @@ class TestObject {
 
   /// Shared scope, used as is.
   TestObject(StatsRegistry& reg, std::string scope, Values values)
-      : head_(std::move(scope)), values_(std::move(values)), hook_(reg, *this) {}
+      : head_(std::move(scope)),
+        values_(std::move(values)),
+        hook_(reg, *this) {}
   /// Own scope "<head><name>", numbered at export.
   TestObject(StatsRegistry& reg, std::string head, std::string name,
              Values values)
