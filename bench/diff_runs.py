@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Run the sim_digest run list in two build trees and diff the results.
+"""Run the digest run list and figure programs in two trees; diff them.
 
 Usage: bench/diff_runs.py OLD_BUILD NEW_BUILD
 
 Each invocation in RUNS runs once with OLD_BUILD/bench/sim_digest and once
-with NEW_BUILD/bench/sim_digest, both with --stats and with
-MPTCP_ALLOW_OVERSUBSCRIBE=1 (so the pinned shard counts run as asked on
-any machine). The tool prints every stdout line and every stats key that
-differs, and exits 1 if anything differs or a run fails. A
-behaviour-neutral change passes with the parent's tree as OLD_BUILD;
-passing one tree twice checks that every run repeats itself.
+with NEW_BUILD/bench/sim_digest, both with --stats; each program in
+PROGRAMS runs once in each tree with no arguments, and only its stdout is
+compared. Every run sets MPTCP_ALLOW_OVERSUBSCRIBE=1 (so the pinned shard
+counts run as asked on any machine). The tool prints every stdout line
+and every stats key that differs, and exits 1 if anything differs or a
+run fails. A behaviour-neutral change passes with the parent's tree as
+OLD_BUILD; passing one tree twice checks that every run repeats itself.
+One pass takes about three minutes per tree on a 4-vCPU host, most of
+it fig06_scenarios.
 """
 
 import json
@@ -40,17 +43,41 @@ RUNS = (
        for n in (1, 2)]
 )
 
+# The figure benches and examples, whose stdout prints outcomes, not
+# timings. fig06_scenarios takes about 130 s, fig08b_ooo_sim 25 s,
+# fig11_http 18 s and each of the rest under 3 s.
+PROGRAMS = [
+    "bench/fig02_deadlock",
+    "bench/fig04_rcvbuffer",
+    "bench/fig05_memory",
+    "bench/fig06_scenarios",
+    "bench/fig07_appdelay",
+    "bench/fig08b_ooo_sim",
+    "bench/fig09_wifi3g",
+    "bench/fig11_http",
+    "bench/ablation_scheduler",
+    "bench/mbox_matrix",
+    "examples/quickstart",
+    "examples/middlebox_gauntlet",
+    "examples/mobile_handover",
+]
 
-def run(build, args, stats_path):
-    """Runs one invocation; returns (exit code, stdout lines, stats text)."""
-    if os.path.exists(stats_path):
-        os.remove(stats_path)
-    binary = os.path.join(build, "bench", "sim_digest")
+
+def run(build, program, args, stats_path=None):
+    """Runs one invocation; returns (exit code, stdout lines, stats text).
+
+    With a stats_path the program also writes its --stats export there.
+    """
+    cmd = [os.path.join(build, program), *args]
+    if stats_path is not None:
+        if os.path.exists(stats_path):
+            os.remove(stats_path)
+        cmd += ["--stats", stats_path]
     env = dict(os.environ, MPTCP_ALLOW_OVERSUBSCRIBE="1")
-    proc = subprocess.run([binary, *args, "--stats", stats_path], env=env,
-                          capture_output=True, text=True, check=False)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          check=False)
     stats = ""
-    if os.path.exists(stats_path):
+    if stats_path is not None and os.path.exists(stats_path):
         with open(stats_path, encoding="utf-8") as f:
             stats = f.read()
     return proc.returncode, proc.stdout.splitlines(), stats
@@ -91,12 +118,16 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old_build, new_build = argv[1], argv[2]
+    invocations = ([("bench/sim_digest", args, True) for args in RUNS]
+                   + [(program, [], False) for program in PROGRAMS])
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for args in RUNS:
-            name = " ".join(args)
-            old = run(old_build, args, os.path.join(tmp, "old.json"))
-            new = run(new_build, args, os.path.join(tmp, "new.json"))
+        for program, args, stats in invocations:
+            name = " ".join(args) if stats else program
+            old = run(old_build, program, args,
+                      os.path.join(tmp, "old.json") if stats else None)
+            new = run(new_build, program, args,
+                      os.path.join(tmp, "new.json") if stats else None)
             problems = []
             for side, (code, _, _) in (("old", old), ("new", new)):
                 if code != 0:
@@ -107,7 +138,8 @@ def main(argv):
             for p in problems:
                 print(f"      {p}")
             failed += bool(problems)
-    print(f"{len(RUNS) - failed}/{len(RUNS)} invocations identical")
+    print(f"{len(invocations) - failed}/{len(invocations)} invocations "
+          "identical")
     return 1 if failed else 0
 
 

@@ -4,6 +4,13 @@
 
 namespace mptcp {
 
+namespace {
+
+/// Fixed backoff before a dead connection is re-dialled.
+constexpr SimTime kReconnectDelay = 10 * kMillisecond;
+
+}  // namespace
+
 ConnectionPool::ConnectionPool(SocketFactory& factory, IpAddr local_addr,
                                Endpoint server, PoolConfig cfg)
     : factory_(factory),
@@ -121,8 +128,8 @@ void ConnectionPool::flush_out(Conn& c) {
 }
 
 void ConnectionPool::assign(Conn& c, Pending&& p) {
-  const std::vector<uint8_t> req = serving_encode_request(ServingRequest{
-      p.out.req_id, p.response_size, cfg_.chunk_bytes, p.out.streaming});
+  const std::vector<uint8_t> req = serving_encode_request(
+      ServingRequest{p.out.req_id, p.response_size, cfg_.chunk_bytes});
   c.out_buf.insert(c.out_buf.end(), req.begin(), req.end());
   c.pending.push_back(std::move(p));
   flush_out(c);
@@ -150,11 +157,10 @@ void ConnectionPool::dispatch_queued() {
   }
 }
 
-uint64_t ConnectionPool::submit(uint64_t response_size, bool streaming) {
+uint64_t ConnectionPool::submit(uint64_t response_size) {
   Pending p;
   p.out.req_id = next_req_id_++;
   p.out.issued_at = factory_.loop().now();
-  p.out.streaming = streaming;
   p.response_size = response_size;
   const uint64_t id = p.out.req_id;
   if (Conn* c = pick_conn()) {
@@ -229,7 +235,7 @@ void ConnectionPool::on_conn_closed(Conn& c) {
       c.reconnect = std::make_unique<Timer>(factory_.loop(),
                                             [this, raw] { dial(*raw); });
     }
-    c.reconnect->arm_in(cfg_.reconnect_delay);
+    c.reconnect->arm_in(kReconnectDelay);
   }
   dispatch_queued();
 }

@@ -14,7 +14,7 @@
 // misbehaves -- response frames must echo the oldest outstanding req_id)
 // fails over its outstanding requests to the retry queue (at most
 // max_retries attempts each, then an error outcome) and reconnects
-// after a fixed delay, unless the pool has been stop()ped. Outcomes --
+// after a fixed 10 ms delay, unless the pool has been stop()ped. Outcomes --
 // ok / rejected-by-server / error, with issue and completion times that
 // include queueing delay -- are delivered through on_done, which is
 // where the workload engine's open-loop FCT tracking hangs.
@@ -37,11 +37,9 @@ struct PoolConfig {
   /// Requests outstanding per connection before spilling to the queue.
   size_t max_mux = 4;
   /// Server data-frame payload quantum requested per request.
-  uint32_t chunk_bytes = 16 * 1024;
+  uint32_t chunk_bytes = kServingChunkBytes;
   /// Attempts per request beyond the first (connection-death failover).
   size_t max_retries = 1;
-  /// Fixed backoff before a dead connection is re-dialled.
-  SimTime reconnect_delay = 10 * kMillisecond;
 };
 
 /// What became of one submitted request. Exactly one of ok / rejected /
@@ -52,7 +50,6 @@ struct RequestOutcome {
   uint64_t req_id = 0;
   bool ok = false;        ///< full response received (fin frame, size match)
   bool rejected = false;  ///< server answered a reject frame (503)
-  bool streaming = false; ///< echoes the request's streaming flag
   uint64_t bytes = 0;     ///< response payload bytes received
   SimTime issued_at = 0;  ///< submit() time
   SimTime done_at = 0;    ///< outcome time
@@ -80,7 +77,7 @@ class ConnectionPool {
 
   /// Queues one request for `response_size` pattern bytes; returns its
   /// req_id. The outcome arrives via on_done exactly once.
-  uint64_t submit(uint64_t response_size, bool streaming = false);
+  uint64_t submit(uint64_t response_size);
 
   /// Invoked once per submitted request, in completion order. Safe to
   /// submit() more requests from inside the callback.

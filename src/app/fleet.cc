@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/mptcp_connection.h"
-#include "sim/placement.h"
 #include "sim/shard.h"
 
 namespace mptcp {
@@ -118,35 +117,6 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
   fc.transport.mptcp.tcp.buf_initial = 4 * 1024;
   fc.transport.mptcp.cap_subflow_cwnd = true;
 
-  if (spec_.serving_rate_hz > 0) {
-    // Serving mode: the island's class becomes open-loop framed requests
-    // over a pooled persistent connection to the island server.
-    fc.app_mode = FlowClass::AppMode::kServing;
-    fc.request_rate_hz = spec_.serving_rate_hz;
-    fc.arrival_rate_hz = 0;
-    fc.persistent_per_client = 0;
-    fc.size_dist = FlowClass::SizeDist::kPareto;
-    fc.server.max_inflight = spec_.serving_max_inflight;
-    fc.server.service.kind = ServiceTimeModel::Kind::kExponential;
-    fc.server.service.mean = kMillisecond;
-  }
-
-  // kGreedy placement: islands are independent units (no cross-island
-  // links), so the partitioner degenerates to deterministic weighted
-  // balancing -- weight 1 + path count approximates an island's event
-  // load. Computed up front from the profiles alone, so placement stays
-  // a pure function of (seed, knobs) like everything else here.
-  std::vector<size_t> greedy_shard;
-  if (spec_.placement == FleetSpec::Placement::kGreedy) {
-    PlacementGraph pg;
-    pg.shards = spec_.shards;
-    pg.weights.reserve(profiles_.size());
-    for (const ClientProfile& p : profiles_) {
-      pg.weights.push_back(1.0 + static_cast<double>(p.paths.size()));
-    }
-    greedy_shard = greedy_edge_cut(pg).shard_of;
-  }
-
   islands_.reserve(profiles_.size());
   for (const ClientProfile& p : profiles_) {
     const std::string prefix = island_prefix(p.index);
@@ -171,14 +141,10 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
       ps.down = ps.up;
       paths.push_back(std::move(ps));
     }
-    // kTokenHash pins the whole island to shard_for_token(prefix +
-    // "client") -- client placement rides the topology's stable token
-    // hash, so placement is deterministic and shard-count-local.
-    // kGreedy pins it to the partitioner's balanced assignment instead.
-    const size_t shard =
-        spec_.placement == FleetSpec::Placement::kGreedy
-            ? greedy_shard[islands_.size()]
-            : scn.shard_for(prefix + "client");
+    // The whole island is pinned to shard_for_token(prefix + "client"):
+    // placement rides the topology's stable token hash, so it is
+    // deterministic and shard-count-local.
+    const size_t shard = scn.shard_for(prefix + "client");
     isl.shape = declare_two_host(scn, paths, prefix, shard);
     isl.shard = shard;
 
@@ -222,20 +188,6 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
     wc.on_flow_done = [this, shard = isl.shard](StreamSocket& s,
                                                 const FlowReport& r) {
       record_flow(shard, s, r);
-    };
-    // Serving-mode islands complete *requests*, not one-shot flows, so
-    // their outcomes arrive through the pool's request hook instead of
-    // on_flow_done. Fold them into the same shard accumulator.
-    wc.on_request_done = [this, shard = isl.shard](size_t,
-                                                   const RequestOutcome& o) {
-      ShardAcc& acc = accs_[shard];
-      if (o.ok) {
-        ++acc.completed;
-        acc.fct_us.push_back(
-            static_cast<uint64_t>((o.done_at - o.issued_at) / 1000));
-      } else {
-        ++acc.errored;
-      }
     };
     // The server is the data sender, so M1-M4 mostly fire on *its*
     // connections; harvest their counters before the server closes them.

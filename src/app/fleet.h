@@ -19,9 +19,9 @@
 // Determinism contract: sample_fleet() depends only on the seed and the
 // distribution knobs -- NEVER on the shard count -- via per-client PRNG
 // streams in fixed client-index order. Every island is pinned whole to
-// one shard (ScenarioSpec::kAutoShard, i.e. shard_for_token on the
-// island prefix), so islands never exchange packets across shards and
-// the per-island packet streams are bit-identical for any shard count;
+// one shard (shard_for_token on the island's client name), so islands
+// never exchange packets across shards and the per-island packet
+// streams are bit-identical for any shard count;
 // `sim_digest --scenario fleet` folds per-island tap hashes in island
 // order and must produce the same digest for --shards 1/2/4.
 #pragma once
@@ -77,29 +77,10 @@ struct FleetSpec {
   /// violations observable across address churn).
   SchedulerPolicy scheduler = SchedulerPolicy::kLowestRtt;
 
-  /// Island-to-shard policy. kTokenHash pins each island by
-  /// shard_for_token(prefix + "client") -- stable across fleet sizes and
-  /// the policy behind the pinned fleet digest. kGreedy feeds the
-  /// islands (weight 1 + path count, no edges: islands never talk) to
-  /// the greedy partitioner (sim/placement.h), trading token stability
-  /// for tight weight balance on skewed path-count mixes.
-  enum class Placement : uint8_t { kTokenHash, kGreedy };
-  Placement placement = Placement::kTokenHash;
-
   /// Per-client workload (one class per island).
   double arrival_rate_hz = 2.0;
   uint64_t mean_size = 50 * 1000;
   size_t persistent_per_client = 1;
-
-  /// Serving-stack mode (app/server_app.h + app/client_pool.h): when
-  /// serving_rate_hz > 0 every island switches from the legacy
-  /// connection-per-transfer closed loop to open-loop framed requests
-  /// with heavy-tailed Pareto sizes over a persistent connection pool,
-  /// against an overload-aware island server. Off by default -- the
-  /// pinned fleet digest covers the legacy mode and these knobs leave
-  /// it untouched at zero.
-  double serving_rate_hz = 0.0;     ///< open-loop requests per client
-  size_t serving_max_inflight = 0;  ///< island-server admission cap
 };
 
 /// One sampled access path of one client.

@@ -51,8 +51,7 @@ std::vector<uint8_t> serving_encode_request(const ServingRequest& req) {
   std::vector<uint8_t> buf(kServingRequestSize, 0);
   std::copy(std::begin(kServingMagic), std::end(kServingMagic), buf.begin());
   buf[4] = kServingVersion;
-  buf[5] = req.streaming ? 1 : 0;
-  // bytes 6..7 reserved
+  // bytes 5..7: flags (always 0) and reserved
   put_u64(buf, 8, req.req_id);
   put_u64(buf, 16, req.response_size);
   put_u32(buf, 24, req.chunk_bytes);
@@ -67,7 +66,6 @@ bool serving_decode_request(std::span<const uint8_t> buf,
     if (buf[i] != kServingMagic[i]) return false;
   }
   if (buf[4] != kServingVersion) return false;
-  out.streaming = (buf[5] & 1) != 0;
   out.req_id = get_u64(buf, 8);
   out.response_size = get_u64(buf, 16);
   out.chunk_bytes = get_u32(buf, 24);

@@ -16,6 +16,7 @@
 //    echoed req_id lets the client assert that ordering.
 //
 //      request  (32 B): 'MPRQ' ver flags rsvd16 req_id8 size8 chunk4 rsvd4
+//        (flags is sent as 0 and ignored on receipt)
 //      response (16 B per frame): kind4 payload_len4 req_id8
 //        kind = 'MPRD' data frame (payload_len pattern bytes follow)
 //             | 'MPRF' fin frame (payload_len == 0, response complete)
@@ -57,12 +58,14 @@ inline constexpr size_t kFrameHeaderSize = 16;
 inline constexpr uint32_t kFrameData = 0x4d505244;    // 'MPRD'
 inline constexpr uint32_t kFrameFin = 0x4d505246;     // 'MPRF'
 inline constexpr uint32_t kFrameReject = 0x4d50524a;  // 'MPRJ'
+/// The default and the largest data-frame payload: a request asking for
+/// more (or for 0) is answered in frames of this size.
+inline constexpr uint32_t kServingChunkBytes = 16 * 1024;
 
 struct ServingRequest {
   uint64_t req_id = 0;
   uint64_t response_size = 0;
-  uint32_t chunk_bytes = 16 * 1024;  ///< server frame payload quantum
-  bool streaming = false;            ///< flag bit 0: adaptive-stream segment
+  uint32_t chunk_bytes = kServingChunkBytes;  ///< frame payload quantum
 };
 
 /// Encodes the fixed 32-byte serving request.

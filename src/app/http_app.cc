@@ -1,5 +1,7 @@
 #include "app/http_app.h"
 
+#include <algorithm>
+
 #include "app/framing.h"
 #include "app/harness.h"
 
@@ -31,13 +33,17 @@ void HttpServer::accept(StreamSocket& c) {
 }
 
 void HttpServer::Conn::on_readable() {
+  // Everything readable is read, so the receive window keeps moving, but
+  // only the request itself is kept: trailing bytes are dropped.
   uint8_t buf[256];
   for (;;) {
     const size_t n = sock->read(buf);
     if (n == 0) break;
-    request.insert(request.end(), buf, buf + n);
+    const size_t keep = std::min(n, request.size() - request_len);
+    std::copy_n(buf, keep, request.begin() + request_len);
+    request_len += keep;
   }
-  if (!responding && request.size() >= kHttpRequestSize) {
+  if (!responding && request_len == request.size()) {
     responding = true;
     response_size = mpget_decode_size(request);
     pump_response();

@@ -19,6 +19,7 @@
 // connection per transfer.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -30,8 +31,9 @@ namespace mptcp {
 inline constexpr size_t kHttpRequestSize = 16;
 
 /// Serves MPGET requests on a port: reads the 16-byte request, streams the
-/// named number of pattern bytes back, closes. Connections are released to
-/// the factory when they finish, so the server sustains open-ended churn.
+/// named number of pattern bytes back, closes. Bytes a peer sends after
+/// its request are read and dropped. Connections are released to the
+/// factory when they finish, so the server sustains open-ended churn.
 class HttpServer {
  public:
   HttpServer(SocketFactory& factory, Port port);
@@ -52,7 +54,8 @@ class HttpServer {
   struct Conn {
     HttpServer* self = nullptr;
     StreamSocket* sock = nullptr;
-    std::vector<uint8_t> request;
+    std::array<uint8_t, kHttpRequestSize> request{};
+    size_t request_len = 0;  ///< request bytes received so far
     uint64_t response_size = 0;
     uint64_t response_sent = 0;
     bool responding = false;

@@ -1,7 +1,5 @@
 #include "app/scenario.h"
 
-#include <numeric>
-
 namespace mptcp {
 
 NodeId ScenarioSpec::host(std::string name, size_t shard) {
@@ -44,65 +42,6 @@ size_t ScenarioSpec::workload(WorkloadConfig wc) {
   return workloads_.size() - 1;
 }
 
-const PlacementResult& ScenarioSpec::auto_place() {
-  const size_t n = nodes_.size();
-  constexpr size_t kNone = static_cast<size_t>(-1);
-
-  // Weld the endpoints of any link that cannot legally cross shards
-  // (zero propagation delay in either direction) into one placement
-  // unit, so the partitioner can never produce an invalid topology.
-  std::vector<size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), size_t{0});
-  const auto find = [&parent](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (const LinkDecl& l : links_) {
-    if (l.ab.prop_delay <= 0 || l.ba.prop_delay <= 0) {
-      parent[find(l.a)] = find(l.b);
-    }
-  }
-
-  // Super-nodes indexed in first-appearance (declaration) order, so the
-  // graph -- and therefore the placement -- is a pure function of the
-  // declarations.
-  std::vector<size_t> unit_of(n, kNone);
-  PlacementGraph pg;
-  pg.shards = shards_;
-  for (size_t v = 0; v < n; ++v) {
-    const size_t root = find(v);
-    if (unit_of[root] == kNone) {
-      unit_of[root] = pg.weights.size();
-      pg.weights.push_back(0.0);
-    }
-    unit_of[v] = unit_of[root];
-    pg.weights[unit_of[v]] += nodes_[v].is_router ? 0.25 : 1.0;
-  }
-  for (const LinkDecl& l : links_) {
-    const size_t ua = unit_of[l.a];
-    const size_t ub = unit_of[l.b];
-    if (ua != ub) pg.edges.push_back({ua, ub, 1.0});
-  }
-
-  const PlacementResult units = greedy_edge_cut(pg);
-  for (size_t v = 0; v < n; ++v) nodes_[v].shard = units.shard_of[unit_of[v]];
-
-  // Report against the expanded assignment: cut counts declared links.
-  placement_.shard_of.resize(n);
-  for (size_t v = 0; v < n; ++v) placement_.shard_of[v] = nodes_[v].shard;
-  placement_.cut_edges = 0;
-  placement_.cut_weight = 0.0;
-  for (const LinkDecl& l : links_) {
-    if (nodes_[l.a].shard != nodes_[l.b].shard) {
-      ++placement_.cut_edges;
-      placement_.cut_weight += 1.0;
-    }
-  }
-  placement_.imbalance = units.imbalance;
-  placed_ = true;
-  return placement_;
-}
-
 Scenario ScenarioSpec::build() const {
   Scenario scn;
   scn.topo_ = std::make_unique<Topology>(seed_, shards_);
@@ -112,11 +51,10 @@ Scenario ScenarioSpec::build() const {
   // and loss seed matches what imperative construction would produce --
   // the property that keeps pre-Scenario determinism digests pinned.
   for (const NodeDecl& n : nodes_) {
-    const size_t shard = n.shard == kAutoShard ? shard_for(n.name) : n.shard;
     if (n.is_router) {
-      t.add_router(n.name, shard);
+      t.add_router(n.name, n.shard);
     } else {
-      t.add_host(n.name, shard);
+      t.add_host(n.name, n.shard);
     }
   }
   scn.link_host_addr_.reserve(links_.size());
@@ -149,18 +87,13 @@ Scenario ScenarioSpec::build() const {
         inst.modifier =
             std::make_unique<PayloadModifier>(d.mb.modify_interval);
         break;
-      case MiddleboxDecl::Kind::kHoleDropper:
-        inst.dropper = std::make_unique<HoleDropper>();
-        break;
       case MiddleboxDecl::Kind::kNat:
         inst.nat = std::make_unique<Nat>(d.mb.nat_public, d.mb.nat_first_port);
         break;
     }
     Middlebox* one_way = inst.stripper != nullptr
                              ? static_cast<Middlebox*>(inst.stripper.get())
-                         : inst.modifier != nullptr
-                             ? static_cast<Middlebox*>(inst.modifier.get())
-                             : static_cast<Middlebox*>(inst.dropper.get());
+                             : inst.modifier.get();
     switch (d.dir) {
       case MboxDecl::Dir::kUp:
         assert(one_way != nullptr && "duplex elements use via()");
@@ -191,12 +124,6 @@ Scenario ScenarioSpec::build() const {
   }
 
   t.build_routes();
-  if (placed_) {
-    t.stats(0).gauge("placement.cut_edges")
-        .set(static_cast<int64_t>(placement_.cut_edges));
-    t.stats(0).gauge("placement.imbalance_permille")
-        .set(static_cast<int64_t>(placement_.imbalance * 1000.0));
-  }
   // NAT public addresses route exactly like the private host-side address
   // of their link, so return traffic reaches the reverse sink through any
   // router graph.
@@ -218,15 +145,9 @@ TwoHostShape declare_two_host(ScenarioSpec& spec,
                               const std::vector<PathSpec>& paths,
                               const std::string& prefix, size_t shard) {
   TwoHostShape shape;
-  // Auto-sharding keys off the shared prefix, not per-node names: every
-  // node of the shape must land on ONE shard (the paths stay intra-shard
-  // islands, which is what makes populations shard-count-invariant).
-  const size_t s = shard == ScenarioSpec::kAutoShard
-                       ? spec.shard_for(prefix + "client")
-                       : shard;
-  shape.client = spec.host(prefix + "client", s);
-  shape.gw = spec.router(prefix + "gw", s);
-  shape.server = spec.host(prefix + "server", s);
+  shape.client = spec.host(prefix + "client", shard);
+  shape.gw = spec.router(prefix + "gw", shard);
+  shape.server = spec.host(prefix + "server", shard);
   shape.paths.reserve(paths.size());
   for (const PathSpec& p : paths) {
     shape.paths.push_back(spec.path(shape.client, shape.gw, p));

@@ -26,8 +26,8 @@
 // so return traffic reaches the reverse sink on any router graph.
 //
 // Scenario owns everything it built: the Topology, every instantiated
-// middlebox (reachable through typed accessors by declaration handle),
-// and one WorkloadEngine per declared workload group.
+// middlebox (a NAT is reachable by its declaration handle), and one
+// WorkloadEngine per declared workload group.
 #pragma once
 
 #include <cassert>
@@ -40,7 +40,6 @@
 #include "middlebox/nat.h"
 #include "middlebox/option_stripper.h"
 #include "middlebox/payload_modifier.h"
-#include "sim/placement.h"
 #include "sim/topology.h"
 
 namespace mptcp {
@@ -52,7 +51,6 @@ struct MiddleboxDecl {
   enum class Kind : uint8_t {
     kOptionStripper,   ///< one-directional, middlebox/option_stripper.h
     kPayloadModifier,  ///< one-directional DSS-checksum-corrupting ALG
-    kHoleDropper,      ///< one-directional hole-refusing proxy
     kNat,              ///< duplex, middlebox/nat.h
   };
 
@@ -87,22 +85,12 @@ struct MiddleboxDecl {
     d.modify_interval = interval;
     return d;
   }
-  static MiddleboxDecl hole_dropper() {
-    MiddleboxDecl d;
-    d.kind = Kind::kHoleDropper;
-    return d;
-  }
 };
 
 class Scenario;
 
 class ScenarioSpec {
  public:
-  /// Shard sentinel: pin the node by shard_for_token(name) at build time
-  /// instead of an explicit shard (population builders use this to spread
-  /// islands without coordinating).
-  static constexpr size_t kAutoShard = static_cast<size_t>(-1);
-
   ScenarioSpec& seed(uint64_t s) {
     seed_ = s;
     return *this;
@@ -140,7 +128,8 @@ class ScenarioSpec {
   /// (`via_down`) chain of link `l`, or a duplex element (`via`) whose
   /// forward side faces away from the link's host endpoint. Elements on
   /// the same direction nest in declaration order, most recent first
-  /// (splice semantics). Returns a handle for Scenario's typed accessors.
+  /// (splice semantics). Returns a handle; Scenario::nat() resolves a
+  /// via() handle.
   size_t via_up(size_t l, const MiddleboxDecl& mb);
   size_t via_down(size_t l, const MiddleboxDecl& mb);
   size_t via(size_t l, const MiddleboxDecl& mb);
@@ -148,22 +137,6 @@ class ScenarioSpec {
   /// Declares a workload group; the built Scenario owns one WorkloadEngine
   /// per group, in declaration order.
   size_t workload(WorkloadConfig wc);
-
-  /// Reassigns every declared node's shard with the greedy edge-cut
-  /// partitioner (sim/placement.h), the quality-aware alternative to
-  /// per-node pinning or shard_for() hashing: declared links become
-  /// affinity edges, hosts weigh 1.0 and routers 0.25, and any link with
-  /// a zero-propagation-delay direction welds its endpoints into one
-  /// unit (cross-shard links need positive delay -- it is the engine's
-  /// lookahead). Call after declaring all nodes and links, before
-  /// build(); build() then exports `placement.cut_edges` and
-  /// `placement.imbalance_permille` gauges on shard 0. Deterministic:
-  /// the same declarations always place the same way.
-  const PlacementResult& auto_place();
-  /// The last auto_place() result, or nullptr if never called.
-  const PlacementResult* placement() const {
-    return placed_ ? &placement_ : nullptr;
-  }
 
   /// Replays the declarations onto a fresh Topology, instantiates and
   /// splices middleboxes, computes routes (plus NAT public-address
@@ -197,8 +170,6 @@ class ScenarioSpec {
   std::vector<LinkDecl> links_;
   std::vector<MboxDecl> mboxes_;
   std::vector<WorkloadConfig> workloads_;
-  PlacementResult placement_;
-  bool placed_ = false;
 };
 
 /// A built scenario: the Topology plus everything the spec declared on
@@ -210,14 +181,7 @@ class Scenario {
 
   Topology& topo() { return *topo_; }
 
-  // --- middlebox access by declaration handle ------------------------------
-  OptionStripper* option_stripper(size_t h) {
-    return mboxes_[h].stripper.get();
-  }
-  PayloadModifier* payload_modifier(size_t h) {
-    return mboxes_[h].modifier.get();
-  }
-  HoleDropper* hole_dropper(size_t h) { return mboxes_[h].dropper.get(); }
+  /// The NAT declared by via() under handle `h`.
   Nat* nat(size_t h) { return mboxes_[h].nat.get(); }
 
   // --- workload groups -----------------------------------------------------
@@ -245,7 +209,6 @@ class Scenario {
   struct MboxInstance {
     std::unique_ptr<OptionStripper> stripper;
     std::unique_ptr<PayloadModifier> modifier;
-    std::unique_ptr<HoleDropper> dropper;
     std::unique_ptr<Nat> nat;
   };
 
@@ -268,8 +231,7 @@ struct TwoHostShape {
 };
 
 /// Declares the shape above. `prefix` namespaces the node names (islands
-/// in a population use "f<i>."), `shard` pins every node of the shape
-/// (ScenarioSpec::kAutoShard derives it from the prefixed client name).
+/// in a population use "f<i>."), `shard` pins every node of the shape.
 TwoHostShape declare_two_host(ScenarioSpec& spec,
                               const std::vector<PathSpec>& paths,
                               const std::string& prefix = "",

@@ -53,18 +53,15 @@ void ServerApp::Conn::parse_requests() {
       sock->close();
       return;
     }
-    const bool pipeline_full =
-        pipeline.size() >= self->cfg_.max_pipeline;
-    const bool server_full = self->cfg_.max_inflight != 0 &&
-                             self->inflight_ >= self->cfg_.max_inflight;
-    if (pipeline_full || server_full) {
-      if (self->cfg_.overload == ServingConfig::Overload::kDefer) {
-        // Leave the request bytes unconsumed: the transport's receive
-        // window closes over them and the client stalls -- backpressure
-        // without a byte of reply.
-        deferred = true;
-        return;
-      }
+    if (pipeline.size() >= self->cfg_.max_pipeline) {
+      // Leave the request bytes unconsumed until this pipeline pops: the
+      // transport's receive window closes over them and the client
+      // stalls -- backpressure without a byte of reply.
+      deferred = true;
+      return;
+    }
+    if (self->cfg_.max_inflight != 0 &&
+        self->inflight_ >= self->cfg_.max_inflight) {
       // Reject path: the request is consumed and answered with a reject
       // frame *in pipeline order* (a 503 still honors response ordering).
       sock->consume(kServingRequestSize);
@@ -92,12 +89,9 @@ void ServerApp::Conn::maybe_start_response() {
     pump_response();
     return;
   }
-  SimTime delay = model.mean;
-  if (model.kind == ServiceTimeModel::Kind::kExponential) {
-    delay = std::max<SimTime>(
-        1, static_cast<SimTime>(self->service_rng_.next_exponential(
-               static_cast<double>(model.mean))));
-  }
+  const SimTime delay = std::max<SimTime>(
+      1, static_cast<SimTime>(self->service_rng_.next_exponential(
+             static_cast<double>(model.mean))));
   if (!service) {
     service = std::make_unique<Timer>(self->factory_.loop(), [this] {
       waiting_service = false;
@@ -123,9 +117,12 @@ void ServerApp::Conn::pump_response() {
       }
       self->finish_request(*this, /*served=*/false);
     } else if (response_sent < size) {
-      const uint32_t quantum = front.req.chunk_bytes != 0
-                                   ? front.req.chunk_bytes
-                                   : self->cfg_.chunk_bytes;
+      // The frame buffer is sized by the quantum, so a request cannot
+      // name one past the server's own.
+      const uint32_t quantum =
+          front.req.chunk_bytes != 0
+              ? std::min(front.req.chunk_bytes, kServingChunkBytes)
+              : kServingChunkBytes;
       const size_t n = static_cast<size_t>(
           std::min<uint64_t>(quantum, size - response_sent));
       frame_buf.resize(kFrameHeaderSize + n);
@@ -171,24 +168,16 @@ bool ServerApp::Conn::flush_frame() {
 }
 
 void ServerApp::finish_request(Conn& c, bool served) {
-  const bool admitted = !c.pipeline.front().rejected;
+  if (!c.pipeline.front().rejected) --inflight_;
   c.pipeline.pop_front();
   c.responding = false;
   c.response_sent = 0;
   c.tail_sent_ = false;
   if (served) ++served_;
-  if (admitted) {
-    --inflight_;
-    resume_deferred();
-  }
-}
-
-void ServerApp::resume_deferred() {
-  for (auto& c : conns_) {
-    if (c->deferred && !c->dead) {
-      c->deferred = false;
-      c->parse_requests();
-    }
+  // The pop freed a pipeline slot: read the request left waiting for it.
+  if (c.deferred) {
+    c.deferred = false;
+    c.parse_requests();
   }
 }
 
@@ -211,7 +200,6 @@ void ServerApp::reap(Conn* conn) {
   std::erase_if(conns_, [conn](const std::unique_ptr<Conn>& c) {
     return c.get() == conn;
   });
-  if (admitted > 0) resume_deferred();
 }
 
 }  // namespace mptcp

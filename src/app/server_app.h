@@ -10,22 +10,25 @@
 //
 //  * accept bound: at most max_conns connections; extras are closed on
 //    accept (conns_refused);
-//  * pipeline bound: at most max_pipeline requests queued per
-//    connection, and at most max_inflight admitted across the whole
-//    server. Past either bound the server either answers a reject frame
-//    -- the 503 path, counted per server -- or, in kDefer mode, simply
-//    stops consuming request bytes: the receive queue fills, the
-//    advertised window closes, and the transport itself backpressures
-//    the client (deferred reads);
-//  * service time: an optional per-request think time (fixed or
-//    exponential) before the response starts streaming, so queueing
-//    delay under load is modelled, not just wire time.
+//  * pipeline bound: at most max_pipeline requests (admitted or
+//    rejected) queued per connection. A request that arrives past it is
+//    left unread until that connection's pipeline pops: the receive
+//    queue fills, the advertised window closes, and the transport
+//    itself backpressures the client. So a peer that pipelines without
+//    reading its responses cannot grow what the server holds;
+//  * admission bound: at most max_inflight requests admitted across the
+//    whole server. A request past it is answered with a reject frame --
+//    the 503 path, counted per server;
+//  * service time: an optional exponential per-request think time before
+//    the response starts streaming, so queueing delay under load is
+//    modelled, not just wire time.
 //
-// Responses are pattern bytes (app/harness.h) in chunk_bytes-sized data
-// frames. Requests are parsed off the zero-copy receive path: headers
-// gathered with peek_copy(), bytes released with consume() -- a deferred
-// connection's unread requests stay in the transport's receive queue,
-// which is exactly what closes the window.
+// Responses are pattern bytes (app/harness.h) in data frames of the
+// request's chunk_bytes, at most kServingChunkBytes. Requests are parsed
+// off the zero-copy receive path: headers gathered with peek_copy(),
+// bytes released with consume() -- a deferred connection's unread
+// requests stay in the transport's receive queue, which is exactly what
+// closes the window.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +46,7 @@ namespace mptcp {
 /// Optional per-request service time, sampled before the response
 /// starts streaming.
 struct ServiceTimeModel {
-  enum class Kind : uint8_t { kNone, kFixed, kExponential };
+  enum class Kind : uint8_t { kNone, kExponential };
   Kind kind = Kind::kNone;
   SimTime mean = 0;
 };
@@ -53,24 +56,15 @@ struct ServingConfig {
   /// (0 = unbounded).
   size_t max_conns = 0;
   /// Requests queued or in service per connection; the pipeline bound.
+  /// Requests past it stay unread until the pipeline pops.
   size_t max_pipeline = 16;
   /// Requests admitted (queued or in service) across the whole server
-  /// (0 = unbounded); the global admission cap.
+  /// (0 = unbounded); the global admission cap. Requests past it are
+  /// answered with a reject frame.
   size_t max_inflight = 0;
-
-  /// What happens to a request that arrives past a bound.
-  enum class Overload : uint8_t {
-    kReject,  ///< answer a reject frame (503) and move on
-    kDefer,   ///< stop reading: the closing receive window backpressures
-  };
-  Overload overload = Overload::kReject;
 
   ServiceTimeModel service;
   uint64_t seed = 1;  ///< service-time sampling stream
-
-  /// Response data-frame payload quantum when the request doesn't name
-  /// its own chunk size.
-  uint32_t chunk_bytes = 16 * 1024;
 };
 
 /// Serves the framed protocol on a port. All counters are exact and
@@ -112,7 +106,7 @@ class ServerApp {
     std::vector<uint8_t> frame_buf;  ///< staged frame being written
     size_t frame_off = 0;
     bool tail_sent_ = false;  ///< fin/reject frame staged for the front
-    bool deferred = false;    ///< stopped reading at an admission bound
+    bool deferred = false;    ///< stopped reading at the pipeline bound
     bool dead = false;
     std::unique_ptr<Timer> service;  ///< pending service-time delay
 
@@ -127,7 +121,6 @@ class ServerApp {
   void accept(StreamSocket& c);
   void reap(Conn* conn);
   void finish_request(Conn& c, bool served);
-  void resume_deferred();
 
   SocketFactory& factory_;
   ServingConfig cfg_;

@@ -33,18 +33,6 @@ struct TransportConfig {
   /// per-class subflow policy knobs).
   MptcpConfig mptcp;
 
-  /// Fluent selection of the send-path policies (core/scheduler.h and
-  /// core/coupled_cc.h), so experiment code reads as configuration:
-  ///   TransportConfig{}.with_scheduler(SchedulerPolicy::kBackupAware)
-  ///                    .with_cc(CcAlgo::kNewReno)
-  TransportConfig& with_scheduler(SchedulerPolicy policy) {
-    mptcp.scheduler = policy;
-    return *this;
-  }
-  TransportConfig& with_cc(CcAlgo algo) {
-    mptcp.cc_algo = algo;
-    return *this;
-  }
   /// Sets both the per-subflow TCP buffers and the MPTCP meta buffers to
   /// `snd`/`rcv` bytes -- the serving benchmarks size client and server
   /// buffers per class without spelling out four fields each time.

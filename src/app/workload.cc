@@ -80,7 +80,7 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
     // The request FCT FineHistogram is ~15 KiB, so it exists only for
     // serving-mode classes: the fleet workload runs 400 single-class
     // engines, and one per class would add ~6 MB of zeros.
-    if (cs.spec.app_mode != FlowClass::AppMode::kConnectionPerTransfer) {
+    if (cs.spec.app_mode == FlowClass::AppMode::kServing) {
       cs.req_fct_us = std::make_unique<FineHistogram>();
     }
   }
@@ -130,11 +130,6 @@ void WorkloadEngine::sample_class(size_t k, StatsOut& out) const {
   out.emit("srv_rejected", rejected);
   out.emit("srv_peak_inflight", peak_inflight);
   out.emit("srv_conns_refused", refused);
-  if (cs.spec.app_mode == FlowClass::AppMode::kStreaming) {
-    out.emit("rebuffers", static_cast<double>(cs.rebuffers));
-    out.emit("ladder_up", static_cast<double>(cs.ladder_up));
-    out.emit("ladder_down", static_cast<double>(cs.ladder_down));
-  }
 }
 
 WorkloadEngine::~WorkloadEngine() {
@@ -204,7 +199,7 @@ void WorkloadEngine::start() {
 
   for (auto& slot : slots_) {
     const FlowClass& spec = classes_[slot->cls].spec;
-    if (spec.app_mode != FlowClass::AppMode::kConnectionPerTransfer) {
+    if (spec.app_mode == FlowClass::AppMode::kServing) {
       start_serving_slot(*slot, slot->gid);
       continue;
     }
@@ -272,15 +267,6 @@ uint64_t WorkloadEngine::sample_size(const FlowClass& spec, Rng& rng) {
       return std::clamp(static_cast<uint64_t>(v), spec.min_size,
                         spec.max_size);
     }
-    case FlowClass::SizeDist::kLognormal: {
-      // mu chosen so E[X] = mean for the configured sigma.
-      const double sigma = spec.lognorm_sigma;
-      const double mu = std::log(static_cast<double>(spec.mean_size)) -
-                        sigma * sigma / 2.0;
-      const double v = std::exp(mu + sigma * rng.next_normal());
-      return std::clamp(static_cast<uint64_t>(v), spec.min_size,
-                        spec.max_size);
-    }
   }
   return spec.mean_size;
 }
@@ -295,16 +281,9 @@ void WorkloadEngine::launch(ClientSlot& slot, bool persistent) {
   const Endpoint remote{saddrs[slot.next_server % saddrs.size()],
                         static_cast<Port>(cfg_.base_port + slot.cls)};
 
-  // First-subflow source address: round-robin over the class's path set.
+  // First-subflow source address: round-robin over the client's addresses.
   const auto& laddrs = topo_.addrs(slot.node);
-  IpAddr local;
-  if (spec.local_addr_set.empty()) {
-    local = laddrs[slot.next_local % laddrs.size()];
-  } else {
-    local = laddrs[spec.local_addr_set[slot.next_local %
-                                       spec.local_addr_set.size()] %
-                   laddrs.size()];
-  }
+  const IpAddr local = laddrs[slot.next_local % laddrs.size()];
   ++slot.next_local;
 
   auto flow = std::make_unique<Flow>();
@@ -391,7 +370,7 @@ void WorkloadEngine::for_each_open_server_conn(
 }
 
 // ---------------------------------------------------------------------------
-// Serving-stack paths (kServing / kStreaming classes)
+// Serving-stack paths (kServing classes)
 // ---------------------------------------------------------------------------
 
 void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
@@ -405,13 +384,7 @@ void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
   const Endpoint remote{saddrs[gid % saddrs.size()],
                         static_cast<Port>(cfg_.base_port + slot.cls)};
   const auto& laddrs = topo_.addrs(slot.node);
-  IpAddr local;
-  if (spec.local_addr_set.empty()) {
-    local = laddrs[gid % laddrs.size()];
-  } else {
-    local = laddrs[spec.local_addr_set[gid % spec.local_addr_set.size()] %
-                   laddrs.size()];
-  }
+  const IpAddr local = laddrs[gid % laddrs.size()];
 
   slot.pool = std::make_unique<ConnectionPool>(*slot.factory, local, remote,
                                                spec.pool);
@@ -428,45 +401,18 @@ void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
     if (!stopped_) raw->pool->start();
   });
 
-  if (spec.app_mode == FlowClass::AppMode::kServing) {
-    slot.arrival = std::make_unique<Timer>(topo_.loop(cfg_.shard),
-                                           [this, raw] {
-      if (stopped_) return;
-      submit_request(*raw);
-      schedule_arrival(*raw);
-    });
-    schedule_arrival(slot);
-  } else {  // kStreaming
-    slot.streams.resize(spec.streams_per_client);
-    for (size_t i = 0; i < slot.streams.size(); ++i) {
-      const SimTime at =
-          static_cast<SimTime>(slot.rng.next_below(1000)) * kMillisecond;
-      topo_.loop(cfg_.shard).schedule_in(at, [this, raw, i] {
-        if (!stopped_) submit_segment(*raw, i);
-      });
-    }
-  }
+  slot.arrival = std::make_unique<Timer>(topo_.loop(cfg_.shard), [this, raw] {
+    if (stopped_) return;
+    submit_request(*raw);
+    schedule_arrival(*raw);
+  });
+  schedule_arrival(slot);
 }
 
 void WorkloadEngine::submit_request(ClientSlot& slot) {
   ClassState& cls = classes_[slot.cls];
   ++cls.started;
   slot.pool->submit(sample_size(cls.spec, slot.rng));
-}
-
-void WorkloadEngine::submit_segment(ClientSlot& slot, size_t stream) {
-  ClassState& cls = classes_[slot.cls];
-  const FlowClass& spec = cls.spec;
-  Stream& st = slot.streams[stream];
-  const uint64_t bps = spec.bitrate_ladder_bps.empty()
-                           ? 1'000'000
-                           : spec.bitrate_ladder_bps[st.ladder];
-  const uint64_t bytes = std::max<uint64_t>(
-      1, bps * static_cast<uint64_t>(spec.segment_duration) /
-             (8ULL * kSecond));
-  ++cls.started;
-  const uint64_t id = slot.pool->submit(bytes, /*streaming=*/true);
-  slot.req_stream.emplace(id, stream);
 }
 
 void WorkloadEngine::on_request_outcome(ClientSlot& slot,
@@ -478,39 +424,12 @@ void WorkloadEngine::on_request_outcome(ClientSlot& slot,
   if (out.ok) {
     ++cls.completed;
     cls.fct_us.record(fct_us);
-    if (cls.req_fct_us != nullptr) cls.req_fct_us->record(fct_us);
+    cls.req_fct_us->record(fct_us);
   } else if (out.rejected) {
     ++cls.rejected;
   } else {
     ++cls.errors;
   }
-  if (cfg_.on_request_done) cfg_.on_request_done(slot.cls, out);
-
-  // Adaptive-streaming reaction: compare the segment's FCT against its
-  // media duration and walk the bitrate ladder.
-  const auto it = slot.req_stream.find(out.req_id);
-  if (it == slot.req_stream.end()) return;
-  const size_t stream = it->second;
-  slot.req_stream.erase(it);
-  Stream& st = slot.streams[stream];
-  const FlowClass& spec = cls.spec;
-  const SimTime fct = out.done_at - out.issued_at;
-  if (!out.ok || fct > spec.segment_duration) {
-    if (out.ok || !out.rejected) {
-      // A slow or failed segment stalls playback; a reject is the server
-      // shedding load before any bytes moved, so only the ladder reacts.
-      ++cls.rebuffers;
-    }
-    if (st.ladder > 0) {
-      --st.ladder;
-      ++cls.ladder_down;
-    }
-  } else if (2 * fct < spec.segment_duration &&
-             st.ladder + 1 < spec.bitrate_ladder_bps.size()) {
-    ++st.ladder;
-    ++cls.ladder_up;
-  }
-  if (!stopped_) submit_segment(slot, stream);
 }
 
 size_t WorkloadEngine::outstanding_requests(size_t cls) const {

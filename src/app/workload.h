@@ -1,7 +1,7 @@
 // Many-connection workload engine: open-loop traffic over a Topology.
 //
 // The WorkloadEngine models *load*, not a fixed client count, in one of
-// three per-class application modes:
+// two per-class application modes:
 //
 //  * kConnectionPerTransfer (the legacy shape): each class opens new
 //    connections from every client host as a Poisson process, draws a
@@ -15,24 +15,18 @@
 //  * kServing (the production serving stack): each (client, class) pair
 //    keeps a ConnectionPool of persistent connections to one server
 //    running a ServerApp, and *requests* -- not connections -- arrive
-//    open-loop as a Poisson process with heavy-tailed (Pareto or
-//    lognormal) response sizes. Request FCTs, including pool queueing
-//    delay, land in a fine-grained histogram whose p50/p99/p999 are the
-//    tail-latency SLO numbers; server rejections (503s) are counted per
-//    class. set_rate_scale() steps the request rate mid-run, which is
-//    how the flash-crowd benchmark drives a x10 load spike.
-//
-//  * kStreaming (adaptive-streaming clients): fixed sessions per client
-//    fetch segment after segment over the same pools, moving up or down
-//    a bitrate ladder by comparing each segment's FCT against the
-//    segment duration, and counting rebuffer events (FCT > duration).
+//    open-loop as a Poisson process with heavy-tailed (Pareto) response
+//    sizes. Request FCTs, including pool queueing delay, land in a
+//    fine-grained histogram whose p50/p99/p999 are the tail-latency SLO
+//    numbers; server rejections (503s) are counted per class.
+//    set_rate_scale() steps the request rate mid-run, which is how the
+//    flash-crowd benchmark drives a x10 load spike.
 //
 // Every class carries its own TransportConfig (TCP vs MPTCP, buffer
-// sizes, subflow policy) and an optional path set -- the subset of each
-// client host's interfaces its flows bind as the first-subflow source
-// address -- so classes are steered onto distinct paths of the same
-// topology. Everything is written against StreamSocket/SocketFactory;
-// the engine never names a transport.
+// sizes, subflow policy); a client's flows bind its interfaces
+// round-robin as the first-subflow source address. Everything is
+// written against StreamSocket/SocketFactory; the engine never names a
+// transport.
 //
 // Observability: each class exports "workload.<name>" through the
 // engine's stats hook -- started/completed/errors/bytes counters, a
@@ -60,8 +54,8 @@ struct FlowClass {
   std::string name = "default";
   /// Per-class transport selection, including the MPTCP send-path
   /// policies: classes in one workload can run different schedulers and
-  /// congestion controllers side by side (e.g. `transport.with_scheduler(
-  /// SchedulerPolicy::kBackupAware)` for one class, default lowest-RTT
+  /// congestion controllers side by side (e.g. `transport.mptcp.scheduler
+  /// = SchedulerPolicy::kBackupAware` for one class, default lowest-RTT
   /// for another) -- each class gets its own factory per client host.
   TransportConfig transport;
 
@@ -69,50 +63,34 @@ struct FlowClass {
   /// kConnectionPerTransfer only.
   double arrival_rate_hz = 10.0;
 
-  enum class SizeDist : uint8_t { kFixed, kExponential, kPareto, kLognormal };
+  enum class SizeDist : uint8_t { kFixed, kExponential, kPareto };
   SizeDist size_dist = SizeDist::kFixed;
   uint64_t mean_size = 100 * 1000;        ///< bytes fetched per flow
   uint64_t min_size = 1000;               ///< clamp for the random dists
   uint64_t max_size = 100 * 1000 * 1000;  ///< clamp for the random dists
-  double pareto_alpha = 1.5;    ///< kPareto shape (heavier tail toward 1)
-  double lognorm_sigma = 1.0;   ///< kLognormal log-space spread
+  double pareto_alpha = 1.5;  ///< kPareto shape (heavier tail toward 1)
 
   /// Long-lived connections opened per client host at start(); they fetch
   /// an effectively infinite response and stay up for the whole run.
   /// kConnectionPerTransfer only.
   size_t persistent_per_client = 0;
 
-  /// Indices into each client host's interface list that this class binds
-  /// as first-subflow source addresses (round-robin). Empty = all.
-  std::vector<size_t> local_addr_set;
-
-  // --- serving-stack modes --------------------------------------------
+  // --- serving-stack mode ---------------------------------------------
 
   enum class AppMode : uint8_t {
     kConnectionPerTransfer,  ///< legacy MPGET, one connection per flow
     kServing,                ///< open-loop requests over connection pools
-    kStreaming,              ///< adaptive-streaming sessions over pools
   };
   AppMode app_mode = AppMode::kConnectionPerTransfer;
 
   /// Open-loop request arrival rate per client host (kServing; Poisson).
   double request_rate_hz = 100.0;
-  /// Client pool shape for kServing/kStreaming (connections, mux limit,
-  /// retry budget).
+  /// Client pool shape for kServing (connections, mux limit, retry
+  /// budget).
   PoolConfig pool;
-  /// Server-side serving knobs for kServing/kStreaming (admission bounds,
-  /// overload behavior, service-time model).
+  /// Server-side serving knobs for kServing (admission bounds,
+  /// service-time model).
   ServingConfig server;
-
-  /// kStreaming: concurrent sessions per client host.
-  size_t streams_per_client = 1;
-  /// kStreaming: media seconds per fetched segment.
-  SimTime segment_duration = 2 * kSecond;
-  /// kStreaming: bitrate ladder (bps), lowest first. A segment's FCT
-  /// above segment_duration is a rebuffer and steps the session down;
-  /// below half the duration steps it up.
-  std::vector<uint64_t> bitrate_ladder_bps = {1'000'000, 2'500'000,
-                                              5'000'000, 8'000'000};
 };
 
 /// What the engine knows about one client-side flow when it hands the
@@ -145,11 +123,6 @@ struct WorkloadConfig {
   /// sender-side transport state (cwnd caps, send-buffer autotune) lives
   /// on these connections, not the client-side ones on_flow_done sees.
   std::function<void(StreamSocket&)> on_server_conn_done;
-
-  /// Invoked once per finished serving-stack request (kServing and
-  /// kStreaming classes), after the engine's own accounting. Fleet-level
-  /// scenarios fold per-request outcomes into population metrics here.
-  std::function<void(size_t cls, const RequestOutcome&)> on_request_done;
 
   /// Shard whose loop drives this engine's client side (arrival timers,
   /// flow bookkeeping, stats registration). Every client host must live
@@ -282,11 +255,10 @@ class WorkloadEngine {
   const Histogram& fct_us(size_t cls) const { return classes_[cls].fct_us; }
   size_t class_count() const { return classes_.size(); }
 
-  // --- serving-stack introspection (kServing / kStreaming classes) -----
+  // --- serving-stack introspection (kServing classes) ------------------
   uint64_t requests_rejected(size_t cls) const {
     return classes_[cls].rejected;
   }
-  uint64_t rebuffers(size_t cls) const { return classes_[cls].rebuffers; }
   /// Fine-grained request-FCT histogram (microseconds); null for
   /// kConnectionPerTransfer classes.
   const FineHistogram* request_fct_us(size_t cls) const {
@@ -329,19 +301,11 @@ class WorkloadEngine {
     uint64_t errors = 0;
     uint64_t bytes = 0;
     Histogram fct_us;  ///< completion times, microseconds
-    // Serving-stack extras (kServing / kStreaming only; their stats keys,
-    // and the request-FCT histogram's memory, exist only for those modes).
-    uint64_t rejected = 0;   ///< server answered a reject frame
-    uint64_t rebuffers = 0;  ///< kStreaming: segment FCT > duration
-    uint64_t ladder_up = 0;
-    uint64_t ladder_down = 0;
+    // Serving-stack extras (kServing only; their stats keys, and the
+    // request-FCT histogram's memory, exist only for that mode).
+    uint64_t rejected = 0;  ///< server answered a reject frame
     std::unique_ptr<FineHistogram> req_fct_us;  ///< request FCT, microseconds
     double rate_scale = 1.0;                    ///< flash-crowd multiplier
-  };
-
-  /// One adaptive-streaming session (kStreaming).
-  struct Stream {
-    size_t ladder = 0;  ///< current index into bitrate_ladder_bps
   };
 
   /// One (client host, class) pair: its transport factory, arrival clock
@@ -356,9 +320,7 @@ class WorkloadEngine {
     uint64_t gid = 0;  ///< global client id (RNG streams, server pinning)
     size_t next_server = 0;
     size_t next_local = 0;
-    std::unique_ptr<ConnectionPool> pool;  ///< kServing / kStreaming
-    std::vector<Stream> streams;           ///< kStreaming sessions
-    std::unordered_map<uint64_t, size_t> req_stream;  ///< req_id -> session
+    std::unique_ptr<ConnectionPool> pool;  ///< kServing
   };
 
   /// One open client-side flow.
@@ -386,7 +348,6 @@ class WorkloadEngine {
   void sample_class(size_t k, StatsOut& out) const;
   void start_serving_slot(ClientSlot& slot, uint64_t gid);
   void submit_request(ClientSlot& slot);
-  void submit_segment(ClientSlot& slot, size_t stream);
   void on_request_outcome(ClientSlot& slot, const RequestOutcome& out);
 
   Topology& topo_;
@@ -398,7 +359,7 @@ class WorkloadEngine {
   struct ServerSlot {
     std::unique_ptr<SocketFactory> factory;
     std::unique_ptr<HttpServer> http;        ///< kConnectionPerTransfer
-    std::unique_ptr<ServerApp> serving;      ///< kServing / kStreaming
+    std::unique_ptr<ServerApp> serving;      ///< kServing
   };
   std::vector<ServerSlot> servers_;
   std::unordered_map<Flow*, std::unique_ptr<Flow>> flows_;

@@ -58,17 +58,6 @@ class Rng {
     return -mean * std::log(1.0 - next_double());
   }
 
-  /// Standard normal deviate (Box-Muller). Draws two uniforms per call
-  /// rather than caching the conjugate value: stream position stays a
-  /// pure function of call count, the property reseed()-based replay
-  /// depends on.
-  double next_normal() {
-    const double u1 = 1.0 - next_double();  // (0, 1]: log stays finite
-    const double u2 = next_double();
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * 3.14159265358979323846 * u2);
-  }
-
  private:
   static constexpr uint64_t rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

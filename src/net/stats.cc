@@ -168,15 +168,9 @@ StatsRegistry::Entry& StatsRegistry::entry(std::string_view name) {
   return it->second;
 }
 
-Gauge& StatsRegistry::gauge(std::string_view name) {
-  Entry& e = entry(name);
-  if (!e.gauge) e = Entry{std::make_unique<Gauge>(), nullptr, nullptr};
-  return *e.gauge;
-}
-
 Histogram& StatsRegistry::histogram(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.hist) e = Entry{nullptr, std::make_unique<Histogram>(), nullptr};
+  if (!e.hist) e = Entry{std::make_unique<Histogram>(), nullptr};
   return *e.hist;
 }
 
@@ -194,9 +188,7 @@ std::string StatsRegistry::instance_scope(std::string_view head,
 }
 
 void StatsRegistry::expand(const Entry& e, StatsOut& out) {
-  if (e.gauge) {
-    out.emit({}, static_cast<double>(e.gauge->value()));
-  } else if (e.hist) {
+  if (e.hist) {
     out.emit_histogram({}, *e.hist);
   } else if (e.owned) {
     e.owned->sample(out);

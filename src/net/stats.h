@@ -1,5 +1,6 @@
-// Cross-layer observability: a lightweight registry of named gauges and
-// histograms, plus the objects that publish values read where they live.
+// Cross-layer observability: a lightweight registry of named histograms
+// and owned groups, plus the objects that publish values read where they
+// live.
 //
 // Design rules, in order of importance:
 //  * Near-zero overhead when unread. Hot paths touch plain integers in
@@ -30,17 +31,6 @@
 #include <vector>
 
 namespace mptcp {
-
-/// Instantaneous signed level (queue depths, occupancy).
-class Gauge {
- public:
-  void set(int64_t v) { v_ = v; }
-  void add(int64_t d) { v_ += d; }
-  int64_t value() const { return v_; }
-
- private:
-  int64_t v_ = 0;
-};
 
 /// Bucket counts plus count/sum/min/max of non-negative samples: what
 /// Histogram and FineHistogram share. Recording is O(1) with no
@@ -221,7 +211,7 @@ class StatsHook {
 };
 
 /// Export state that a registry owns (StatsRegistry::owned): made on first
-/// use and kept until the registry dies, like a gauge or a histogram.
+/// use and kept until the registry dies, like a registry histogram.
 class OwnedGroup {
  public:
   virtual ~OwnedGroup() = default;
@@ -230,13 +220,12 @@ class OwnedGroup {
 
 class StatsRegistry {
  public:
-  /// Returns the gauge/histogram registered under `name`, creating it on
-  /// first use. References stay valid for the registry's lifetime.
-  /// Looking up an existing name allocates nothing.
-  Gauge& gauge(std::string_view name);
-  /// Histograms stay registry-owned where several objects (or shards)
-  /// record into one distribution: merged exports fold them bucket by
-  /// bucket, where hook values are summed as plain numbers.
+  /// Returns the histogram registered under `name`, creating it on first
+  /// use. References stay valid for the registry's lifetime. Looking up
+  /// an existing name allocates nothing. Histograms stay registry-owned
+  /// where several objects (or shards) record into one distribution:
+  /// merged exports fold them bucket by bucket, where hook values are
+  /// summed as plain numbers.
   Histogram& histogram(std::string_view name);
 
   /// The registry-owned group under `scope`, made from `*this` on first
@@ -264,7 +253,7 @@ class StatsRegistry {
   /// untagged, as single-shard exports always were.
   void set_scope_tag(std::string tag) { scope_tag_ = std::move(tag); }
 
-  /// Registry-owned gauges, histograms and groups; hooks are no entries.
+  /// Registry-owned histograms and groups; hooks are no entries.
   size_t size() const { return entries_.size(); }
 
   /// Current numeric value of a flat key as flatten() would produce it
@@ -280,7 +269,7 @@ class StatsRegistry {
   std::string to_json() const;
 
   /// Deterministic fold of several registry partitions into one flat
-  /// view (the export path for per-shard registries). Gauges and hook
+  /// view (the export path for per-shard registries). Group and hook
   /// values sum as plain numbers; histograms bucket-merge *before*
   /// expansion, so <name>.{count,sum,min,max} describe the union of
   /// samples and <name>.mean is recomputed from the merged totals rather
@@ -303,14 +292,12 @@ class StatsRegistry {
 
   struct Entry {
     // Exactly one of these is set.
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> hist;
     std::unique_ptr<OwnedGroup> owned;
   };
 
   Entry& entry(std::string_view name);
-  /// The one expansion of an entry into (suffix, value) pairs; a gauge
-  /// emits one pair with an empty suffix.
+  /// The one expansion of an entry into (suffix, value) pairs.
   static void expand(const Entry& e, StatsOut& out);
   void build_index() const;
 

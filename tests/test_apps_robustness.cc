@@ -1,12 +1,16 @@
-// Workload robustness: the HTTP closed loop under packet loss and path
-// failure, plus harness utility coverage.
+// Workload robustness: the HTTP closed loop under packet loss, path
+// failure and a peer that keeps sending past its request, plus harness
+// utility coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "app/bulk_app.h"
+#include "app/harness.h"
 #include "app/http_app.h"
 #include "app/scenario.h"
 #include "app/socket_factory.h"
@@ -72,6 +76,50 @@ TEST(HttpRobustness, ManySmallRequestsChurnConnectionsCleanly) {
       static_cast<size_t>(churn_per_sec * to_seconds(cfg.mptcp.tcp.time_wait));
   EXPECT_LE(cs.live_sockets(), 3 * (20 + tw_tail));
   EXPECT_LE(ss.live_sockets(), 3 * (20 + tw_tail));
+}
+
+TEST(HttpRobustness, BytesTrailingTheRequestLeaveTheResponseExact) {
+  // The server keeps only the 16-byte request: what the peer sends after
+  // it is read and dropped, the response is still exactly the named
+  // pattern bytes, and the server still closes at its end.
+  TwoHostRig rig({ethernet_path(100e6, kMillisecond)});
+  TransportConfig cfg;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  HttpServer server(ss, 80);
+  constexpr uint64_t kSize = 2'000'000;
+  constexpr size_t kTrailing = 256 * 1024;
+  StreamSocket& s = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  const std::vector<uint8_t> junk(16 * 1024, 0xEE);
+  size_t sent = 0;
+  auto push = [&] {
+    while (sent < kTrailing) {
+      const size_t n = s.write(std::span<const uint8_t>(junk).first(
+          std::min(junk.size(), kTrailing - sent)));
+      if (n == 0) return;
+      sent += n;
+    }
+  };
+  uint64_t got = 0;
+  bool intact = true;
+  s.on_connected = [&] {
+    ASSERT_EQ(s.write(make_http_request(kSize)), kHttpRequestSize);
+    push();
+  };
+  s.on_send_space = push;
+  s.on_readable = [&] {
+    uint8_t buf[4096];
+    for (size_t n; (n = s.read(buf)) > 0; got += n) {
+      for (size_t i = 0; i < n; ++i) intact &= buf[i] == pattern_byte(got + i);
+    }
+  };
+  rig.loop().run_until(5 * kSecond);
+
+  EXPECT_EQ(sent, kTrailing);
+  EXPECT_EQ(got, kSize);
+  EXPECT_TRUE(intact);
+  EXPECT_TRUE(s.at_eof());
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(server.bytes_served(), kSize);
 }
 
 TEST(HarnessUtil, PatternBytesAreDeterministicAndOffsetExact) {

@@ -114,29 +114,6 @@ TEST(FleetSampling, IslandPlacementBalancedAcrossShards) {
   EXPECT_TRUE(fleet.shards_balanced());
 }
 
-TEST(FleetSampling, GreedyPlacementBalancedAndDeterministic) {
-  // kGreedy feeds the islands to the edge-cut partitioner as isolated
-  // weighted units (1 + path count); with no edges the placement
-  // degenerates to deterministic weighted balancing, so it must beat the
-  // token hash's statistical balance and reproduce exactly run to run.
-  FleetSpec spec;
-  spec.clients = 64;
-  spec.shards = 4;
-  spec.placement = FleetSpec::Placement::kGreedy;
-  FleetEngine fleet(spec);
-  const auto occ = fleet.shard_occupancy();
-  ASSERT_EQ(occ.size(), 4u);
-  size_t total = 0;
-  for (size_t c : occ) total += c;
-  EXPECT_EQ(total, 64u);
-  EXPECT_TRUE(fleet.shards_balanced(/*tolerance=*/0.3));
-
-  FleetEngine again(spec);
-  for (size_t i = 0; i < fleet.island_count(); ++i) {
-    EXPECT_EQ(fleet.island_shard(i), again.island_shard(i)) << i;
-  }
-}
-
 TEST(FleetMobility, NatRebindReestablishesSubflowsWithoutDataLoss) {
   FleetSpec spec = mobility_spec();
   spec.p_nat = 1.0;

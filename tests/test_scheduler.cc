@@ -208,7 +208,7 @@ TEST(BackupAware, SelectableThroughTransportConfigAndWorkloadEngine) {
   cls.name = "backup-aware";
   cls.arrival_rate_hz = 0;
   cls.persistent_per_client = 2;
-  cls.transport.with_scheduler(SchedulerPolicy::kBackupAware);
+  cls.transport.mptcp.scheduler = SchedulerPolicy::kBackupAware;
   cls.transport.mptcp.tcp.seed = 7;
   wc.classes.push_back(cls);
 
@@ -232,11 +232,10 @@ TEST(BackupAware, SelectableThroughTransportConfigAndWorkloadEngine) {
 }
 
 TEST(CongestionControl, FactorySelectsUncoupledNewReno) {
-  // cc_algo is plumbed end to end: an uncoupled connection still moves
-  // data, and the fluent selector writes the right field.
+  // cc_algo is plumbed end to end: an uncoupled connection still moves data.
   TransportConfig tc;
-  tc.with_cc(CcAlgo::kNewReno).with_scheduler(SchedulerPolicy::kLowestRtt);
-  EXPECT_EQ(tc.mptcp.cc_algo, CcAlgo::kNewReno);
+  tc.mptcp.cc_algo = CcAlgo::kNewReno;
+  tc.mptcp.scheduler = SchedulerPolicy::kLowestRtt;
   EXPECT_EQ(to_string(tc.mptcp.cc_algo), "new-reno");
   EXPECT_EQ(to_string(CcAlgo::kLia), "lia");
 

@@ -1,15 +1,16 @@
 // The layered serving stack: framing codecs, the zero-copy FrameReader,
 // ServerApp overload behavior, ConnectionPool failure handling, the
-// open-loop/streaming workload modes, and the serving determinism digest.
+// open-loop workload mode, and the serving determinism digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "app/client_pool.h"
 #include "app/digest.h"
-#include "app/fleet.h"
 #include "app/framing.h"
 #include "app/scenario.h"
 #include "app/server_app.h"
@@ -27,15 +28,15 @@ TEST(ServingFraming, RequestRoundTrip) {
   req.req_id = 0x1122334455667788ULL;
   req.response_size = 9'999'999;
   req.chunk_bytes = 4096;
-  req.streaming = true;
-  const std::vector<uint8_t> wire = serving_encode_request(req);
+  std::vector<uint8_t> wire = serving_encode_request(req);
   ASSERT_EQ(wire.size(), kServingRequestSize);
+  EXPECT_EQ(wire[5], 0);  // the flags byte is sent as 0...
+  wire[5] = 0xFF;         // ...and ignored on receipt
   ServingRequest got;
   ASSERT_TRUE(serving_decode_request(wire, got));
   EXPECT_EQ(got.req_id, req.req_id);
   EXPECT_EQ(got.response_size, req.response_size);
   EXPECT_EQ(got.chunk_bytes, req.chunk_bytes);
-  EXPECT_TRUE(got.streaming);
 }
 
 TEST(ServingFraming, RequestRejectsBadMagicAndVersion) {
@@ -214,7 +215,7 @@ TEST(ServingEndToEnd, ServerCloseMidResponseFailsOverAndPoolRecovers) {
 TEST(ServingEndToEnd, OverloadRejectAnswers503InPipelineOrder) {
   ServingConfig sc;
   sc.max_inflight = 1;
-  sc.service.kind = ServiceTimeModel::Kind::kFixed;
+  sc.service.kind = ServiceTimeModel::Kind::kExponential;
   sc.service.mean = 200 * kMillisecond;
   PoolConfig pc;
   pc.connections = 1;
@@ -227,8 +228,8 @@ TEST(ServingEndToEnd, OverloadRejectAnswers503InPipelineOrder) {
   for (int i = 0; i < 6; ++i) t.pool->submit(5'000);
   t.rig.loop().run_until(5 * kSecond);
 
-  // One admitted per 200 ms service slot; the burst beyond the admission
-  // cap was rejected, and every outcome still arrived in request order.
+  // One admitted at a time; the burst beyond the admission cap was
+  // rejected, and every outcome still arrived in request order.
   ASSERT_EQ(outcomes.size(), 6u);
   EXPECT_GT(t.pool->rejected(), 0u);
   EXPECT_EQ(t.pool->rejected(), t.server->requests_rejected());
@@ -242,29 +243,6 @@ TEST(ServingEndToEnd, OverloadRejectAnswers503InPipelineOrder) {
       EXPECT_EQ(o.bytes, 0u);
     }
   }
-}
-
-TEST(ServingEndToEnd, OverloadDeferBackpressuresInsteadOfRejecting) {
-  ServingConfig sc;
-  sc.max_inflight = 1;
-  sc.overload = ServingConfig::Overload::kDefer;
-  sc.service.kind = ServiceTimeModel::Kind::kFixed;
-  sc.service.mean = 20 * kMillisecond;
-  PoolConfig pc;
-  pc.connections = 1;
-  pc.max_mux = 8;
-  ServingRig t(sc, pc);
-  t.pool->start();
-  t.rig.loop().run_until(50 * kMillisecond);
-  for (int i = 0; i < 8; ++i) t.pool->submit(2'000);
-  t.rig.loop().run_until(10 * kSecond);
-
-  // Deferred reads leave requests in the receive window until capacity
-  // frees: nothing is rejected, everything eventually completes.
-  EXPECT_EQ(t.pool->completed(), 8u);
-  EXPECT_EQ(t.pool->rejected(), 0u);
-  EXPECT_EQ(t.server->requests_rejected(), 0u);
-  EXPECT_EQ(t.server->peak_inflight(), 1u);
 }
 
 TEST(ServingEndToEnd, AcceptBoundRefusesExtraConnections) {
@@ -282,6 +260,74 @@ TEST(ServingEndToEnd, AcceptBoundRefusesExtraConnections) {
   EXPECT_EQ(t.server->open_conns(), 1u);
   EXPECT_EQ(t.pool->connected_conns(), 1u);
   t.pool->stop();
+}
+
+TEST(ServingEndToEnd, RequestedChunkAboveServerQuantumIsClamped) {
+  // The server stages each data frame in a buffer sized by the frame, so
+  // a request naming a 64 MiB quantum must still get frames of at most
+  // kServingChunkBytes -- and its exact response.
+  ServingRig t;
+  StreamSocket& s =
+      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
+  constexpr uint64_t kSize = 100'000;
+  uint32_t largest = 0;
+  uint64_t payload = 0;
+  bool fin = false;
+  FrameReader reader;
+  reader.on_frame = [&](const FrameHeader& h) {
+    if (h.kind == kFrameData) largest = std::max(largest, h.payload_len);
+    fin |= h.kind == kFrameFin;
+    return true;
+  };
+  reader.on_payload = [&](const FrameHeader&, std::span<const uint8_t> v) {
+    payload += v.size();
+    return true;
+  };
+  s.on_connected = [&] {
+    s.write(serving_encode_request(ServingRequest{7, kSize, 64u << 20}));
+  };
+  s.on_readable = [&] { reader.pump(s); };
+  t.rig.loop().run_until(2 * kSecond);
+
+  EXPECT_TRUE(fin);
+  EXPECT_EQ(payload, kSize);
+  EXPECT_GT(largest, 0u);
+  EXPECT_LE(largest, kServingChunkBytes);
+}
+
+TEST(ServingEndToEnd, PeerThatNeverReadsCannotGrowTheServerQueue) {
+  // A raw client pipelines 4,000 requests for large responses and never
+  // reads one. The first response stalls on the client's closed window,
+  // so the pipeline fills; every later request must stay unread in the
+  // transport's bounded receive queue rather than be consumed and queued
+  // as a reject behind the stalled response.
+  ServingConfig sc;  // max_pipeline 16, no admission cap
+  ServingRig t(sc);
+  StreamSocket& s =
+      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
+  std::vector<uint8_t> requests;
+  for (uint64_t id = 0; id < 4000; ++id) {
+    const std::vector<uint8_t> req =
+        serving_encode_request(ServingRequest{id, 1'000'000});
+    requests.insert(requests.end(), req.begin(), req.end());
+  }
+  size_t written = 0;
+  auto push = [&] {
+    while (written < requests.size()) {
+      const size_t n =
+          s.write(std::span<const uint8_t>(requests).subspan(written));
+      if (n == 0) return;
+      written += n;
+    }
+  };
+  s.on_connected = push;
+  s.on_send_space = push;
+  t.rig.loop().run_until(3 * kSecond);
+
+  EXPECT_GT(written, sc.max_pipeline * kServingRequestSize);
+  EXPECT_EQ(t.server->requests_rejected(), 0u);
+  EXPECT_EQ(t.server->inflight(), sc.max_pipeline);
+  EXPECT_EQ(t.server->requests_served(), 0u);
 }
 
 // Pipelines deeper than a RingQueue's first allocation (8 slots): the
@@ -341,7 +387,6 @@ TEST(ServingEndToEnd, DeepPipelineRejectModeAnswersInOrder) {
 TEST(ServingEndToEnd, DeepPipelineDeferModeFillsPipelineThenResumes) {
   ServingConfig sc;
   sc.max_pipeline = kDeepPipeline;
-  sc.overload = ServingConfig::Overload::kDefer;
   PoolConfig pc;
   pc.connections = 1;
   pc.max_mux = kDeepPipeline + 8;  // past the pipeline bound: deferred
@@ -415,7 +460,7 @@ TEST(ServingWorkload, OpenLoopEngineDrivesPoolsAndExportsTailStats) {
   serving.name = "serving";
   serving.app_mode = FlowClass::AppMode::kServing;
   serving.request_rate_hz = 50.0;
-  serving.size_dist = FlowClass::SizeDist::kLognormal;
+  serving.size_dist = FlowClass::SizeDist::kPareto;
   serving.mean_size = 30'000;
   serving.min_size = 500;
   serving.max_size = 500'000;
@@ -432,7 +477,7 @@ TEST(ServingWorkload, OpenLoopEngineDrivesPoolsAndExportsTailStats) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), engine.completed(0));
   EXPECT_GE(h->percentile(0.999), h->percentile(0.50));
-  // Lognormal sizes respect the clamp.
+  // Pareto sizes respect the clamp.
   EXPECT_GT(engine.bytes_received(0), engine.completed(0) * 500);
 }
 
@@ -471,73 +516,6 @@ TEST(ServingWorkload, RateScaleStepRaisesAndRestoresArrivals) {
   EXPECT_GT(spike, 4 * base);
   EXPECT_GT(spike, 4 * after);
   EXPECT_GT(after, 0u);
-}
-
-TEST(ServingWorkload, StreamingClassFetchesSegmentsAndAdaptsLadder) {
-  CapacitySpec top;
-  top.clients = 2;
-  top.servers = 1;
-  // Tight bottleneck: ~2.7 Mbps per stream forces the ladder below the
-  // 8 Mbps top rung, so adaptation (and possibly rebuffers) must fire.
-  top.bottleneck_rate_bps = 8e6;
-  CapacityTopology cap = build_capacity_topology(top, /*seed=*/5);
-
-  WorkloadConfig wc;
-  wc.clients = cap.clients;
-  wc.servers = cap.servers;
-  wc.seed = 5;
-  FlowClass vid;
-  vid.name = "vid";
-  vid.app_mode = FlowClass::AppMode::kStreaming;
-  vid.streams_per_client = 1;
-  vid.segment_duration = kSecond;
-  wc.classes.push_back(vid);
-
-  WorkloadEngine engine(*cap.topo, wc);
-  engine.start();
-  cap.topo->loop().run_until(12 * kSecond);
-
-  // Segments keep flowing (each completion resubmits the next one).
-  EXPECT_GT(engine.completed(0), 10u);
-  EXPECT_GT(engine.bytes_received(0), 0u);
-  // The ladder moved: at 1 Mbps per segment floor and an 8 Mbps cap on
-  // the shared link, both up- and down-shifts are reachable; assert at
-  // least one adaptation event happened so the ladder is not inert.
-  const double shifts =
-      cap.topo->stats().value("workload.vid.ladder_up") +
-      cap.topo->stats().value("workload.vid.ladder_down");
-  EXPECT_GT(shifts, 0.0);
-}
-
-// --- fleet serving mode -----------------------------------------------------
-
-TEST(ServingFleet, ServingModeIsShardCountInvariant) {
-  // serving_rate_hz flips every island to the open-loop pooled workload;
-  // islands stay shard-local, so the population metrics must be
-  // bit-identical for any shard count (the fleet determinism contract).
-  FleetSpec spec;
-  spec.clients = 12;
-  spec.duration = 1500 * kMillisecond;
-  spec.seed = 11;
-  spec.serving_rate_hz = 10.0;
-  spec.serving_max_inflight = 4;
-  spec.shards = 1;
-  FleetEngine one(spec);
-  one.run();
-  const FleetMetrics m1 = one.metrics();
-  EXPECT_GT(m1.flows_completed, 0u);
-  EXPECT_GT(m1.bytes_received, 0u);
-  EXPECT_GT(m1.fct_samples, 0u);
-
-  spec.shards = 2;
-  FleetEngine two(spec);
-  two.run();
-  const FleetMetrics m2 = two.metrics();
-  EXPECT_EQ(m1.flows_started, m2.flows_started);
-  EXPECT_EQ(m1.flows_completed, m2.flows_completed);
-  EXPECT_EQ(m1.bytes_received, m2.bytes_received);
-  EXPECT_EQ(m1.fct_p50_us, m2.fct_p50_us);
-  EXPECT_EQ(m1.fct_p99_us, m2.fct_p99_us);
 }
 
 // --- determinism ------------------------------------------------------------

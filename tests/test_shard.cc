@@ -28,7 +28,6 @@
 #include "sim/barrier.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
-#include "sim/placement.h"
 #include "sim/shard.h"
 #include "sim/spsc.h"
 #include "sim/topology.h"
@@ -320,13 +319,20 @@ struct LinkValues {
   StatsHook hook;
 };
 
+/// A registry-owned value, emitted under its scope's own name.
+struct OwnedValue final : OwnedGroup {
+  explicit OwnedValue(StatsRegistry&) {}
+  void sample(StatsOut& out) const override { out.emit({}, value); }
+  double value = 0.0;
+};
+
 TEST(StatsMerge, ScalarsSumAndHistogramsFoldByBucket) {
   StatsRegistry a;
   StatsRegistry b;
   const LinkValues ga(a, {{"pkts", 10.0}});
   const LinkValues gb(b, {{"pkts", 32.0}, {"only_b", 7.0}});
-  a.gauge("depth").set(3);
-  b.gauge("depth").set(4);
+  a.owned<OwnedValue>("depth").value = 3;
+  b.owned<OwnedValue>("depth").value = 4;
   a.histogram("fct").record(8);
   a.histogram("fct").record(100);
   b.histogram("fct").record(2);
@@ -351,11 +357,11 @@ TEST(StatsMerge, ResultIndependentOfPartitionFillOrder) {
   // same contents must be byte-identical no matter which registry was
   // populated (or finished) first.
   auto fill_x = [](StatsRegistry& r) {
-    r.gauge("x.pkts").set(5);
+    r.owned<OwnedValue>("x.pkts").value = 5;
     r.histogram("x.fct").record(10);
   };
   auto fill_y = [](StatsRegistry& r) {
-    r.gauge("y.pkts").set(9);
+    r.owned<OwnedValue>("y.pkts").value = 9;
     r.histogram("x.fct").record(20);
   };
   StatsRegistry a1, b1;
@@ -654,98 +660,6 @@ TEST(ShardedEngine, EpochCollapseKeepsDeliveryScheduleExact) {
   EXPECT_EQ(base.arrivals, autod.arrivals);
   EXPECT_EQ(base.arrivals, quartered.arrivals);
   EXPECT_LT(autod.epochs, base.epochs);
-}
-
-// ---------------------------------------------------------------------------
-// Greedy placement.
-// ---------------------------------------------------------------------------
-
-TEST(Placement, DisconnectedCliquesSplitCleanly) {
-  // Two 4-cliques with no bridge: the partitioner must keep each clique
-  // whole (cut 0) and balance the shards exactly, and -- being a pure
-  // function of the graph -- must reproduce the identical assignment on
-  // a second run.
-  PlacementGraph g;
-  g.shards = 2;
-  g.weights.assign(8, 1.0);
-  for (size_t base : {size_t{0}, size_t{4}}) {
-    for (size_t i = 0; i < 4; ++i) {
-      for (size_t j = i + 1; j < 4; ++j) {
-        g.edges.push_back({base + i, base + j, 1.0});
-      }
-    }
-  }
-  const PlacementResult r1 = greedy_edge_cut(g);
-  const PlacementResult r2 = greedy_edge_cut(g);
-  EXPECT_EQ(r1.shard_of, r2.shard_of);
-  EXPECT_EQ(r1.cut_edges, 0u);
-  EXPECT_DOUBLE_EQ(r1.cut_weight, 0.0);
-  EXPECT_DOUBLE_EQ(r1.imbalance, 0.0);
-  // Each clique landed whole on one shard, and not the same one.
-  for (size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(r1.shard_of[i], r1.shard_of[0]);
-    EXPECT_EQ(r1.shard_of[4 + i], r1.shard_of[4]);
-  }
-  EXPECT_NE(r1.shard_of[0], r1.shard_of[4]);
-}
-
-TEST(Placement, BridgedClustersRespectCapacityAndCutFewEdges) {
-  PlacementGraph g;
-  g.shards = 2;
-  g.weights.assign(8, 1.0);
-  for (size_t base : {size_t{0}, size_t{4}}) {
-    for (size_t i = 0; i < 4; ++i) {
-      for (size_t j = i + 1; j < 4; ++j) {
-        g.edges.push_back({base + i, base + j, 1.0});
-      }
-    }
-  }
-  g.edges.push_back({3, 4, 1.0});  // one bridge between the cliques
-  const PlacementResult r = greedy_edge_cut(g);
-  for (size_t s : r.shard_of) EXPECT_LT(s, 2u);
-  // 13 edges total; a sane partition cuts far fewer than half of them
-  // and keeps the load within the 10%-plus-one-node capacity bound.
-  EXPECT_LE(r.cut_edges, 4u);
-  EXPECT_LE(r.imbalance, 0.5);
-}
-
-TEST(ScenarioSpec, AutoPlaceWeldsZeroDelayLinksAndExportsGauges) {
-  auto declare = [] {
-    ScenarioSpec spec;
-    spec.seed(3).shards(2);
-    const NodeId a = spec.host("a");
-    const NodeId b = spec.host("b");
-    const NodeId c = spec.host("c");
-    const NodeId d = spec.host("d");
-    LinkConfig wire;
-    wire.rate_bps = 1e9;
-    wire.prop_delay = kMillisecond;
-    wire.buffer_bytes = 1 << 20;
-    LinkConfig zero = wire;
-    zero.prop_delay = 0;  // this pair must never be split across shards
-    spec.link(a, b, zero, wire, "welded");
-    spec.link(b, c, wire, wire, "bc");
-    spec.link(c, d, wire, wire, "cd");
-    return spec;
-  };
-
-  ScenarioSpec spec = declare();
-  const PlacementResult& p = spec.auto_place();
-  ASSERT_EQ(p.shard_of.size(), 4u);
-  EXPECT_EQ(p.shard_of[0], p.shard_of[1]);  // welded endpoints together
-  for (size_t s : p.shard_of) EXPECT_LT(s, 2u);
-
-  ScenarioSpec again = declare();
-  EXPECT_EQ(again.auto_place().shard_of, p.shard_of);
-
-  // build() must lower the placement legally (the Topology asserts
-  // cross-shard links have positive delay) and export the quality
-  // gauges on shard 0.
-  Scenario scn = spec.build();
-  const auto flat = scn.topo().stats(0).flatten();
-  ASSERT_EQ(flat.count("placement.cut_edges"), 1u);
-  EXPECT_EQ(flat.at("placement.cut_edges"), static_cast<double>(p.cut_edges));
-  EXPECT_EQ(flat.count("placement.imbalance_permille"), 1u);
 }
 
 }  // namespace

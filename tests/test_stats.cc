@@ -30,15 +30,10 @@ namespace {
 // Registry unit tests.
 // ---------------------------------------------------------------------------
 
-TEST(StatsRegistry, GaugeHistogramBasics) {
+TEST(StatsRegistry, HistogramBasics) {
   StatsRegistry reg;
-  Gauge& g = reg.gauge("a.level");
-  g.set(10);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 7);
-  EXPECT_EQ(&reg.gauge("a.level"), &g);  // create-on-first-use is stable
-
   Histogram& h = reg.histogram("a.sizes");
+  EXPECT_EQ(&reg.histogram("a.sizes"), &h);  // create-on-first-use is stable
   h.record(0);
   h.record(1);
   h.record(5);
@@ -234,7 +229,7 @@ TEST(StatsRegistry, HookExpandsLazilyAndLeavesWithItsObject) {
 
 TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
   StatsRegistry reg;
-  reg.gauge("a.gauge").set(-4);
+  const TestObject a(reg, "a", {{"level", -4.0}});
   reg.histogram("m.hist").record(100);
   const TestObject s(reg, "s", {{"val", 0.125}, {"count", 7.0}});
 
@@ -244,7 +239,7 @@ TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
   const auto parsed = StatsRegistry::parse_flat_json(json);
   EXPECT_EQ(parsed, reg.flatten());
   EXPECT_DOUBLE_EQ(parsed.at("s.count"), 7.0);
-  EXPECT_DOUBLE_EQ(parsed.at("a.gauge"), -4.0);
+  EXPECT_DOUBLE_EQ(parsed.at("a.level"), -4.0);
   EXPECT_DOUBLE_EQ(parsed.at("m.hist.count"), 1.0);
   EXPECT_DOUBLE_EQ(parsed.at("m.hist.sum"), 100.0);
   EXPECT_DOUBLE_EQ(parsed.at("s.val"), 0.125);
@@ -255,9 +250,9 @@ TEST(StatsRegistry, JsonRoundTripsAndOmitsUnregistered) {
 
 TEST(StatsRegistry, MalformedJsonYieldsPairsParsedSoFar) {
   StatsRegistry reg;
-  reg.gauge("a.first").set(1);
-  reg.gauge("b.second").set(2);
-  reg.gauge("c.third").set(3);
+  const TestObject a(reg, "a", {{"first", 1.0}});
+  const TestObject b(reg, "b", {{"second", 2.0}});
+  const TestObject c(reg, "c", {{"third", 3.0}});
   const std::string json = reg.to_json();
   const std::map<std::string, double> first_two = {{"a.first", 1.0},
                                                    {"b.second", 2.0}};

@@ -349,7 +349,7 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
   // subflow's registry scope is gone.
   {
     TransportConfig rc = tc;
-    rc.with_scheduler(SchedulerPolicy::kRedundant);
+    rc.mptcp.scheduler = SchedulerPolicy::kRedundant;
     SocketFactory cf(topo.host(cap.clients[0]), rc);
     SocketFactory sf(topo.host(cap.servers[0]), rc);
     HttpServer server(sf, 81);
