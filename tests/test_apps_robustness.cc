@@ -1,10 +1,11 @@
 // Workload robustness: the HTTP closed loop under packet loss, path
-// failure and a peer that keeps sending past its request, plus harness
-// utility coverage.
+// failure, a peer that keeps sending past its request and a request that
+// arrives in pieces, plus harness utility coverage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -115,6 +116,48 @@ TEST(HttpRobustness, BytesTrailingTheRequestLeaveTheResponseExact) {
   rig.loop().run_until(5 * kSecond);
 
   EXPECT_EQ(sent, kTrailing);
+  EXPECT_EQ(got, kSize);
+  EXPECT_TRUE(intact);
+  EXPECT_TRUE(s.at_eof());
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(server.bytes_served(), kSize);
+}
+
+TEST(HttpRobustness, RequestArrivingInPiecesIsAnsweredOnce) {
+  // The 16-byte request buffer fills across reads: a request written in
+  // four pieces 10 ms apart is answered once and exactly, and nothing is
+  // answered before its last byte arrives.
+  TwoHostRig rig({ethernet_path(100e6, kMillisecond)});
+  TransportConfig cfg;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  HttpServer server(ss, 80);
+  constexpr uint64_t kSize = 300'000;
+  const std::vector<uint8_t> req = make_http_request(kSize);
+  ASSERT_EQ(req.size(), kHttpRequestSize);
+  StreamSocket& s = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  uint64_t got = 0;
+  bool intact = true;
+  const size_t cuts[] = {0, 1, 7, 9, kHttpRequestSize};
+  auto send_piece = [&](size_t k) {
+    EXPECT_EQ(got, 0u) << "answered before piece " << k;
+    const auto piece =
+        std::span<const uint8_t>(req).subspan(cuts[k], cuts[k + 1] - cuts[k]);
+    EXPECT_EQ(s.write(piece), piece.size());
+  };
+  s.on_connected = [&] {
+    for (size_t k = 0; k + 1 < std::size(cuts); ++k) {
+      rig.loop().schedule_in(static_cast<SimTime>(k) * 10 * kMillisecond,
+                             [&send_piece, k] { send_piece(k); });
+    }
+  };
+  s.on_readable = [&] {
+    uint8_t buf[4096];
+    for (size_t n; (n = s.read(buf)) > 0; got += n) {
+      for (size_t i = 0; i < n; ++i) intact &= buf[i] == pattern_byte(got + i);
+    }
+  };
+  rig.loop().run_until(3 * kSecond);
+
   EXPECT_EQ(got, kSize);
   EXPECT_TRUE(intact);
   EXPECT_TRUE(s.at_eof());

@@ -5,6 +5,8 @@
 // no app-visible data loss, path-map state back at baseline.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "app/digest.h"
 #include "app/fleet.h"
 #include "core/mptcp_connection.h"
@@ -112,6 +114,33 @@ TEST(FleetSampling, IslandPlacementBalancedAcrossShards) {
   for (size_t c : occ) total += c;
   EXPECT_EQ(total, 64u);
   EXPECT_TRUE(fleet.shards_balanced());
+}
+
+TEST(FleetSampling, IslandPlacementFollowsTokenHashAndReproduces) {
+  // Each island is pinned by the token hash of its client's name alone,
+  // so its shard is the same run to run, under another seed and in a
+  // larger fleet.
+  FleetSpec spec;
+  spec.clients = 32;
+  spec.shards = 4;
+  FleetEngine fleet(spec);
+  ASSERT_EQ(fleet.island_count(), 32u);
+  for (size_t i = 0; i < fleet.island_count(); ++i) {
+    std::string client = "f";  // island i's client host is "f<i>.client"
+    client += std::to_string(i);
+    client += ".client";
+    EXPECT_EQ(fleet.island_shard(i), shard_for_token(client, 4)) << i;
+  }
+
+  FleetSpec other = spec;
+  other.seed = spec.seed + 1;
+  other.clients = 48;
+  FleetEngine again(spec);
+  FleetEngine larger(other);
+  for (size_t i = 0; i < fleet.island_count(); ++i) {
+    EXPECT_EQ(again.island_shard(i), fleet.island_shard(i)) << i;
+    EXPECT_EQ(larger.island_shard(i), fleet.island_shard(i)) << i;
+  }
 }
 
 TEST(FleetMobility, NatRebindReestablishesSubflowsWithoutDataLoss) {

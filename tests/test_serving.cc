@@ -262,72 +262,127 @@ TEST(ServingEndToEnd, AcceptBoundRefusesExtraConnections) {
   t.pool->stop();
 }
 
+// What a raw client saw of one response: the largest data frame, the
+// payload bytes and whether the fin frame arrived.
+struct RawResponse {
+  uint32_t largest_frame = 0;
+  uint64_t payload = 0;
+  bool fin = false;
+};
+
+RawResponse fetch_raw(ServingRig& t, const ServingRequest& req) {
+  StreamSocket& s =
+      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
+  RawResponse r;
+  FrameReader reader;
+  reader.on_frame = [&](const FrameHeader& h) {
+    if (h.kind == kFrameData) {
+      r.largest_frame = std::max(r.largest_frame, h.payload_len);
+    }
+    r.fin |= h.kind == kFrameFin;
+    return true;
+  };
+  reader.on_payload = [&](const FrameHeader&, std::span<const uint8_t> v) {
+    r.payload += v.size();
+    return true;
+  };
+  s.on_connected = [&] { s.write(serving_encode_request(req)); };
+  s.on_readable = [&] { reader.pump(s); };
+  t.rig.loop().run_until(t.rig.loop().now() + 2 * kSecond);
+  s.on_readable = nullptr;  // the socket outlives `reader` and `r`
+  return r;
+}
+
 TEST(ServingEndToEnd, RequestedChunkAboveServerQuantumIsClamped) {
   // The server stages each data frame in a buffer sized by the frame, so
   // a request naming a 64 MiB quantum must still get frames of at most
   // kServingChunkBytes -- and its exact response.
   ServingRig t;
-  StreamSocket& s =
-      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
   constexpr uint64_t kSize = 100'000;
-  uint32_t largest = 0;
-  uint64_t payload = 0;
-  bool fin = false;
-  FrameReader reader;
-  reader.on_frame = [&](const FrameHeader& h) {
-    if (h.kind == kFrameData) largest = std::max(largest, h.payload_len);
-    fin |= h.kind == kFrameFin;
-    return true;
-  };
-  reader.on_payload = [&](const FrameHeader&, std::span<const uint8_t> v) {
-    payload += v.size();
-    return true;
-  };
-  s.on_connected = [&] {
-    s.write(serving_encode_request(ServingRequest{7, kSize, 64u << 20}));
-  };
-  s.on_readable = [&] { reader.pump(s); };
-  t.rig.loop().run_until(2 * kSecond);
-
-  EXPECT_TRUE(fin);
-  EXPECT_EQ(payload, kSize);
-  EXPECT_GT(largest, 0u);
-  EXPECT_LE(largest, kServingChunkBytes);
+  const RawResponse r = fetch_raw(t, ServingRequest{7, kSize, 64u << 20});
+  EXPECT_TRUE(r.fin);
+  EXPECT_EQ(r.payload, kSize);
+  EXPECT_GT(r.largest_frame, 0u);
+  EXPECT_LE(r.largest_frame, kServingChunkBytes);
 }
 
+TEST(ServingEndToEnd, RequestNamingNoChunkGetsServerQuantum) {
+  // A quantum of 0 leaves the choice to the server: full frames of
+  // kServingChunkBytes, and the exact response.
+  ServingRig t;
+  constexpr uint64_t kSize = 100'000;
+  const RawResponse r = fetch_raw(t, ServingRequest{9, kSize, 0});
+  EXPECT_TRUE(r.fin);
+  EXPECT_EQ(r.payload, kSize);
+  EXPECT_EQ(r.largest_frame, kServingChunkBytes);
+}
+
+// A raw client that pipelines `count` requests for large responses as
+// fast as its send buffer takes them and never reads a byte.
+struct NeverReadingPeer {
+  NeverReadingPeer(ServingRig& t, uint64_t count)
+      : sock(t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80})) {
+    for (uint64_t id = 0; id < count; ++id) {
+      const std::vector<uint8_t> req =
+          serving_encode_request(ServingRequest{id, 1'000'000});
+      requests.insert(requests.end(), req.begin(), req.end());
+    }
+    sock.on_connected = [this] { push(); };
+    sock.on_send_space = [this] { push(); };
+  }
+  void push() {
+    while (written < requests.size()) {
+      const size_t n =
+          sock.write(std::span<const uint8_t>(requests).subspan(written));
+      if (n == 0) return;
+      written += n;
+    }
+  }
+  StreamSocket& sock;
+  std::vector<uint8_t> requests;
+  size_t written = 0;
+};
+
 TEST(ServingEndToEnd, PeerThatNeverReadsCannotGrowTheServerQueue) {
-  // A raw client pipelines 4,000 requests for large responses and never
-  // reads one. The first response stalls on the client's closed window,
-  // so the pipeline fills; every later request must stay unread in the
+  // The peer's first response stalls on its closed window, so its
+  // pipeline fills; every later request must stay unread in the
   // transport's bounded receive queue rather than be consumed and queued
   // as a reject behind the stalled response.
   ServingConfig sc;  // max_pipeline 16, no admission cap
   ServingRig t(sc);
-  StreamSocket& s =
-      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
-  std::vector<uint8_t> requests;
-  for (uint64_t id = 0; id < 4000; ++id) {
-    const std::vector<uint8_t> req =
-        serving_encode_request(ServingRequest{id, 1'000'000});
-    requests.insert(requests.end(), req.begin(), req.end());
-  }
-  size_t written = 0;
-  auto push = [&] {
-    while (written < requests.size()) {
-      const size_t n =
-          s.write(std::span<const uint8_t>(requests).subspan(written));
-      if (n == 0) return;
-      written += n;
-    }
-  };
-  s.on_connected = push;
-  s.on_send_space = push;
+  NeverReadingPeer peer(t, 4000);
   t.rig.loop().run_until(3 * kSecond);
 
-  EXPECT_GT(written, sc.max_pipeline * kServingRequestSize);
+  EXPECT_GT(peer.written, sc.max_pipeline * kServingRequestSize);
   EXPECT_EQ(t.server->requests_rejected(), 0u);
   EXPECT_EQ(t.server->inflight(), sc.max_pipeline);
   EXPECT_EQ(t.server->requests_served(), 0u);
+}
+
+TEST(ServingEndToEnd, StalledPeerLeavesOtherConnectionsServed) {
+  // A full pipeline holds back only its own connection's requests: the
+  // pool's connections to the same server are parsed and answered while
+  // the stalled peer keeps its max_pipeline requests and no more.
+  ServingConfig sc;
+  PoolConfig pc;
+  pc.connections = 2;
+  pc.max_mux = 4;
+  ServingRig t(sc, pc);
+  NeverReadingPeer peer(t, 1000);
+  std::vector<RequestOutcome> outcomes;
+  t.pool->on_done = [&](const RequestOutcome& o) { outcomes.push_back(o); };
+  t.pool->start();
+  t.rig.loop().run_until(200 * kMillisecond);
+  ASSERT_EQ(t.server->inflight(), sc.max_pipeline);  // the peer is stalled
+  constexpr size_t kRequests = 24;
+  for (size_t i = 0; i < kRequests; ++i) t.pool->submit(20'000 + 111 * i);
+  t.rig.loop().run_until(5 * kSecond);
+
+  ASSERT_EQ(outcomes.size(), kRequests);
+  for (const RequestOutcome& o : outcomes) EXPECT_TRUE(o.ok) << o.req_id;
+  EXPECT_EQ(t.server->requests_served(), kRequests);
+  EXPECT_EQ(t.server->requests_rejected(), 0u);
+  EXPECT_EQ(t.server->inflight(), sc.max_pipeline);
 }
 
 // Pipelines deeper than a RingQueue's first allocation (8 slots): the
