@@ -95,6 +95,56 @@ TEST(Timer, RearmReplacesDeadline) {
   EXPECT_EQ(loop.now(), 200);
 }
 
+TEST(Timer, LaterRearmsFireOnceInTheLastRearmsScheduleOrder) {
+  // A timer pushed later 1,000 times, while time advances past the
+  // deadlines it held before, fires once, at its last deadline. Among
+  // events due at that instant it takes the place of its last re-arm:
+  // after one scheduled before that re-arm, before one scheduled after.
+  EventLoop loop;
+  std::vector<int> order;
+  Timer t(loop, [&] { order.push_back(1); });
+  constexpr int kRearms = 1000;
+  auto deadline = [](int i) {
+    return kMillisecond + static_cast<SimTime>(i) * 50 * kMicrosecond;
+  };
+  const SimTime last = deadline(kRearms - 1);
+  for (int i = 0; i < kRearms; ++i) {
+    loop.run_until(static_cast<SimTime>(i) * 10 * kMicrosecond);
+    if (i == kRearms - 1) loop.schedule_at(last, [&] { order.push_back(0); });
+    t.arm_at(deadline(i));
+  }
+  loop.schedule_at(last, [&] { order.push_back(2); });
+  EXPECT_TRUE(order.empty());
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(loop.now(), last);
+}
+
+TEST(EventLoop, NextEventTimeReportsARearmedTimersLastDeadline) {
+  EventLoop loop;
+  int fired = 0;
+  Timer t(loop, [&] { ++fired; });
+  loop.schedule_at(30 * kMillisecond, [] {});
+  t.arm_at(kMillisecond);
+  t.arm_at(5 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), 5 * kMillisecond);
+  // Time passes the deadline the timer first held.
+  loop.run_until(2 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), 5 * kMillisecond);
+  t.arm_at(20 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), 20 * kMillisecond);
+  t.arm_at(50 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), 30 * kMillisecond);
+  loop.run_until(40 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), 50 * kMillisecond);
+  t.arm_at(45 * kMillisecond);  // earlier than the deadline it holds
+  EXPECT_EQ(loop.next_event_time(), 45 * kMillisecond);
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.now(), 45 * kMillisecond);
+  EXPECT_EQ(loop.next_event_time(), kSimTimeNever);
+}
+
 TEST(EventLoop, RepeatedTimerRearmKeepsHeapBounded) {
   // Regression: cancel() used to leave the old entry in the priority
   // queue, so RTO-style timers re-armed on every segment grew the heap
@@ -354,6 +404,46 @@ TEST(Link, RetargetInFlightKeepsTargetCapturedAtDeparture) {
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(a.arrivals[0], std::make_pair(11 * kMillisecond, uint32_t{0}));
   EXPECT_EQ(b.arrivals[0], std::make_pair(12 * kMillisecond, uint32_t{1}));
+}
+
+TEST(Link, TiedArrivalsOnTwoLinksFireInScheduleOrder) {
+  // Links a and b share rate and delay, and deliver into one sink. a's
+  // second segment and b's only one depart at 2 ms, so both arrive at
+  // 12 ms; a's second is due while its first is still propagating. An
+  // event scheduled between the two departures is due at 12 ms too. The
+  // three fire in the order they were scheduled: a, the event, b.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 ms per 1000-byte frame
+  cfg.prop_delay = 10 * kMillisecond;
+  cfg.buffer_bytes = 100000;
+  Link a(loop, cfg, "a");
+  Link b(loop, cfg, "b");
+  SeqCollector sink;
+  sink.loop = &loop;
+  a.set_target(&sink);
+  b.set_target(&sink);
+  constexpr uint32_t kEvent = 99;
+  a.deliver(make_seq_seg(0));
+  a.deliver(make_seq_seg(1));  // departs at 2 ms, after a's first
+  loop.schedule_at(kMillisecond, [&] {
+    // Due at 2 ms after a's second departure, which was scheduled when
+    // a's first departed at this same instant, and before b's, which
+    // the deliver below schedules.
+    loop.schedule_at(2 * kMillisecond, [&] {
+      loop.schedule_at(12 * kMillisecond, [&] {
+        sink.arrivals.emplace_back(loop.now(), kEvent);
+      });
+    });
+    b.deliver(make_seq_seg(10));
+  });
+  loop.run();
+  const std::vector<std::pair<SimTime, uint32_t>> expected = {
+      {11 * kMillisecond, 0},
+      {12 * kMillisecond, 1},
+      {12 * kMillisecond, kEvent},
+      {12 * kMillisecond, 10}};
+  EXPECT_EQ(sink.arrivals, expected);
 }
 
 TEST(Link, DeliverBurstMatchesPerSegmentDeliver) {
