@@ -16,7 +16,12 @@
 // bench/check_bench.py compares against the tracked BENCH_fleet.json
 // (*_us keys are informational; *_allocs_per_pkt_hop, the heap
 // allocations per packet-hop while the fleet runs, is gated
-// lower-is-better). Determinism is pinned separately by
+// lower-is-better). smoke_bytes_per_conn, also gated lower-is-better,
+// is the peak RSS the smoke fleet adds (VmHWM after it minus VmRSS
+// before it) over its peak connections (the islands' peak concurrent
+// flows, summed). VmHWM is a process-wide high-water mark, so only
+// --smoke writes it: there the smoke fleet runs first, and the reading
+// precedes the stripper sweep. Determinism is pinned separately by
 // `sim_digest --scenario fleet`, whose digest must also be identical
 // across --shards 1/2/4.
 //
@@ -25,6 +30,7 @@
 //                    [--p-corrupter P] [--p-handover P] [--p-storm P]
 //                    [--p-rebind P] [--arrival-hz R] [--persistent N]
 //                    [--no-selfcheck] [OUTPUT.json]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +38,7 @@
 #include <vector>
 
 #include "app/fleet.h"
+#include "app/harness.h"
 #include "bench_util.h"
 
 using namespace mptcp;
@@ -46,6 +53,8 @@ struct FleetRun {
   /// Heap allocations per packet-hop while the fleet runs (set-up
   /// excluded); 0 when allocations are not counted (sanitizer builds).
   double allocs_per_pkt_hop = 0;
+  /// Sum over islands of each engine's peak concurrent flows.
+  double peak_connections = 0;
   bool balanced = true;
 };
 
@@ -77,6 +86,10 @@ FleetRun run_fleet(const FleetSpec& spec, const char* name) {
       static_cast<double>(allocation_count() - allocs_before) /
       static_cast<double>(std::max<uint64_t>(1, count_pkt_hops(fleet.topo())));
   out.m = fleet.metrics();
+  for (size_t i = 0; i < fleet.island_count(); ++i) {
+    out.peak_connections +=
+        static_cast<double>(fleet.island_engine(i).peak_concurrent());
+  }
   out.wall_seconds = wall.seconds();
   out.goodput_mbps = static_cast<double>(out.m.bytes_received) * 8.0 /
                      to_seconds(spec.duration) / 1e6;
@@ -87,6 +100,7 @@ FleetRun run_fleet(const FleetSpec& spec, const char* name) {
               spec.p_stripper, spec.p_nat, spec.p_corrupter);
   std::printf("%-26s %12llu\n", "connections",
               (unsigned long long)out.m.connections);
+  std::printf("%-26s %12.0f\n", "peak_connections", out.peak_connections);
   std::printf("%-26s %12llu\n", "fallbacks",
               (unsigned long long)out.m.fallbacks);
   std::printf("%-26s %12.4f\n", "fallback_rate", out.m.fallback_rate());
@@ -265,8 +279,18 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> fields;
   bool ok = true;
 
+  // Build the shared pattern tape before the baseline reading, so its
+  // 4 MiB are not charged to the connections.
+  pattern_payload(0, 1);
+  const double rss_before = proc_status_bytes("VmRSS");
   const FleetRun run = run_fleet(spec, smoke ? "smoke" : "full");
   append_fields(fields, smoke ? "smoke_" : "fleet_", run);
+  if (smoke) {
+    const double bytes_per_conn = (proc_status_bytes("VmHWM") - rss_before) /
+                                  std::max(1.0, run.peak_connections);
+    std::printf("%-26s %12.0f\n\n", "bytes_per_conn", bytes_per_conn);
+    fields.emplace_back("smoke_bytes_per_conn", bytes_per_conn);
+  }
   if (!run.balanced) {
     std::fprintf(stderr, "FAIL: island placement unbalanced across "
                          "%zu shards\n", spec.shards);

@@ -34,11 +34,18 @@ void HttpServer::accept(StreamSocket& c) {
 
 void HttpServer::Conn::on_readable() {
   // Everything readable is read, so the receive window keeps moving, but
-  // only the request itself is kept: trailing bytes are dropped.
+  // only the request itself is kept: trailing bytes are dropped. Bytes
+  // that arrive after the response is queued and the send side closed
+  // reset the connection, as Linux resets a closed socket that receives
+  // data, so a peer cannot keep it alive by sending.
   uint8_t buf[256];
   for (;;) {
     const size_t n = sock->read(buf);
     if (n == 0) break;
+    if (closed_sent) {
+      sock->abort();  // on_closed reaps this Conn: touch nothing after
+      return;
+    }
     const size_t keep = std::min(n, request.size() - request_len);
     std::copy_n(buf, keep, request.begin() + request_len);
     request_len += keep;

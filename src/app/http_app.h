@@ -32,8 +32,10 @@ inline constexpr size_t kHttpRequestSize = 16;
 
 /// Serves MPGET requests on a port: reads the 16-byte request, streams the
 /// named number of pattern bytes back, closes. Bytes a peer sends after
-/// its request are read and dropped. Connections are released to the
-/// factory when they finish, so the server sustains open-ended churn.
+/// its request are read and dropped while the response is queued; bytes
+/// that arrive after it reset the connection. Connections are released
+/// to the factory when they finish, so the server sustains open-ended
+/// churn.
 class HttpServer {
  public:
   HttpServer(SocketFactory& factory, Port port);

@@ -80,7 +80,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   bool established() const override;
 
   /// Abortive close: MP_FASTCLOSE + RST on all subflows.
-  void abort();
+  void abort() override;
 
   // --- introspection ---------------------------------------------------------
   MptcpMode mode() const { return mode_; }

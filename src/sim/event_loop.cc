@@ -26,9 +26,10 @@ void EventLoop::publish_stats(StatsOut& out) const {
 }
 
 void EventLoop::pending_insert(const WheelEntry& e) {
-  // New entries carry the globally largest seq, so ordering within the
-  // unfired region reduces to the deadline; ties land after their equals,
-  // which is exactly FIFO-among-equal-times.
+  // An entry filed here may carry a seq older than staged ones (a
+  // reserved seq, or a re-armed event re-filed at its due), so the search
+  // compares (t, seq) in full. It always sorts after the entry now
+  // firing, so the fired prefix is never disturbed.
   auto it = std::upper_bound(
       pending_.begin() + static_cast<ptrdiff_t>(pending_idx_), pending_.end(),
       e, earlier);
@@ -81,7 +82,7 @@ void EventLoop::cascade() {
     moved.swap(slot);
     for (const WheelEntry& e : moved) {
       --entries_;
-      if (entry_live(e)) place(e);
+      if (entry_live(e)) place(at_due(e));
     }
     if (moved.capacity() <= kMaxSpareCapacity &&
         spare_slots_.size() < kMaxSpareSlots) {
@@ -97,7 +98,7 @@ void EventLoop::migrate_overflow() {
   moved.swap(overflow_);
   for (const WheelEntry& e : moved) {
     --entries_;
-    if (entry_live(e)) place(e);  // re-spills if still beyond the horizon
+    if (entry_live(e)) place(at_due(e));  // re-spills if still beyond the horizon
   }
 }
 
@@ -183,31 +184,48 @@ void EventLoop::gc_sweep() {
 SimTime EventLoop::next_event_time() const {
   if (live_ == 0) return kSimTimeNever;
   SimTime best = kSimTimeNever;
-  // The unfired region of pending_ is sorted by (t, seq): the first live
-  // entry is its minimum.
-  for (size_t i = pending_idx_; i < pending_.size(); ++i) {
-    if (entry_live(pending_[i])) {
-      best = pending_[i].t;
-      break;
-    }
+  // A live entry's time is at most its event's due (a later re-arm leaves
+  // the entry where it was), so an entry at or after `best` cannot lower
+  // it. Slots are unsorted internally, so every entry of an occupied slot
+  // is looked at.
+  auto consider = [&](const WheelEntry& e) {
+    if (e.t < best && entry_live(e)) best = std::min(best, slots_[e.slot].due_t);
+  };
+  // The unfired region of pending_ is sorted by (t, seq).
+  for (size_t i = pending_idx_; i < pending_.size() && pending_[i].t < best;
+       ++i) {
+    consider(pending_[i]);
   }
-  // Wheel entries all live at ticks after cur_tick_, but slots are
-  // unsorted internally, so every live entry in an occupied slot has to
-  // be compared.
   for (int level = 0; level < kLevels; ++level) {
     uint64_t occ = occupancy_[level];
     while (occ != 0) {
       const auto idx = static_cast<uint64_t>(std::countr_zero(occ));
       occ &= occ - 1;
-      for (const WheelEntry& e : wheel_[level][idx]) {
-        if (e.t < best && entry_live(e)) best = e.t;
-      }
+      for (const WheelEntry& e : wheel_[level][idx]) consider(e);
     }
   }
-  for (const WheelEntry& e : overflow_) {
-    if (e.t < best && entry_live(e)) best = e.t;
-  }
+  for (const WheelEntry& e : overflow_) consider(e);
   return best;
+}
+
+bool EventLoop::claim(const WheelEntry& e) {
+  --entries_;
+  if (!entry_live(e)) return false;  // cancelled after staging
+  if (slots_[e.slot].due_seq != e.seq) {
+    place(at_due(e));  // re-armed later since it was filed
+    return false;
+  }
+  return true;
+}
+
+void EventLoop::fire(const WheelEntry& e) {
+  Slot& sl = slots_[e.slot];
+  Callback cb = std::move(sl.cb);
+  retire_slot(sl, e.slot);
+  --live_;
+  ++ev_fired_;
+  now_ = e.t;
+  cb();
 }
 
 bool EventLoop::run_one() {
@@ -217,15 +235,8 @@ bool EventLoop::run_one() {
       advance_to(~0ull);  // guaranteed to stage something: live_ > 0
     }
     const WheelEntry e = pending_[pending_idx_++];
-    --entries_;
-    if (!entry_live(e)) continue;  // cancelled after staging
-    Slot& sl = slots_[e.slot];
-    Callback cb = std::move(sl.cb);
-    retire_slot(sl, e.slot);
-    --live_;
-    ++ev_fired_;
-    now_ = e.t;
-    cb();
+    if (!claim(e)) continue;
+    fire(e);
     return true;
   }
 }
@@ -240,15 +251,7 @@ void EventLoop::run_until(SimTime t) {
     const WheelEntry e = pending_[pending_idx_];
     if (e.t > t) break;  // due this tick but after the limit instant
     ++pending_idx_;
-    --entries_;
-    if (!entry_live(e)) continue;
-    Slot& sl = slots_[e.slot];
-    Callback cb = std::move(sl.cb);
-    retire_slot(sl, e.slot);
-    --live_;
-    ++ev_fired_;
-    now_ = e.t;
-    cb();
+    if (claim(e)) fire(e);
   }
   if (now_ < t) now_ = t;
 }

@@ -20,18 +20,37 @@
 // that need storage again, so refiling does not reallocate from nothing
 // (see DESIGN.md, "Allocation budget", for why the bound is small).
 //
+// Every event's slot records its due (time, schedule-seq); the wheel
+// holds one entry per live event. Re-arming to a later deadline (an RTO
+// pushed back by each ACK) only writes the new due and a fresh seq into
+// the slot: the entry stays where it is, and when it comes up to fire,
+// run_one()/run_until() see that its seq is not the slot's and re-file it
+// at the due instead (a cascade re-files it at the due too). Re-arming to
+// an earlier deadline strands the entry (generation bump) and files a new
+// one, since the old one would be found too late.
+//
+// reserve_seq() hands out a schedule-seq now for an event filed later by
+// schedule_at_seq(): a link reserves one per departing segment and keeps
+// only its first arrival pending, filing the next when that one arrives,
+// at the (time, seq) a per-segment event scheduled at departure would
+// have had. So events_live counts live work (one arrival per link with
+// segments in flight), and events_scheduled counts events filed, not
+// seqs reserved; a re-arm counts as one cancel plus one schedule.
+//
 // Sub-tick ordering: all entries that share the current tick are staged
 // into a pending vector and sorted by (time, schedule-seq), which makes
 // the fire order bit-identical to a comparison-based priority queue --
 // the determinism digests do not distinguish the two implementations.
-// When stale entries dominate the wheel (timer-heavy workloads re-arm
-// constantly), an occupancy-guided sweep drops them so memory stays
-// proportional to the number of *live* events.
+// Cancels and earlier re-arms leave stale entries behind; when they
+// dominate the wheel, an occupancy-guided sweep drops them so memory
+// stays proportional to the number of *live* events.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "net/stats.h"
@@ -73,13 +92,7 @@ class EventLoop {
   /// the slot table -- no intermediate Callback object, no buffer move.
   template <typename F>
   EventId schedule_at(SimTime t, F&& cb) {
-    if (t < now_) t = now_;
-    const uint32_t s = alloc_slot();
-    slots_[s].cb = std::forward<F>(cb);
-    place(WheelEntry{t, next_seq_++, s, slots_[s].gen});
-    ++live_;
-    ++ev_scheduled_;
-    return (static_cast<EventId>(slots_[s].gen) << 32) | s;
+    return schedule_at_seq(t, next_seq_++, std::forward<F>(cb));
   }
 
   /// Schedules a callback `dt` from now.
@@ -88,41 +101,49 @@ class EventLoop {
     return schedule_at(now_ + dt, std::forward<F>(cb));
   }
 
+  /// Takes the next schedule-seq without filing an event: an event filed
+  /// later with schedule_at_seq() and this seq fires exactly where one
+  /// scheduled now would have.
+  uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules at `t` (clamped to now()) with a seq from reserve_seq().
+  /// (t, seq) must sort after the event now firing, as it does when `t`
+  /// is a deadline that was at least now() when the seq was reserved.
+  template <typename F>
+  EventId schedule_at_seq(SimTime t, uint64_t seq, F&& cb) {
+    if (t < now_) t = now_;
+    const uint32_t s = alloc_slot();
+    Slot& sl = slots_[s];
+    sl.cb = std::forward<F>(cb);
+    sl.due_t = t;
+    sl.due_seq = seq;
+    place(WheelEntry{t, seq, s, sl.gen});
+    ++live_;
+    ++ev_scheduled_;
+    return (static_cast<EventId>(sl.gen) << 32) | s;
+  }
+
   /// Moves a pending event to a new deadline (clamped to now()) without
   /// touching its callback: the O(1) re-arm path for RTO-style timers.
-  /// Counts as one cancellation plus one (re)schedule. Returns the new id
-  /// (the old id is invalidated); returns 0 if `id` is stale or already
-  /// fired, in which case the caller must schedule afresh.
+  /// Counts as one cancellation plus one (re)schedule, and fires where a
+  /// fresh schedule at `t` would. A deadline at or after the current one
+  /// is written into the event's slot and keeps the id; an earlier one
+  /// invalidates `id` and returns the new id. Returns 0 if `id` is stale
+  /// or already fired, in which case the caller must schedule afresh.
   EventId reschedule_at(EventId id, SimTime t) {
     const uint32_t s = static_cast<uint32_t>(id);
     const uint32_t gen = static_cast<uint32_t>(id >> 32);
     if (gen == 0 || s >= slots_.size() || slots_[s].gen != gen) return 0;
     if (t < now_) t = now_;
-    // Fast path: an RTO pushed back by each ACK usually maps to the slot
-    // its live entry already occupies (same deadline modulo jitter), and
-    // that entry is usually the slot's tail. Rewriting its (t, seq) in
-    // place is a complete re-arm -- no generation churn, the id stays
-    // valid, and nothing is stranded. Wheel slots are unsorted (ordering
-    // happens when the slot drains), so position needs no fixup.
-    const uint64_t et = tick_of(t);
-    const uint64_t diff = et ^ cur_tick_;
-    if (diff != 0 && diff < kHorizonTicks) {
-      const int level = level_for(diff);
-      const uint64_t idx = (et >> (level * kLevelBits)) & kSlotMask;
-      std::vector<WheelEntry>& slot = wheel_[level][idx];
-      if (!slot.empty() && slot.back().slot == s && slot.back().gen == gen) {
-        slot.back().t = t;
-        slot.back().seq = next_seq_++;
-        ++ev_cancelled_;  // counts as cancel + schedule, like the slow path
-        ++ev_scheduled_;
-        return id;
-      }
-    }
-    Slot& sl = slots_[s];
-    if (++sl.gen == 0) sl.gen = 1;  // strands the old entry, O(1)
     ++ev_cancelled_;
-    place(WheelEntry{t, next_seq_++, s, sl.gen});
     ++ev_scheduled_;
+    Slot& sl = slots_[s];
+    const bool later = t >= sl.due_t;
+    sl.due_t = t;
+    sl.due_seq = next_seq_++;
+    if (later) return id;  // the entry is re-filed when it comes due
+    if (++sl.gen == 0) sl.gen = 1;  // strands the old entry, O(1)
+    place(WheelEntry{t, sl.due_seq, s, sl.gen});
     maybe_gc();
     return (static_cast<EventId>(sl.gen) << 32) | s;
   }
@@ -149,8 +170,9 @@ class EventLoop {
   SimTime next_event_time() const;
   /// Number of live (scheduled, not cancelled, not fired) events.
   size_t pending_count() const { return live_; }
-  /// Wheel entries currently held, including lazily-cancelled ones. Kept
-  /// within a constant factor of pending_count() by the GC sweep; exposed
+  /// Wheel entries currently held, including lazily-cancelled ones: one
+  /// per live event plus what cancels and earlier re-arms stranded, kept
+  /// within a constant factor of pending_count() by the GC sweep. Exposed
   /// for tests and diagnostics. (The name predates the timing wheel.)
   size_t heap_size() const { return entries_; }
 
@@ -194,6 +216,8 @@ class EventLoop {
 
   struct Slot {
     Callback cb;
+    SimTime due_t = 0;     ///< when the event fires
+    uint64_t due_seq = 0;  ///< its seq; an entry with another is re-filed
     uint32_t gen = 1;             ///< bumped on fire/cancel; 0 is invalid
     uint32_t next_free = kNilSlot;
   };
@@ -210,6 +234,11 @@ class EventLoop {
   }
   bool entry_live(const WheelEntry& e) const {
     return slots_[e.slot].gen == e.gen;
+  }
+  /// A live entry moved to its slot's due (a later re-arm left it behind).
+  WheelEntry at_due(const WheelEntry& e) const {
+    const Slot& sl = slots_[e.slot];
+    return WheelEntry{sl.due_t, sl.due_seq, e.slot, e.gen};
   }
   static uint64_t tick_of(SimTime t) {
     return t <= 0 ? 0 : static_cast<uint64_t>(t) >> kTickShift;
@@ -267,9 +296,10 @@ class EventLoop {
     const int level = level_for(diff);
     const uint64_t idx = (et >> (level * kLevelBits)) & kSlotMask;
     std::vector<WheelEntry>& slot = wheel_[level][idx];
-    // RTO-style re-arms land in the same slot their stranded predecessor
-    // occupies; recycling a dead tail entry in place keeps the slot from
-    // growing at all under churn (and makes the GC sweep a non-event).
+    // An earlier re-arm often lands in the slot its stranded predecessor
+    // occupies, and cancel-then-schedule churn leaves dead tails too;
+    // recycling a dead tail entry in place keeps the slot from growing
+    // under such churn (and makes the GC sweep a non-event).
     if (!slot.empty() &&
         (slot.back().slot == e.slot || !entry_live(slot.back()))) {
       // Same slot index means our own just-stranded predecessor: dead by
@@ -303,6 +333,12 @@ class EventLoop {
   void advance_to(uint64_t limit_tick);
   /// Clears every (necessarily dead) stored entry when live_ == 0.
   void drop_all_dead();
+  /// Settles an entry just taken off pending_: true if it fires now,
+  /// false if it was dead or a later re-arm moved its event, in which
+  /// case it has been re-filed at its slot's due.
+  bool claim(const WheelEntry& e);
+  /// Runs a claimed entry's callback at its time.
+  void fire(const WheelEntry& e);
   /// Sweeps cancelled entries out of the wheel when they dominate 3:1.
   /// The threshold of 64 avoids churn on tiny loads; the 4x factor
   /// amortizes the occupancy-guided sweep over at least ~n/2
@@ -352,10 +388,23 @@ class EventLoop {
 };
 
 /// A re-armable one-shot timer bound to an EventLoop.
+///
+/// The callback is held inline: a trivially copyable callable of at most
+/// two pointers (every timer in the simulator captures `this`, or `this`
+/// and one pointer), plus the function pointer that calls it. A larger
+/// callable does not compile. That makes a Timer 48 bytes, where holding
+/// a SmallFn made it 96, and a two-subflow MPTCP endpoint holds 13.
 class Timer {
  public:
-  Timer(EventLoop& loop, EventLoop::Callback cb)
-      : loop_(loop), cb_(std::move(cb)) {}
+  template <typename F>
+  Timer(EventLoop& loop, F cb) : loop_(loop) {
+    static_assert(std::is_trivially_copyable_v<F> &&
+                      sizeof(F) <= sizeof(fn_) && alignof(F) <= alignof(void*),
+                  "a Timer callback is a trivially copyable callable of at "
+                  "most two pointers");
+    ::new (static_cast<void*>(fn_)) F(cb);
+    invoke_ = [](void* f) { (*std::launder(static_cast<F*>(f)))(); };
+  }
   ~Timer() { cancel(); }
 
   Timer(const Timer&) = delete;
@@ -377,7 +426,7 @@ class Timer {
     }
     id_ = loop_.schedule_at(t, [this] {
       armed_ = false;
-      cb_();
+      invoke_(fn_);
     });
     armed_ = true;
   }
@@ -393,7 +442,8 @@ class Timer {
 
  private:
   EventLoop& loop_;
-  EventLoop::Callback cb_;
+  alignas(void*) unsigned char fn_[2 * sizeof(void*)];
+  void (*invoke_)(void*);
   EventLoop::EventId id_ = 0;
   bool armed_ = false;
 };

@@ -120,15 +120,25 @@ class Link : public PacketSink {
     /// closure capture it replaces; null for a queued segment and for a
     /// released one left behind a propagating segment.
     PacketSink* target;
+    /// Set with target: when the segment arrives, and the schedule-seq
+    /// reserved for its arrival event when it departed.
+    SimTime arrival = 0;
+    uint64_t arrival_seq = 0;
   };
-  /// [0, departed_) have departed: each live one waits for its arrival
-  /// event, and released ones wait to be popped behind the live one
-  /// ahead of them. [departed_, size()) are queued, front next on the
-  /// wire. Propagation delay is constant and departures are serialized,
-  /// so arrivals are FIFO: each arrival event takes the front, and the
-  /// front of the departed part is always live. Keeping segments here
-  /// instead of inside per-event closures keeps every callback in
-  /// SmallFn's inline storage -- no allocation per packet.
+  /// Files the arrival event of `slot`, the front departed segment.
+  void schedule_arrival(const Slot& slot);
+  /// [0, departed_) have departed: each live one waits to arrive, and
+  /// released ones wait to be popped behind the live one ahead of them.
+  /// [departed_, size()) are queued, front next on the wire. Propagation
+  /// delay is constant and departures are serialized, so arrivals are
+  /// FIFO and the front of the departed part is always live. Only that
+  /// front has an arrival event in the loop; deliver_in_flight() files
+  /// the next live one's at the (arrival, arrival_seq) its departure
+  /// reserved, where a per-segment event would have fired. So a link
+  /// holds at most two events however many segments it has in flight
+  /// (that arrival and the transmitter's), and keeping segments here
+  /// rather than in closures keeps each callback in SmallFn's inline
+  /// storage -- no allocation per packet.
   RingQueue<Slot> ring_;
   size_t departed_ = 0;
   size_t queued_bytes_ = 0;

@@ -90,7 +90,7 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   /// Graceful close of the send direction (FIN after queued data).
   void close() override;
   /// Abortive close (RST).
-  void abort();
+  void abort() override;
 
   // --- introspection ----------------------------------------------------------
   TcpState state() const { return state_; }

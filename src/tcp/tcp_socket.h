@@ -84,6 +84,11 @@ class StreamSocket {
   /// Graceful close of the send direction.
   virtual void close() = 0;
 
+  /// Abortive close: resets the connection (RST; MPTCP also sends
+  /// MP_FASTCLOSE), dropping whatever either direction still holds.
+  /// on_closed fires before this returns.
+  virtual void abort() = 0;
+
   /// True while data transfer is possible.
   virtual bool established() const = 0;
 

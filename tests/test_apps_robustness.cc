@@ -123,6 +123,62 @@ TEST(HttpRobustness, BytesTrailingTheRequestLeaveTheResponseExact) {
   EXPECT_EQ(server.bytes_served(), kSize);
 }
 
+TEST(HttpRobustness, PeerSendingPastTheResponseIsReset) {
+  // A peer that asks for 1,000 bytes and then sends 64 MiB cannot keep
+  // the server's connection alive: bytes that arrive after the response
+  // is queued and the send side closed reset the connection, so under
+  // either transport it is gone within a few round trips, and the
+  // server accepts at most one receive window of the flood.
+  constexpr size_t kWindow = 64 * 1024;
+  constexpr uint64_t kFlood = 64ull << 20;
+  for (const TransportKind kind : {TransportKind::kTcp, TransportKind::kMptcp}) {
+    SCOPED_TRACE(kind == TransportKind::kTcp ? "tcp" : "mptcp");
+    TwoHostRig rig({ethernet_path(1e9)});
+    TransportConfig cfg;
+    cfg.kind = kind;
+    cfg.with_buffers(kWindow, kWindow);
+    SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+    HttpServer server(ss, 80);
+    StreamSocket& s = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+    // Bytes of the client's stream the server has acknowledged.
+    auto acked = [&]() -> uint64_t {
+      if (TcpConnection* t = cs.as_tcp(s)) return t->snd_una();
+      return cs.as_mptcp(s)->data_acked();
+    };
+    uint64_t acked_base = 0;
+    const std::vector<uint8_t> junk(16 * 1024, 0xEE);
+    uint64_t sent = 0;
+    auto push = [&] {
+      while (sent < kFlood) {
+        const size_t n = s.write(std::span<const uint8_t>(junk).first(
+            static_cast<size_t>(std::min<uint64_t>(junk.size(), kFlood - sent))));
+        if (n == 0) return;
+        sent += n;
+      }
+    };
+    bool closed = false;
+    s.on_connected = [&] {
+      acked_base = acked();
+      ASSERT_EQ(s.write(make_http_request(1000)), kHttpRequestSize);
+      push();
+    };
+    s.on_send_space = push;
+    s.on_readable = [&] {
+      uint8_t buf[4096];
+      while (s.read(buf) > 0) {
+      }
+    };
+    s.on_closed = [&] { closed = true; };
+    rig.loop().run_until(100 * kMillisecond);
+    EXPECT_EQ(ss.live_sockets(), 0u) << "the server still holds the connection";
+    EXPECT_TRUE(closed);
+    rig.loop().run_until(kSecond);
+    EXPECT_EQ(server.requests_served(), 1u);
+    EXPECT_LE(acked() - acked_base, kHttpRequestSize + kWindow);
+    EXPECT_LT(sent, kFlood);
+  }
+}
+
 TEST(HttpRobustness, RequestArrivingInPiecesIsAnsweredOnce) {
   // The 16-byte request buffer fills across reads: a request written in
   // four pieces 10 ms apart is answered once and exactly, and nothing is

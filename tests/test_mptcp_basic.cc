@@ -179,5 +179,17 @@ TEST(MptcpBasic, PathFailureMidTransferSurvivesOnOtherPath) {
   EXPECT_TRUE(f.receiver->saw_eof());
 }
 
+TEST(ConnectionLayout, EndpointObjectsStayWithinTheirCeilings) {
+  // What every live connection costs before any buffer: a two-subflow
+  // endpoint is one MptcpConnection and two MptcpSubflows, each of which
+  // is a TcpConnection. Ceilings are the sizes measured with GCC 12 on
+  // x86-64 after timers stored their callbacks inline, rounded up to the
+  // next 64 B. Measured before -> after: TcpConnection 1,408 -> 1,208 B,
+  // MptcpSubflow 1,808 -> 1,560 B, MptcpConnection 1,472 -> 1,312 B.
+  EXPECT_LE(sizeof(TcpConnection), 1216u);
+  EXPECT_LE(sizeof(MptcpSubflow), 1600u);
+  EXPECT_LE(sizeof(MptcpConnection), 1344u);
+}
+
 }  // namespace
 }  // namespace mptcp

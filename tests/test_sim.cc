@@ -406,6 +406,39 @@ TEST(Link, RetargetInFlightKeepsTargetCapturedAtDeparture) {
   EXPECT_EQ(b.arrivals[0], std::make_pair(12 * kMillisecond, uint32_t{1}));
 }
 
+TEST(Link, ThousandSegmentsInFlightHoldAtMostTwoEvents) {
+  // 1000-byte frames serialize in 1 us and propagate for 10 ms, so all
+  // 1,000 segments are in flight at once. The link holds its
+  // transmitter's event and the front segment's arrival, not one event
+  // per segment, and each segment still arrives at its own instant.
+  EventLoop loop;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e9;
+  cfg.prop_delay = 10 * kMillisecond;
+  cfg.buffer_bytes = 1 << 21;
+  Link link(loop, cfg);
+  SeqCollector sink;
+  sink.loop = &loop;
+  link.set_target(&sink);
+  constexpr uint32_t kSegs = 1000;
+  for (uint32_t i = 0; i < kSegs; ++i) link.deliver(make_seq_seg(i));
+  for (SimTime t = 0; t <= 2 * kMillisecond; t += 100 * kMicrosecond) {
+    loop.run_until(t);
+    ASSERT_LE(loop.pending_count(), 2u) << "at " << t;
+    ASSERT_LE(loop.heap_size(), 2u) << "at " << t;
+  }
+  EXPECT_EQ(link.stats().delivered_pkts, kSegs);  // all departed
+  EXPECT_TRUE(sink.arrivals.empty());
+  loop.run_until(cfg.prop_delay + 500 * kMicrosecond);
+  EXPECT_EQ(loop.pending_count(), 1u);
+  loop.run();
+  ASSERT_EQ(sink.arrivals.size(), kSegs);
+  for (uint32_t i = 0; i < kSegs; ++i) {
+    EXPECT_EQ(sink.arrivals[i],
+              std::make_pair((i + 1) * kMicrosecond + cfg.prop_delay, i));
+  }
+}
+
 TEST(Link, TiedArrivalsOnTwoLinksFireInScheduleOrder) {
   // Links a and b share rate and delay, and deliver into one sink. a's
   // second segment and b's only one depart at 2 ms, so both arrive at
