@@ -98,7 +98,8 @@ void EventLoop::migrate_overflow() {
   moved.swap(overflow_);
   for (const WheelEntry& e : moved) {
     --entries_;
-    if (entry_live(e)) place(at_due(e));  // re-spills if still beyond the horizon
+    // Re-spills if still beyond the horizon.
+    if (entry_live(e)) place(at_due(e));
   }
 }
 
@@ -189,7 +190,9 @@ SimTime EventLoop::next_event_time() const {
   // it. Slots are unsorted internally, so every entry of an occupied slot
   // is looked at.
   auto consider = [&](const WheelEntry& e) {
-    if (e.t < best && entry_live(e)) best = std::min(best, slots_[e.slot].due_t);
+    if (e.t < best && entry_live(e)) {
+      best = std::min(best, slots_[e.slot].due_t);
+    }
   };
   // The unfired region of pending_ is sorted by (t, seq).
   for (size_t i = pending_idx_; i < pending_.size() && pending_[i].t < best;
@@ -208,7 +211,7 @@ SimTime EventLoop::next_event_time() const {
   return best;
 }
 
-bool EventLoop::claim(const WheelEntry& e) {
+inline bool EventLoop::claim(const WheelEntry& e) {
   --entries_;
   if (!entry_live(e)) return false;  // cancelled after staging
   if (slots_[e.slot].due_seq != e.seq) {
@@ -218,7 +221,7 @@ bool EventLoop::claim(const WheelEntry& e) {
   return true;
 }
 
-void EventLoop::fire(const WheelEntry& e) {
+inline void EventLoop::fire(const WheelEntry& e) {
   Slot& sl = slots_[e.slot];
   Callback cb = std::move(sl.cb);
   retire_slot(sl, e.slot);

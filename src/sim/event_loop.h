@@ -30,10 +30,10 @@
 // one, since the old one would be found too late.
 //
 // reserve_seq() hands out a schedule-seq now for an event filed later by
-// schedule_at_seq(): a link reserves one per departing segment and keeps
-// only its first arrival pending, filing the next when that one arrives,
-// at the (time, seq) a per-segment event scheduled at departure would
-// have had. So events_live counts live work (one arrival per link with
+// schedule_at_seq(): a link keeps only its first arrival pending, and a
+// segment that departs behind it reserves a seq, so that its arrival is
+// filed when the one ahead arrives, at the (time, seq) a per-segment
+// event scheduled at departure would have had. So events_live counts live work (one arrival per link with
 // segments in flight), and events_scheduled counts events filed, not
 // seqs reserved; a re-arm counts as one cancel plus one schedule.
 //
@@ -397,13 +397,14 @@ class EventLoop {
 class Timer {
  public:
   template <typename F>
-  Timer(EventLoop& loop, F cb) : loop_(loop) {
+  Timer(EventLoop& loop, F cb)
+      : loop_(loop),
+        invoke_([](void* f) { (*std::launder(static_cast<F*>(f)))(); }) {
     static_assert(std::is_trivially_copyable_v<F> &&
                       sizeof(F) <= sizeof(fn_) && alignof(F) <= alignof(void*),
                   "a Timer callback is a trivially copyable callable of at "
                   "most two pointers");
     ::new (static_cast<void*>(fn_)) F(cb);
-    invoke_ = [](void* f) { (*std::launder(static_cast<F*>(f)))(); };
   }
   ~Timer() { cancel(); }
 

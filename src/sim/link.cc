@@ -106,9 +106,14 @@ void Link::finish_transmission() {
     ++stats_.delivered_pkts;
     stats_.delivered_bytes += size;
     slot.target = target_;
-    slot.arrival = loop_.now() + config_.prop_delay;
-    slot.arrival_seq = loop_.reserve_seq();
-    if (departed_ == 0) schedule_arrival(slot);
+    if (departed_ == 0) {
+      loop_.schedule_in(config_.prop_delay, [this] { deliver_in_flight(); });
+    } else {
+      // Behind a propagating segment: its arrival event is filed when the
+      // one ahead arrives, at the seq a schedule now would take.
+      slot.arrival = loop_.now() + config_.prop_delay;
+      slot.arrival_seq = loop_.reserve_seq();
+    }
     ++departed_;
   } else {
     release_departing();
@@ -127,11 +132,6 @@ void Link::release_departing() {
   ++departed_;
 }
 
-void Link::schedule_arrival(const Slot& slot) {
-  loop_.schedule_at_seq(slot.arrival, slot.arrival_seq,
-                        [this] { deliver_in_flight(); });
-}
-
 void Link::deliver_in_flight() {
   // The target may send on this very link (a reflecting middlebox, a
   // routing loop), which pushes into ring_ and may move every slot, so
@@ -143,7 +143,10 @@ void Link::deliver_in_flight() {
     ring_.pop_front();
     --departed_;
   } while (departed_ != 0 && ring_.front().target == nullptr);
-  if (departed_ != 0) schedule_arrival(ring_.front());
+  if (departed_ != 0) {
+    loop_.schedule_at_seq(ring_.front().arrival, ring_.front().arrival_seq,
+                          [this] { deliver_in_flight(); });
+  }
 }
 
 }  // namespace mptcp

@@ -120,13 +120,12 @@ class Link : public PacketSink {
     /// closure capture it replaces; null for a queued segment and for a
     /// released one left behind a propagating segment.
     PacketSink* target;
-    /// Set with target: when the segment arrives, and the schedule-seq
-    /// reserved for its arrival event when it departed.
+    /// Set with target for a segment that departs behind a propagating
+    /// one: when it arrives, and the schedule-seq its departure reserved
+    /// for the arrival event filed when the one ahead arrives.
     SimTime arrival = 0;
     uint64_t arrival_seq = 0;
   };
-  /// Files the arrival event of `slot`, the front departed segment.
-  void schedule_arrival(const Slot& slot);
   /// [0, departed_) have departed: each live one waits to arrive, and
   /// released ones wait to be popped behind the live one ahead of them.
   /// [departed_, size()) are queued, front next on the wire. Propagation

@@ -85,8 +85,8 @@ class StreamSocket {
   virtual void close() = 0;
 
   /// Abortive close: resets the connection (RST; MPTCP also sends
-  /// MP_FASTCLOSE), dropping whatever either direction still holds.
-  /// on_closed fires before this returns.
+  /// MP_FASTCLOSE), dropping whatever either direction still holds. On
+  /// a connection not yet closed, on_closed fires before this returns.
   virtual void abort() = 0;
 
   /// True while data transfer is possible.

@@ -131,7 +131,8 @@ TEST(HttpRobustness, PeerSendingPastTheResponseIsReset) {
   // server accepts at most one receive window of the flood.
   constexpr size_t kWindow = 64 * 1024;
   constexpr uint64_t kFlood = 64ull << 20;
-  for (const TransportKind kind : {TransportKind::kTcp, TransportKind::kMptcp}) {
+  for (const TransportKind kind :
+       {TransportKind::kTcp, TransportKind::kMptcp}) {
     SCOPED_TRACE(kind == TransportKind::kTcp ? "tcp" : "mptcp");
     TwoHostRig rig({ethernet_path(1e9)});
     TransportConfig cfg;
@@ -151,7 +152,7 @@ TEST(HttpRobustness, PeerSendingPastTheResponseIsReset) {
     auto push = [&] {
       while (sent < kFlood) {
         const size_t n = s.write(std::span<const uint8_t>(junk).first(
-            static_cast<size_t>(std::min<uint64_t>(junk.size(), kFlood - sent))));
+            std::min<size_t>(junk.size(), kFlood - sent)));
         if (n == 0) return;
         sent += n;
       }

@@ -80,18 +80,21 @@ TEST(TimerWheel, CascadedEntriesInterleaveWithNearOnes) {
 
 TEST(TimerWheel, CancelThenRearmReusesSlotWithoutGrowth) {
   EventLoop loop;
-  // Churn one timer through the same wheel slot (the in-place re-arm fast
-  // path) and through distinct slots (the cancel+replace slow path); the
+  // Churn one timer through later deadlines (written into its slot, the
+  // wheel entry left in place) and earlier ones (the entry stranded and
+  // a new one filed), in one wheel slot and across distinct slots; the
   // storage must stay bounded and only the final deadline may fire.
   int fires = 0;
   Timer t(loop, [&] { ++fires; });
   for (int i = 0; i < 100'000; ++i) {
-    // Same destination tick every time: in-place rewrite.
+    // One destination tick: six later re-arms, then an earlier one
+    // whose new entry recycles the stranded tail.
     t.arm_at(kLevel1 + (i % 7));
   }
   for (int i = 0; i < 100'000; ++i) {
     // Rotating destination slots (multiples of kLevel1 land in distinct
-    // level-1 slots): retire + re-file, with tail recycling on revisit.
+    // level-1 slots): later re-arms in place, and every 32nd an earlier
+    // one that retires and re-files, with tail recycling on revisit.
     t.arm_at(kLevel1 * (1 + i % 32));
   }
   EXPECT_LT(loop.heap_size(), 4096u) << "dead entries must be recycled";
