@@ -82,6 +82,11 @@ void HttpServer::for_each_conn(
 }
 
 void HttpServer::reap(Conn* conn) {
+  // The socket is released a fresh event later, and the reset that reaps
+  // this Conn may come from inside a delivery loop that goes on draining
+  // reordered bytes: detach first, so nothing reaches the freed Conn.
+  conn->sock->on_readable = nullptr;
+  conn->sock->on_send_space = nullptr;
   std::erase_if(conns_, [conn](const std::unique_ptr<Conn>& c) {
     return c.get() == conn;
   });

@@ -15,6 +15,7 @@
 #include "app/http_app.h"
 #include "app/scenario.h"
 #include "app/socket_factory.h"
+#include "middlebox/middlebox.h"
 
 namespace mptcp {
 namespace {
@@ -123,61 +124,170 @@ TEST(HttpRobustness, BytesTrailingTheRequestLeaveTheResponseExact) {
   EXPECT_EQ(server.bytes_served(), kSize);
 }
 
+// A client of the MPGET server on path 0 that asks for 1,000 bytes and,
+// once told to, sends up to 64 MiB of junk as fast as its send buffer
+// drains, reading and dropping whatever comes back.
+class FloodingClient {
+ public:
+  static constexpr uint64_t kFlood = 64ull << 20;
+
+  FloodingClient(TwoHostRig& rig, SocketFactory& cs)
+      : cs_(cs), s_(cs.connect(rig.client_addr(0), {rig.server_addr(), 80})) {
+    s_.on_send_space = [this] {
+      if (flooding_) push();
+    };
+    s_.on_readable = [this] {
+      uint8_t buf[4096];
+      while (s_.read(buf) > 0) {
+      }
+    };
+    s_.on_closed = [this] { closed_ = true; };
+  }
+  FloodingClient(const FloodingClient&) = delete;
+  FloodingClient& operator=(const FloodingClient&) = delete;
+
+  StreamSocket& socket() { return s_; }
+  bool closed() const { return closed_; }
+  uint64_t sent() const { return sent_; }
+  /// Bytes of the client's stream the server acknowledged past its start
+  /// (request()).
+  uint64_t acked_from_request() const { return acked() - acked_base_; }
+
+  void request() {
+    acked_base_ = acked();
+    ASSERT_EQ(s_.write(make_http_request(1000)), kHttpRequestSize);
+  }
+  void flood() {
+    flooding_ = true;
+    push();
+  }
+
+ private:
+  uint64_t acked() const {
+    if (TcpConnection* t = cs_.as_tcp(s_)) return t->snd_una();
+    return cs_.as_mptcp(s_)->data_acked();
+  }
+  void push() {
+    while (sent_ < kFlood) {
+      const size_t n = s_.write(std::span<const uint8_t>(junk_).first(
+          std::min<size_t>(junk_.size(), kFlood - sent_)));
+      if (n == 0) return;
+      sent_ += n;
+    }
+  }
+
+  SocketFactory& cs_;
+  StreamSocket& s_;
+  const std::vector<uint8_t> junk_ = std::vector<uint8_t>(16 * 1024, 0xEE);
+  uint64_t acked_base_ = 0;
+  uint64_t sent_ = 0;
+  bool flooding_ = false;
+  bool closed_ = false;
+};
+
+// Bytes that arrive after the response is queued and the send side
+// closed reset the connection: the server's socket must be gone by
+// `deadline`, and the server must have accepted at most one receive
+// window (`window`) of the flood.
+void expect_flood_reset(TwoHostRig& rig, SocketFactory& ss,
+                        const HttpServer& server, const FloodingClient& c,
+                        SimTime deadline, size_t window) {
+  rig.loop().run_until(deadline);
+  EXPECT_EQ(ss.live_sockets(), 0u) << "the server still holds the connection";
+  EXPECT_TRUE(c.closed());
+  rig.loop().run_until(deadline + kSecond);
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_LE(c.acked_from_request(), kHttpRequestSize + window);
+  EXPECT_LT(c.sent(), FloodingClient::kFlood);
+}
+
+// Drops the n-th data-bearing segment it sees, once (n counts from 1).
+class DropNthDataSegment final : public SimpleMiddlebox {
+ public:
+  explicit DropNthDataSegment(uint64_t n) : n_(n) {}
+  uint64_t dropped() const { return dropped_; }
+
+ protected:
+  void process(TcpSegment seg) override {
+    if (!seg.payload.empty() && ++seen_ == n_) {
+      ++dropped_;
+      return;
+    }
+    emit(std::move(seg));
+  }
+
+ private:
+  uint64_t n_;
+  uint64_t seen_ = 0;
+  uint64_t dropped_ = 0;
+};
+
 TEST(HttpRobustness, PeerSendingPastTheResponseIsReset) {
   // A peer that asks for 1,000 bytes and then sends 64 MiB cannot keep
-  // the server's connection alive: bytes that arrive after the response
-  // is queued and the send side closed reset the connection, so under
-  // either transport it is gone within a few round trips, and the
-  // server accepts at most one receive window of the flood.
+  // the server's connection alive: under either transport it is gone
+  // within a few round trips. Also when the path loses the segment
+  // behind the request: the flood behind it then waits out of order
+  // until the retransmission fills the hole and drains in one delivery
+  // loop (the subflow's, under MPTCP). The reset comes from inside that
+  // loop, which goes on delivering: the reaped connection must get no
+  // callback after it (ASan sees one).
   constexpr size_t kWindow = 64 * 1024;
-  constexpr uint64_t kFlood = 64ull << 20;
-  for (const TransportKind kind :
-       {TransportKind::kTcp, TransportKind::kMptcp}) {
-    SCOPED_TRACE(kind == TransportKind::kTcp ? "tcp" : "mptcp");
-    TwoHostRig rig({ethernet_path(1e9)});
-    TransportConfig cfg;
-    cfg.kind = kind;
-    cfg.with_buffers(kWindow, kWindow);
-    SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-    HttpServer server(ss, 80);
-    StreamSocket& s = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
-    // Bytes of the client's stream the server has acknowledged.
-    auto acked = [&]() -> uint64_t {
-      if (TcpConnection* t = cs.as_tcp(s)) return t->snd_una();
-      return cs.as_mptcp(s)->data_acked();
-    };
-    uint64_t acked_base = 0;
-    const std::vector<uint8_t> junk(16 * 1024, 0xEE);
-    uint64_t sent = 0;
-    auto push = [&] {
-      while (sent < kFlood) {
-        const size_t n = s.write(std::span<const uint8_t>(junk).first(
-            std::min<size_t>(junk.size(), kFlood - sent)));
-        if (n == 0) return;
-        sent += n;
-      }
-    };
-    bool closed = false;
-    s.on_connected = [&] {
-      acked_base = acked();
-      ASSERT_EQ(s.write(make_http_request(1000)), kHttpRequestSize);
-      push();
-    };
-    s.on_send_space = push;
-    s.on_readable = [&] {
-      uint8_t buf[4096];
-      while (s.read(buf) > 0) {
-      }
-    };
-    s.on_closed = [&] { closed = true; };
-    rig.loop().run_until(100 * kMillisecond);
-    EXPECT_EQ(ss.live_sockets(), 0u) << "the server still holds the connection";
-    EXPECT_TRUE(closed);
-    rig.loop().run_until(kSecond);
-    EXPECT_EQ(server.requests_served(), 1u);
-    EXPECT_LE(acked() - acked_base, kHttpRequestSize + kWindow);
-    EXPECT_LT(sent, kFlood);
+  for (const bool lossy : {false, true}) {
+    for (const TransportKind kind :
+         {TransportKind::kTcp, TransportKind::kMptcp}) {
+      SCOPED_TRACE(kind == TransportKind::kTcp ? "tcp" : "mptcp");
+      SCOPED_TRACE(lossy ? "lossy" : "lossless");
+      TwoHostRig rig({ethernet_path(1e9)});
+      DropNthDataSegment drop(2);
+      if (lossy) rig.splice_up(0, drop);
+      TransportConfig cfg;
+      cfg.kind = kind;
+      cfg.with_buffers(kWindow, kWindow);
+      SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+      HttpServer server(ss, 80);
+      FloodingClient c(rig, cs);
+      c.socket().on_connected = [&] {
+        c.request();
+        c.flood();
+      };
+      expect_flood_reset(rig, ss, server, c, 100 * kMillisecond, kWindow);
+      EXPECT_EQ(drop.dropped(), lossy ? 1u : 0u);
+    }
   }
+}
+
+TEST(HttpRobustness, PeerSendingPastTheResponseIsResetAcrossSubflows) {
+  // MPTCP over a slow path (100 ms RTT) and a fast one. The request and
+  // one more segment leave on the slow path, the only subflow yet; the
+  // flood leaves 10 ms later on the fast one and waits out of order at
+  // the connection level. The segment behind the request resets the
+  // connection, and the same delivery goes on to drain the flood queued
+  // behind it: the reaped connection must get no callback after the
+  // reset (ASan sees one).
+  constexpr size_t kWindow = 64 * 1024;
+  TwoHostRig rig({ethernet_path(1e9, 100 * kMillisecond), ethernet_path(1e9)});
+  TransportConfig cfg;
+  cfg.kind = TransportKind::kMptcp;
+  cfg.with_buffers(kWindow, kWindow);
+  // Opportunistic retransmission would resend the request on the fast
+  // path the moment it joins, ahead of the flood.
+  cfg.mptcp.opportunistic_retransmit = false;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  HttpServer server(ss, 80);
+  // Out-of-order chunks the server's connection holds when it answers.
+  uint64_t ooo_inserts = 0;
+  server.on_conn_done = [&](StreamSocket& s) {
+    ooo_inserts = ss.as_mptcp(s)->recv_queue_stats().inserts;
+  };
+  FloodingClient c(rig, cs);
+  c.socket().on_connected = [&] {
+    c.request();
+    const std::vector<uint8_t> more(100, 0xEE);
+    ASSERT_EQ(c.socket().write(more), more.size());
+    rig.loop().schedule_in(10 * kMillisecond, [&] { c.flood(); });
+  };
+  expect_flood_reset(rig, ss, server, c, kSecond, kWindow);
+  EXPECT_GT(ooo_inserts, 0u);
 }
 
 TEST(HttpRobustness, RequestArrivingInPiecesIsAnsweredOnce) {
