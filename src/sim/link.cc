@@ -41,7 +41,7 @@ void Link::deliver(TcpSegment seg) {
   ++stats_.enqueued_pkts;
   queued_bytes_ += size;
   occupancy_.record(queued_bytes_);
-  ring_.emplace_back(std::move(seg), size, nullptr);
+  ring_.emplace_back(std::move(seg), size);
   if (!transmitting_) start_transmission();
 }
 
@@ -63,7 +63,7 @@ void Link::deliver_burst(TcpSegment* segs, size_t n) {
     // The occupancy histogram is defined per enqueue: it samples the depth
     // after every individual segment, so it cannot be batched.
     occupancy_.record(qb);
-    ring_.emplace_back(std::move(segs[i]), size, nullptr);
+    ring_.emplace_back(std::move(segs[i]), size);
   }
   stats_.enqueued_pkts += admitted;
   queued_bytes_ = qb;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "net/ring_queue.h"
 #include "net/rng.h"
@@ -110,20 +111,28 @@ class Link : public PacketSink {
   ShardChannel* handoff_ = nullptr;
   Rng rng_;
 
-  /// One segment from enqueue to arrival. The wire size is computed once
-  /// on enqueue (wire_size() walks every option) and reused for the
-  /// transmission time, the queue depth and the delivered-bytes count.
+  /// One segment from enqueue to arrival.
   struct Slot {
+    Slot(TcpSegment&& s, size_t size) : seg(std::move(s)), wire_size(size) {}
+
     TcpSegment seg;
-    size_t wire_size;
+    /// Share storage: the wire size is read for the last time when the
+    /// segment departs, and only then is the arrival time written.
+    union {
+      /// Computed once on enqueue (wire_size() walks every option) and
+      /// reused for the transmission time, the queue depth and the
+      /// delivered-bytes count.
+      size_t wire_size;
+      /// Set with target for a segment that departs behind a propagating
+      /// one: when it arrives.
+      SimTime arrival;
+    };
     /// Set when the segment departs toward a local target, like the
     /// closure capture it replaces; null for a queued segment and for a
     /// released one left behind a propagating segment.
-    PacketSink* target;
-    /// Set with target for a segment that departs behind a propagating
-    /// one: when it arrives, and the schedule-seq its departure reserved
-    /// for the arrival event filed when the one ahead arrives.
-    SimTime arrival = 0;
+    PacketSink* target = nullptr;
+    /// Set with arrival: the schedule-seq the departure reserved for the
+    /// arrival event filed when the one ahead arrives.
     uint64_t arrival_seq = 0;
   };
   /// [0, departed_) have departed: each live one waits to arrive, and
