@@ -38,8 +38,8 @@
 // the same cell-ring topology executed single-shard and with N worker
 // shards, self-checking that the merged simulated metrics are identical
 // and that the sharded run sustains >= 50,000 concurrent connections,
-// plus a smaller cross-cell phase that pushes traffic through the SPSC
-// handoff channels. `--smoke --shards N` runs only the reduced-scale
+// plus a smaller cross-cell phase that pushes traffic through the
+// cross-shard handoff channels. `--smoke --shards N` runs only the reduced-scale
 // sharded phase (the ThreadSanitizer CI job's workload).
 //
 // Usage: bench_capacity [--smoke] [--shards N] [OUTPUT.json]
@@ -380,7 +380,6 @@ struct ShardedRunResult {
   double errors = 0;
   double goodput_mbps = 0;
   double handoff_packets = 0;
-  double handoff_spills = 0;
   double wall_seconds = 0;
   std::map<std::string, double> merged;  ///< merged per-shard stats export
 };
@@ -406,7 +405,6 @@ ShardedRunResult run_sharded(const ShardedCapacitySpec& spec,
   out.goodput_mbps = static_cast<double>(workload.bytes_received()) * 8.0 /
                      to_seconds(duration) / 1e6;
   out.handoff_packets = static_cast<double>(engine.handoff_packets());
-  out.handoff_spills = static_cast<double>(engine.handoff_spills());
   out.merged = StatsRegistry::merged_flatten(topo.shard_stats());
   return out;
 }
@@ -540,9 +538,9 @@ bool run_sharded_full(size_t shards, uint64_t seed,
 }
 
 /// Reduced-scale sharded run with cross-cell traffic enabled: every byte
-/// of the cross class rides the SPSC handoff channels through the ring.
-/// This is the phase the ThreadSanitizer CI job runs (--smoke --shards N)
-/// and the source of the handoff counters in the JSON.
+/// of the cross class rides the cross-shard handoff channels around the
+/// cell ring. This is the phase the ThreadSanitizer CI job runs (--smoke
+/// --shards N) and the source of the handoff counters in the JSON.
 bool run_sharded_cross(size_t shards, uint64_t seed, const char* prefix,
                        std::vector<std::pair<std::string, double>>& fields) {
   ShardedCapacitySpec spec;
@@ -562,8 +560,7 @@ bool run_sharded_cross(size_t shards, uint64_t seed, const char* prefix,
 
   std::printf("%-32s %12.0f\n", "concurrent_end", run.concurrent_end);
   std::printf("%-32s %12.0f\n", "completed", run.completed);
-  std::printf("%-32s %12.0f\n", "handoff_packets", run.handoff_packets);
-  std::printf("%-32s %12.0f\n\n", "handoff_spills", run.handoff_spills);
+  std::printf("%-32s %12.0f\n\n", "handoff_packets", run.handoff_packets);
 
   const std::string p = prefix;
   fields.emplace_back(p + "cross_concurrent_end", run.concurrent_end);

@@ -7,11 +7,8 @@
 //      publish/barrier/drain cycle. Tracks the wall-clock p50 of
 //      arrive_and_wait() (barrier_wait_ns_p50).
 //   2. Handoff batch throughput -- a one-direction burst firehose across
-//      a channel that starts with a deliberately tiny ring; volume ramps
-//      so the consumer-side auto-resize always stays ahead of the
-//      producer. Tracks handoff_segments_per_sec and asserts
-//      spsc_spills_total == 0 (a spill at this scale means auto-sizing
-//      regressed).
+//      a channel, its bursts ramping from 4 to 2,048 segments per
+//      quantum. Tracks handoff_segments_per_sec.
 //   3. Epoch auto-tuning -- an unbalanced 4-shard topology: a chatty
 //      1 ms pair and a sleepy 50 ms pair, traffic in bursts with long
 //      idle gaps. The same workload runs under the per-group engine
@@ -20,8 +17,8 @@
 //      epochs_per_run is the auto engine's count and must stay strictly
 //      below fixed_lockstep_epochs.
 //
-// Epoch counts and spill totals are virtual-schedule quantities --
-// identical on every machine -- so this binary never clamps --shards;
+// Epoch counts are virtual-schedule quantities -- identical on every
+// machine -- so this binary never clamps --shards;
 // only the *_ns_* and *_per_sec keys move with the host. Writes
 // BENCH_shard.json (or argv[1]); `--smoke` runs reduced-scale phases 1+2
 // only, the ctest/ThreadSanitizer workload.
@@ -110,9 +107,7 @@ BarrierPhase run_barrier_phase(SimTime duration) {
 // --- 2. handoff batch throughput ------------------------------------------
 
 /// Burst source: every epoch quantum it burst-delivers `burst` segments
-/// and grows the burst 25%, so the channel's consumer-side ring resize
-/// (triggered at half occupancy, growing to 4x the observed drain) is
-/// always a step ahead of the producer and nothing ever spills.
+/// and grows the burst 25%, up to `burst_max`.
 struct Burster {
   EventLoop* loop = nullptr;
   Link* out = nullptr;
@@ -142,16 +137,11 @@ struct Burster {
 
 struct HandoffPhase {
   uint64_t packets = 0;
-  uint64_t spills = 0;
-  uint64_t resizes = 0;
   double wall_seconds = 0;
 };
 
 HandoffPhase run_handoff_phase(uint64_t target_segments) {
   Topology topo(/*seed=*/1, /*shards=*/2);
-  // Deliberately undersized ring: the phase exists to prove the observed
-  // per-epoch volume resizes it before anything spills.
-  topo.set_handoff_ring_capacity(16);
   const NodeId a = topo.add_host("a", 0);
   const NodeId b = topo.add_host("b", 1);
   LinkConfig cfg;
@@ -175,8 +165,6 @@ HandoffPhase run_handoff_phase(uint64_t target_segments) {
   HandoffPhase out;
   out.wall_seconds = w.seconds();
   out.packets = engine.handoff_packets();
-  out.spills = engine.handoff_spills();
-  out.resizes = engine.ring_resizes();
   return out;
 }
 
@@ -300,21 +288,6 @@ int main(int argc, char** argv) {
           ? static_cast<double>(hand.packets) / hand.wall_seconds
           : 0;
   std::printf("handoff_segments_per_sec  %14.0f\n", hand_rate);
-  std::printf("spsc_spills_total         %14llu\n",
-              static_cast<unsigned long long>(hand.spills));
-  std::printf("ring_resizes_total        %14llu\n",
-              static_cast<unsigned long long>(hand.resizes));
-  if (hand.spills != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu segments spilled past the ring; auto-sizing "
-                 "should keep bench-scale spills at zero\n",
-                 static_cast<unsigned long long>(hand.spills));
-    ok = false;
-  }
-  if (hand.resizes == 0) {
-    std::fprintf(stderr, "FAIL: the ramp never exercised a ring resize\n");
-    ok = false;
-  }
 
   if (!smoke) {
     const TunePhase tune = run_tune_phase(4 * kSecond);
@@ -348,9 +321,6 @@ int main(int argc, char** argv) {
   fields.emplace_back("barrier_wait_ns_p50",
                       static_cast<double>(bar.wait_p50_ns));
   fields.emplace_back("handoff_segments_per_sec", hand_rate);
-  fields.emplace_back("spsc_spills_total", static_cast<double>(hand.spills));
-  fields.emplace_back("ring_resizes_total",
-                      static_cast<double>(hand.resizes));
   fields.emplace_back("wall_seconds_total", total.seconds());
 
   if (!write_json(out_path, fields)) {

@@ -213,7 +213,7 @@ DigestResult run_capacity_digest(const DigestConfig& cfg) {
 /// Sharded capacity digest: a ring of capacity cells pinned round-robin
 /// onto `cfg.shards` shards, with a local churn class per cell plus a
 /// cross-cell class whose every byte traverses the ring -- i.e. the
-/// SPSC/epoch-barrier handoff path when shards > 1. Each tap owns its
+/// channel/epoch-barrier handoff path when shards > 1. Each tap owns its
 /// hash (taps on different shards run on different threads); the final
 /// digest folds the per-tap hashes in tap creation order, then every
 /// engine's outcomes. Bit-stable for a fixed shard count; *not*

@@ -1,6 +1,5 @@
 // A growable FIFO ring for one thread: the queue the stack and the
-// simulator use wherever they would use a deque (sim/spsc.h is the
-// bounded cross-thread ring).
+// simulator use wherever they would use a deque.
 //
 // Slots live in one power-of-two array indexed by (head + i) & mask, so
 // push_back, push_front and pop_front are O(1) with no allocation in the

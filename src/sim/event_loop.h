@@ -33,9 +33,10 @@
 // schedule_at_seq(): a link keeps only its first arrival pending, and a
 // segment that departs behind it reserves a seq, so that its arrival is
 // filed when the one ahead arrives, at the (time, seq) a per-segment
-// event scheduled at departure would have had. So events_live counts live work (one arrival per link with
-// segments in flight), and events_scheduled counts events filed, not
-// seqs reserved; a re-arm counts as one cancel plus one schedule.
+// event scheduled at departure would have had. So events_live counts
+// live work (one arrival per link with segments in flight), and
+// events_scheduled counts events filed, not seqs reserved; a re-arm
+// counts as one cancel plus one schedule.
 //
 // Sub-tick ordering: all entries that share the current tick are staged
 // into a pending vector and sorted by (time, schedule-seq), which makes

@@ -64,7 +64,6 @@ class Link : public PacketSink {
   /// a local event -- the destination shard schedules the arrival in its
   /// own loop at an epoch barrier. Takes precedence over target().
   void set_handoff(ShardChannel* ch) { handoff_ = ch; }
-  ShardChannel* handoff() const { return handoff_; }
 
   /// Enqueues a segment for transmission (or drops it if the buffer is
   /// full or the link is administratively down).

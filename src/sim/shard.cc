@@ -22,30 +22,14 @@ void ShardChannel::send(SimTime arrival, TcpSegment seg) {
     seg.payload = Payload(seg.payload.span());
   }
   ++pushed_;
-  HandoffItem item{arrival, std::move(seg)};
-  if (!ring_.try_push(std::move(item))) {
-    // The ring cannot drain before the next barrier, so blocking here
-    // would deadlock the epoch; spill instead. FIFO survives: once the
-    // ring is full it stays full for the rest of the epoch, so every
-    // later send this epoch spills behind this one.
-    ++spilled_;
-    overflow_.push_back(std::move(item));
-  }
+  inbox_.push_back({arrival, std::move(seg)});
 }
 
 size_t ShardChannel::drain() {
   const size_t base = pending_.size();
-  size_t n = 0;
-  HandoffItem item;
-  while (ring_.try_pop(item)) {
-    pending_.push_back(std::move(item));
-    ++n;
-  }
-  for (HandoffItem& spilled : overflow_) {
-    pending_.push_back(std::move(spilled));
-    ++n;
-  }
-  overflow_.clear();
+  const size_t n = inbox_.size();
+  for (HandoffItem& item : inbox_) pending_.push_back(std::move(item));
+  inbox_.clear();
 
   // One event per run of equal arrival times. The old per-item events
   // carried consecutive schedule-seqs with nothing interleaved between
@@ -64,7 +48,6 @@ size_t ShardChannel::drain() {
     i += run;
   }
   delivered_ += n;
-  maybe_resize(n);
   return n;
 }
 
@@ -76,24 +59,6 @@ void ShardChannel::deliver_front(size_t n) {
   }
   if (target_ != nullptr) target_->deliver_burst(scratch_.data(), n);
   scratch_.clear();  // drop moved-from husks (and any undelivered payloads)
-}
-
-void ShardChannel::maybe_resize(size_t drained) {
-  // Consumer side, barrier-only: the producer is quiesced and the ring
-  // is empty, and the next barrier publishes the new buffer before any
-  // push. Grow when the epoch actually spilled or the drained volume
-  // crowds the ring (>= half), targeting 4x the observed volume so a
-  // steady workload stops resizing after a few epochs.
-  const uint64_t spills = spilled_;
-  const bool spilled_now = spills != spills_seen_;
-  spills_seen_ = spills;
-  const size_t cap = ring_.capacity();
-  if (!spilled_now && drained * 2 < cap) return;
-  const size_t want = std::min(std::max(drained * 4, cap * 2),
-                               kMaxRingCapacity);
-  if (want <= cap) return;
-  ring_.rebuild(want);
-  ++resizes_;
 }
 
 ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
@@ -118,11 +83,7 @@ ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
     auto g = std::make_unique<Group>();
     g->members.resize(shards);
     std::iota(g->members.begin(), g->members.end(), size_t{0});
-    const SimTime bound = topo_.min_cross_prop();
-    g->quantum = bound;
-    if (bound > 0 && cfg_.quantum > 0 && cfg_.quantum < bound) {
-      g->quantum = cfg_.quantum;
-    }
+    g->quantum = topo_.min_cross_prop();
     groups_.push_back(std::move(g));
   } else {
     std::vector<size_t> parent(shards);
@@ -153,11 +114,6 @@ ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
         g->quantum = prop;
       }
     }
-    for (auto& g : groups_) {
-      if (cfg_.quantum > 0 && g->quantum > 0 && cfg_.quantum < g->quantum) {
-        g->quantum = cfg_.quantum;
-      }
-    }
   }
   for (auto& g : groups_) {
     g->barrier = std::make_unique<EpochBarrier>(g->members.size());
@@ -169,14 +125,6 @@ ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
       member_index_[g->members[m]] = m;
     }
   }
-}
-
-SimTime ShardedEngine::quantum() const {
-  SimTime q = 0;
-  for (const auto& g : groups_) {
-    if (g->quantum > 0 && (q == 0 || g->quantum < q)) q = g->quantum;
-  }
-  return q;
 }
 
 void ShardedEngine::run_until(SimTime t) {
@@ -191,7 +139,7 @@ void ShardedEngine::run_until(SimTime t) {
   if (t <= start) return;
 
   // Seed per-run group state while every thread is quiesced: the
-  // backlog flag (segments parked in rings by the previous run's tail),
+  // backlog flag (segments parked in inboxes by the previous run's tail),
   // the watermark baseline, and both banks' event floors.
   for (auto& g : groups_) {
     uint64_t pushed = 0;
@@ -287,8 +235,8 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
     bank[me].pushed.store(out, std::memory_order_release);
     bank[me].next_event.store(loop.next_event_time(),
                               std::memory_order_release);
-    // First barrier: every producer finished the epoch, so rings and
-    // overflow vectors are quiescent and safe to read from this thread.
+    // First barrier: every producer finished the epoch, so the inboxes
+    // are quiescent and safe to drain from this thread.
     timed_wait(*g.barrier, waits);
 
     uint64_t total = 0;
@@ -301,13 +249,13 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
       // the neighbors read it for the next epoch's fast-forward.
       bank[me].next_event.store(loop.next_event_time(),
                                 std::memory_order_release);
-      // Second barrier: all drains are done before any shard produces
-      // into the rings again next epoch.
+      // Second barrier: all drains are done before any shard appends to
+      // an inbox again next epoch.
       timed_wait(*g.barrier, waits);
       prev_total = total;
     } else if (me == 0) {
       // Group-wide sum unchanged since the last drain: every inbound
-      // ring is empty, nothing to schedule, nothing for a second barrier
+      // inbox is empty, nothing to schedule, nothing for a second barrier
       // to protect. Every member computed the same sum from the same
       // bank, so all of them skip together.
       ++skips;
@@ -319,7 +267,7 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
   // The final drain can schedule arrivals at exactly t_end (depart at
   // t_end - prop in the last epoch); they belong to this run. Anything
   // they send cross-shard arrives at >= t_end + lookahead and waits in
-  // the rings for the next run's first barrier.
+  // the inboxes for the next run's first barrier.
   loop.run_until(t_end);
   if (me == 0) {
     g.epoch_iters = iters;
@@ -353,18 +301,6 @@ void ShardedEngine::timed_wait(EpochBarrier& bar, Histogram& h) {
 uint64_t ShardedEngine::handoff_packets() const {
   uint64_t n = 0;
   for (const auto& ch : topo_.channels()) n += ch->pushed();
-  return n;
-}
-
-uint64_t ShardedEngine::handoff_spills() const {
-  uint64_t n = 0;
-  for (const auto& ch : topo_.channels()) n += ch->spilled();
-  return n;
-}
-
-uint64_t ShardedEngine::ring_resizes() const {
-  uint64_t n = 0;
-  for (const auto& ch : topo_.channels()) n += ch->ring_resizes();
   return n;
 }
 

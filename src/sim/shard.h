@@ -6,8 +6,9 @@
 // partition) and is driven by one worker thread. Links whose endpoints
 // live in different shards keep their egress machinery (queue,
 // serialization, loss) in the source shard and hand finished segments to
-// the destination shard through a ShardChannel: a bounded SPSC ring plus
-// a producer-owned overflow spill.
+// the destination shard through a ShardChannel: an inbox the source
+// shard appends to during an epoch and the destination shard empties at
+// the barrier.
 //
 // Synchronization is epoch-based and conservative, organized around
 // *sync groups*: the weakly-connected components of the shard graph
@@ -50,7 +51,12 @@
 // Thread-safety contract: a shard's loop, nodes, links, sockets and
 // registry partition are touched only by that shard's worker thread
 // while run_until() is executing (and only by the caller's thread
-// before/after). Payload buffers are refcounted *non-atomically*, so
+// before/after). Apart from the engine's own barriers and mailboxes,
+// workers share only channel inboxes: the source shard appends to one
+// while an epoch runs, and the destination shard drains it between the
+// epoch's two barriers, while the producer waits. The barriers are the
+// only ordering -- an inbox is a plain vector, with no atomics or locks
+// of its own. Payload buffers are refcounted *non-atomically*, so
 // ShardChannel::send() detaches the payload -- one copy into a fresh
 // buffer -- before a segment crosses threads; this is the only byte copy
 // the handoff costs. Frozen buffers (Payload::freeze(), e.g. the app
@@ -69,7 +75,6 @@
 #include "sim/barrier.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
-#include "sim/spsc.h"
 
 namespace mptcp {
 
@@ -87,9 +92,9 @@ struct HandoffItem {
 class ShardChannel {
  public:
   ShardChannel(size_t src_shard, size_t dst_shard, EventLoop& dst_loop,
-               size_t ring_capacity, SimTime lookahead = 0)
+               SimTime lookahead = 0)
       : src_shard_(src_shard), dst_shard_(dst_shard), dst_loop_(dst_loop),
-        lookahead_(lookahead), ring_(ring_capacity) {}
+        lookahead_(lookahead) {}
 
   ShardChannel(const ShardChannel&) = delete;
   ShardChannel& operator=(const ShardChannel&) = delete;
@@ -110,38 +115,25 @@ class ShardChannel {
 
   /// Producer side: hands a segment off for delivery at `arrival`.
   /// Detaches the payload unless its buffer is frozen (non-atomic
-  /// refcounts must not cross threads) and spills to the overflow vector
-  /// when the ring is full -- the ring cannot drain mid-epoch, so blocking
-  /// here would deadlock the epoch.
+  /// refcounts must not cross threads) and appends it to the inbox.
   void send(SimTime arrival, TcpSegment seg);
 
-  /// Consumer side, barrier-only: moves every queued segment (ring
-  /// first, then overflow, preserving producer FIFO order) into the
-  /// pending queue and schedules one delivery event per run of equal
-  /// arrival times -- each event burst-delivers its run through the
-  /// PR 7 deliver_burst path. Returns how many segments were drained.
-  /// The caller must guarantee the producer is quiesced (the engine's
-  /// barrier does). Also grows the SPSC ring (consumer side, published
-  /// by the barrier) when the observed per-epoch volume crowds it, so
-  /// steady-state spills stay at zero.
+  /// Consumer side, barrier-only: moves the inbox, in producer FIFO
+  /// order, into the pending queue and schedules one delivery event per
+  /// run of equal arrival times -- each event burst-delivers its run
+  /// through deliver_burst. Returns how many segments were drained. The
+  /// caller must guarantee the producer is quiesced (the engine's
+  /// barrier does).
   size_t drain();
 
   // --- introspection (read at barriers / after the run) -----------------
   uint64_t pushed() const { return pushed_; }
-  uint64_t spilled() const { return spilled_; }
   uint64_t delivered() const { return delivered_; }
-  uint64_t ring_resizes() const { return resizes_; }
-  size_t ring_capacity() const { return ring_.capacity(); }
 
  private:
-  /// Rings never grow past this (1 Mi entries); past it, sustained
-  /// overload spills to the unbounded overflow vector as before.
-  static constexpr size_t kMaxRingCapacity = size_t{1} << 20;
-
   /// Delivery-event callback: pops the front `n` pending segments (one
   /// equal-arrival run, in FIFO order) and burst-delivers them.
   void deliver_front(size_t n);
-  void maybe_resize(size_t drained);
 
   const size_t src_shard_;
   const size_t dst_shard_;
@@ -149,11 +141,14 @@ class ShardChannel {
   const SimTime lookahead_;
   PacketSink* target_ = nullptr;
 
-  SpscRing<HandoffItem> ring_;
-  /// Backpressure spill, written only by the producer thread mid-epoch
-  /// and read/cleared only by the consumer thread at barriers; the
-  /// engine's barrier provides the happens-before edges.
-  std::vector<HandoffItem> overflow_;
+  // The producer's inbox and count and the consumer's queue and count sit
+  // on separate cache lines: during an epoch the source shard appends
+  // while the destination shard's delivery events pop.
+  /// Segments handed off since the last drain: the producer thread
+  /// appends during an epoch, and drain() empties it at the barrier but
+  /// keeps its capacity, so a steady volume allocates nothing.
+  alignas(64) std::vector<HandoffItem> inbox_;
+  uint64_t pushed_ = 0;
 
   /// Drained-but-not-yet-delivered segments, owned by the consumer
   /// thread. Arrival order is globally sorted (FIFO serialization plus a
@@ -164,16 +159,9 @@ class ShardChannel {
   /// buffer -- no allocation per handed-off segment. A RingQueue: no
   /// storage for a channel that never carries traffic, and no block
   /// allocated and freed per few segments in steady state.
-  RingQueue<HandoffItem> pending_;
+  alignas(64) RingQueue<HandoffItem> pending_;
   std::vector<TcpSegment> scratch_;  ///< reused burst buffer
-
-  // Producer-written counters and consumer-written counters on separate
-  // cache lines; each is read by other threads only across a barrier.
-  alignas(64) uint64_t pushed_ = 0;
-  uint64_t spilled_ = 0;
-  alignas(64) uint64_t delivered_ = 0;
-  uint64_t resizes_ = 0;
-  uint64_t spills_seen_ = 0;  ///< consumer's view of spilled_ at last drain
+  uint64_t delivered_ = 0;
 };
 
 class Topology;
@@ -185,14 +173,6 @@ class Topology;
 class ShardedEngine {
  public:
   struct Config {
-    /// Epoch quantum; 0 = auto (each sync group uses the smallest
-    /// propagation delay over its own channels; a shard with no
-    /// cross-shard links runs barrier-free). Positive values clamp each
-    /// group's quantum from above -- a larger quantum would let a
-    /// segment arrive in the epoch it was sent in and break the
-    /// conservative contract, so values above a group's bound are
-    /// clamped to it.
-    SimTime quantum = 0;
     /// Reproduces the round-1 engine's schedule exactly: one global
     /// barrier group over every shard, the global minimum lookahead as
     /// the quantum, no drain skip, no idle fast-forward. The A/B
@@ -207,9 +187,6 @@ class ShardedEngine {
   /// all cross-shard deliveries scheduled before `t`) are done.
   void run_until(SimTime t);
 
-  /// Smallest group quantum (the legacy single-number view; 0 when no
-  /// link crosses shards).
-  SimTime quantum() const;
   /// Barrier-synchronized epoch iterations so far, summed over sync
   /// groups (each group counted once, not per member shard).
   uint64_t epochs() const { return epochs_; }
@@ -219,11 +196,12 @@ class ShardedEngine {
   /// Multi-shard barrier groups (shards with no cross-shard links run
   /// solo and belong to none).
   size_t sync_groups() const { return groups_.size(); }
-  /// Segments handed across shards / spilled past a full ring so far.
+  /// Segments handed across shards so far.
   uint64_t handoff_packets() const;
-  uint64_t handoff_spills() const;
-  /// Times any channel grew its ring from observed handoff volume.
-  uint64_t ring_resizes() const;
+  /// Both always 0: an inbox grows to what an epoch sends, so nothing
+  /// overflows or regrows it. perfbench still exports the two counters.
+  uint64_t handoff_spills() const { return 0; }
+  uint64_t ring_resizes() const { return 0; }
   /// p50 of wall-clock nanoseconds spent inside arrive_and_wait(),
   /// across every (shard, barrier crossing) pair so far; 0 before any
   /// barrier was crossed. Bucketed at power-of-two resolution.

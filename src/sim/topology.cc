@@ -84,14 +84,14 @@ size_t Topology::connect(NodeId a, NodeId b, const LinkConfig& cfg_ab,
     assert(ab.prop_delay > 0 && ba.prop_delay > 0 &&
            "cross-shard links need positive propagation delay");
     auto ab_ch = std::make_unique<ShardChannel>(sa, sb, *loops_[sb],
-                                                ring_capacity_, ab.prop_delay);
+                                                ab.prop_delay);
     ab_ch->set_target(sink_of(b));
     rec.ab->set_handoff(ab_ch.get());
     rec.ab_ch = ab_ch.get();
     channels_.push_back(std::move(ab_ch));
 
     auto ba_ch = std::make_unique<ShardChannel>(sb, sa, *loops_[sa],
-                                                ring_capacity_, ba.prop_delay);
+                                                ba.prop_delay);
     ba_ch->set_target(sink_of(a));
     rec.ba->set_handoff(ba_ch.get());
     rec.ba_ch = ba_ch.get();

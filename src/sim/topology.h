@@ -129,10 +129,6 @@ class Topology {
   // --- sharding -----------------------------------------------------------
   size_t shard_count() const { return loops_.size(); }
   size_t shard_of(NodeId n) const { return nodes_[n].shard; }
-  /// Ring capacity for cross-shard channels created by *subsequent*
-  /// connect() calls. Overflow past the ring spills to an unbounded
-  /// vector, so this tunes memory/backpressure, not correctness.
-  void set_handoff_ring_capacity(size_t cap) { ring_capacity_ = cap; }
   /// Every cross-shard channel, in creation order (ShardedEngine's
   /// deterministic drain order).
   const std::vector<std::unique_ptr<ShardChannel>>& channels() const {
@@ -188,7 +184,6 @@ class Topology {
   std::vector<std::unique_ptr<EventLoop>> loops_;  ///< one per shard
   std::optional<StatsHook> pool_hook_;  ///< payload.pool.*, on shard 0
   uint64_t seed_;
-  size_t ring_capacity_ = 1024;
   SimTime min_cross_prop_ = 0;
   std::vector<Node> nodes_;
   std::vector<LinkRec> links_;

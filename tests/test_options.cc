@@ -128,8 +128,8 @@ TEST(OptionPool, CrossShardSegmentsRecycleTheirBlocks) {
   constexpr uint32_t kSegs = 200;
   EventLoop loop_a;
   EventLoop loop_b;
-  ShardChannel a_to_b(0, 1, loop_b, /*ring_capacity=*/256);
-  ShardChannel b_to_a(1, 0, loop_a, /*ring_capacity=*/256);
+  ShardChannel a_to_b(0, 1, loop_b);
+  ShardChannel b_to_a(1, 0, loop_a);
   KeepingSink sink_a;
   KeepingSink sink_b;
   a_to_b.set_target(&sink_b);

@@ -244,7 +244,7 @@ class CapturingSink : public PacketSink {
 
 TEST(PayloadFrozen, MergedTapeViewStaysFrozenAndCrossesShardsUncopied) {
   EventLoop loop;
-  ShardChannel ch(0, 1, loop, /*ring_capacity=*/16);
+  ShardChannel ch(0, 1, loop);
   CapturingSink sink;
   ch.set_target(&sink);
 

@@ -1,6 +1,6 @@
-// Sharded simulation engine: the SPSC handoff ring, the cross-shard
-// channel (FIFO + spill backpressure), the deterministic merge of
-// per-shard stats partitions, and the engine-level determinism contracts:
+// Sharded simulation engine: the epoch barrier, the cross-shard channel
+// (FIFO handoff, payload detach), the deterministic merge of per-shard
+// stats partitions, and the engine-level determinism contracts:
 //
 //   * a fixed shard count reproduces the same digest run over run;
 //   * the ping-pong scenario's digest is identical across shard counts
@@ -29,130 +29,10 @@
 #include "sim/event_loop.h"
 #include "sim/node.h"
 #include "sim/shard.h"
-#include "sim/spsc.h"
 #include "sim/topology.h"
 
 namespace mptcp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SpscRing.
-// ---------------------------------------------------------------------------
-
-TEST(SpscRing, CapacityAndBackpressure) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  int extra = 99;
-  EXPECT_FALSE(ring.try_push(std::move(extra)));  // full: push refused
-  EXPECT_EQ(extra, 99);                           // and operand untouched
-  int out = -1;
-  EXPECT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(std::move(extra)));  // slot freed by the pop
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);  // bit_ceil(5) = 8
-  for (int i = 0; i < 8; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  int v = 8;
-  EXPECT_FALSE(ring.try_push(std::move(v)));
-}
-
-TEST(SpscRing, FifoOrder) {
-  SpscRing<int> ring(16);
-  for (int i = 0; i < 10; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v)));
-  }
-  for (int i = 0; i < 10; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, FifoAcrossCursorWraparound) {
-  // The cursors are free-running unsigned counters masked on access;
-  // the test-only origin constructor parks them just below the unsigned
-  // maximum so a handful of pushes drives them through the wrap.
-  SpscRing<int> ring(8, /*origin=*/SIZE_MAX - 3);
-  for (int lap = 0; lap < 4; ++lap) {
-    for (int i = 0; i < 6; ++i) {
-      int v = lap * 10 + i;
-      ASSERT_TRUE(ring.try_push(std::move(v)));
-    }
-    for (int i = 0; i < 6; ++i) {
-      int out = -1;
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, lap * 10 + i);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, FullRingRefusalsKeepOperandUnderConcurrentPop) {
-  // try_push's full check races a concurrent pop by design (the pop may
-  // free a slot between the check and the return). What must hold on
-  // EVERY refused push is that the operand still carries its value, so
-  // the caller can spill it; a moved-from operand would drop the item.
-  constexpr int kItems = 4000;
-  SpscRing<int> ring(4);
-  std::atomic<bool> done{false};
-  std::vector<int> popped;
-  std::thread consumer([&] {
-    int out = -1;
-    while (!done.load(std::memory_order_acquire) || !ring.empty()) {
-      if (ring.try_pop(out)) popped.push_back(out);
-    }
-  });
-  uint64_t refusals = 0;
-  for (int i = 0; i < kItems; ++i) {
-    int v = i;
-    while (!ring.try_push(std::move(v))) {
-      ++refusals;
-      ASSERT_EQ(v, i);  // refused push must leave the operand intact
-      std::this_thread::yield();  // single-core hosts: let the pop run
-    }
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-  ASSERT_EQ(popped.size(), static_cast<size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(popped[i], i);
-  // A 4-slot ring against a full-speed producer virtually always refuses
-  // at least once; if not, the assertion above was simply vacuous.
-}
-
-TEST(SpscRing, RebuildGrowsAnEmptyRing) {
-  SpscRing<int> ring(4);
-  for (int i = 0; i < 3; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v)));
-  }
-  int out = -1;
-  while (ring.try_pop(out)) {
-  }
-  ring.rebuild(64);
-  EXPECT_EQ(ring.capacity(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  int extra = 99;
-  EXPECT_FALSE(ring.try_push(std::move(extra)));
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // EpochBarrier.
@@ -189,28 +69,6 @@ TEST(EpochBarrier, RoundsStayInLockstepAcrossGenerations) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(SpscRing, CrossThreadVisibilityAndOrder) {
-  constexpr int kItems = 20000;
-  SpscRing<int> ring(64);
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems; ++i) {
-      int v = i;
-      while (!ring.try_push(std::move(v))) {
-        // spin: the consumer is draining concurrently
-      }
-    }
-  });
-  for (int expect = 0; expect < kItems; ++expect) {
-    int out = -1;
-    while (!ring.try_pop(out)) {
-      // spin until the producer catches up
-    }
-    ASSERT_EQ(out, expect);
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
 // ---------------------------------------------------------------------------
 // ShardChannel.
 // ---------------------------------------------------------------------------
@@ -224,8 +82,7 @@ class SeqCollector : public PacketSink {
 
 TEST(ShardChannel, DrainDeliversInOrderAtArrivalTime) {
   EventLoop loop;
-  ShardChannel ch(/*src_shard=*/0, /*dst_shard=*/1, loop,
-                  /*ring_capacity=*/16);
+  ShardChannel ch(/*src_shard=*/0, /*dst_shard=*/1, loop);
   SeqCollector sink;
   ch.set_target(&sink);
 
@@ -243,25 +100,26 @@ TEST(ShardChannel, DrainDeliversInOrderAtArrivalTime) {
   EXPECT_EQ(ch.delivered(), 5u);
 }
 
-TEST(ShardChannel, OverflowSpillPreservesFifo) {
+TEST(ShardChannel, ManySendsInOneEpochDrainInFifoOrder) {
   EventLoop loop;
-  ShardChannel ch(0, 1, loop, /*ring_capacity=*/4);
+  ShardChannel ch(0, 1, loop);
   SeqCollector sink;
   ch.set_target(&sink);
 
-  // 10 sends into a 4-slot ring: 4 land in the ring, 6 spill to the
-  // producer-side overflow. Drain must restore the original order.
-  for (uint32_t i = 0; i < 10; ++i) {
+  // 5,000 sends before one drain, arriving in runs of 7 equal times: the
+  // drain keeps the send order, within each run and across runs.
+  constexpr uint32_t kSends = 5000;
+  for (uint32_t i = 0; i < kSends; ++i) {
     TcpSegment seg;
     seg.seq = i;
-    ch.send(kMillisecond, std::move(seg));
+    ch.send(kMillisecond + i / 7, std::move(seg));
   }
-  EXPECT_EQ(ch.pushed(), 10u);
-  EXPECT_EQ(ch.spilled(), 6u);
-  EXPECT_EQ(ch.drain(), 10u);
+  EXPECT_EQ(ch.pushed(), kSends);
+  EXPECT_EQ(ch.drain(), kSends);
   loop.run_until(2 * kMillisecond);
-  ASSERT_EQ(sink.seqs.size(), 10u);
-  for (uint32_t i = 0; i < 10; ++i) EXPECT_EQ(sink.seqs[i], i);
+  ASSERT_EQ(sink.seqs.size(), kSends);
+  for (uint32_t i = 0; i < kSends; ++i) EXPECT_EQ(sink.seqs[i], i);
+  EXPECT_EQ(ch.delivered(), kSends);
 }
 
 /// Keeps every delivered segment.
@@ -273,7 +131,7 @@ class SegmentCollector : public PacketSink {
 
 TEST(ShardChannel, FrozenPayloadCrossesSharedPooledOneIsDetached) {
   EventLoop loop;
-  ShardChannel ch(0, 1, loop, /*ring_capacity=*/16);
+  ShardChannel ch(0, 1, loop);
   SegmentCollector sink;
   ch.set_target(&sink);
 
@@ -405,7 +263,7 @@ DigestResult pingpong(size_t shards) {
 }
 
 TEST(ShardedEngine, PingPongDigestIdenticalAcrossShardCounts) {
-  // The lockstep proof: with shards=2 every packet crosses an SPSC
+  // The lockstep proof: with shards=2 every packet crosses a shard
   // channel and an epoch barrier; the digest (packet headers + payload
   // bytes, in delivery order, per direction) must still equal the
   // single-loop reference exactly. shards=4 adds two node-less shards
@@ -597,7 +455,6 @@ TEST(ShardedEngine, IdleEpochsSkipDrainsWithoutLosingSegments) {
     EXPECT_EQ(sink.arrivals[i].second, i);
   }
   EXPECT_EQ(engine.handoff_packets(), ping.sent);
-  EXPECT_EQ(engine.handoff_spills(), 0u);
 }
 
 /// One bursty cross-shard run: traffic active the first fifth of each
@@ -644,21 +501,16 @@ CollapseRun run_collapse(ShardedEngine::Config cfg) {
 
 TEST(ShardedEngine, EpochCollapseKeepsDeliveryScheduleExact) {
   // The determinism core of the idle fast-forward proof: the auto-tuned
-  // engine, a 4x-finer forced quantum, and the fixed-lockstep baseline
-  // must produce byte-identical (time, seq) delivery schedules -- only
-  // the number of barrier epochs may differ, and the auto engine must
-  // not run more of them than fixed lockstep.
+  // engine and the fixed-lockstep baseline must produce byte-identical
+  // (time, seq) delivery schedules -- only the number of barrier epochs
+  // may differ, and the auto engine must run fewer of them.
   ShardedEngine::Config fixed;
   fixed.fixed_lockstep = true;
   const CollapseRun base = run_collapse(fixed);
   const CollapseRun autod = run_collapse(ShardedEngine::Config{});
-  ShardedEngine::Config fine;
-  fine.quantum = kMillisecond / 2;
-  const CollapseRun quartered = run_collapse(fine);
 
   ASSERT_GT(base.arrivals.size(), 10u);
   EXPECT_EQ(base.arrivals, autod.arrivals);
-  EXPECT_EQ(base.arrivals, quartered.arrivals);
   EXPECT_LT(autod.epochs, base.epochs);
 }
 
@@ -702,9 +554,9 @@ std::vector<std::pair<SimTime, uint32_t>> run_burst(size_t shards,
 
 TEST(ShardedEngine, BurstBeyondTheOldRingArrivesInOrder) {
   // 4,096 segments depart within the first 1 ms epoch, so one drain hands
-  // all of them over: four times the 1,024 slots a channel's ring once
-  // held. Every one must arrive exactly when and in the order it does
-  // over the same link inside one loop.
+  // all of them over: four times the 1,024 slots a channel's ring held
+  // before the inbox replaced it. Every one must arrive exactly when and
+  // in the order it does over the same link inside one loop.
   constexpr uint32_t kBurst = 4096;
   const auto one = run_burst(1, kBurst);
   const auto two = run_burst(2, kBurst);
