@@ -513,7 +513,9 @@ void MptcpConnection::sf_mapped_data(MptcpSubflow* sf, uint64_t dsn,
   } else {
     meta_recv_.insert(dsn, std::move(bytes), sf->id(), rcv_nxt_d_);
   }
-  check_data_fin_consumption();
+  // A delivery callback may have closed the connection: then it reads
+  // nothing more, not even the DATA_FIN.
+  if (!closed_notified_) check_data_fin_consumption();
 }
 
 void MptcpConnection::sf_fallback_data(Payload bytes) {
@@ -528,7 +530,10 @@ void MptcpConnection::deliver_in_order(Payload bytes) {
 }
 
 void MptcpConnection::drain_meta_ooo() {
-  while (auto chunk = meta_recv_.pop_ready(rcv_nxt_d_)) {
+  // Stops once a delivery callback closes the connection.
+  while (!closed_notified_) {
+    auto chunk = meta_recv_.pop_ready(rcv_nxt_d_);
+    if (!chunk) break;
     rcv_nxt_d_ += chunk->bytes.size();
     deliver_in_order(std::move(chunk->bytes));
   }

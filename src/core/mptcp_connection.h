@@ -85,6 +85,8 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // --- introspection ---------------------------------------------------------
   MptcpMode mode() const { return mode_; }
   Role role() const { return role_; }
+  /// True once the connection has closed towards the app (on_closed).
+  bool closed() const { return closed_notified_; }
   /// Subflows in id order. A closed subflow is destroyed in a zero-delay
   /// event after it closes, so an index or pointer from subflow(i) holds
   /// only within the current event.

@@ -357,6 +357,7 @@ void MptcpSubflow::deliver_data(uint64_t seq, Payload bytes) {
   ReceiverMappings::Output out = std::move(spare);
   rx_mappings_.feed(seq, bytes, meta_.dss_checksum_enabled(), out);
   for (auto& [dsn, data] : out.deliver) {
+    if (meta_.closed()) break;  // a delivery callback closed it
     meta_.sf_mapped_data(this, dsn, std::move(data));
   }
   const bool failed = !out.checksum_failures.empty();

@@ -683,8 +683,11 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
       rcv_nxt_ += payload.size();
       rate_window_bytes_ += payload.size();
       deliver_data(seq64, std::move(payload));
-      // Drain anything now in order.
-      while (auto ready = reassembly_.pop_ready(rcv_nxt_)) {
+      // Drain anything now in order, unless a delivery callback closed
+      // us: a closed connection delivers nothing more.
+      while (state_ != TcpState::kClosed) {
+        auto ready = reassembly_.pop_ready(rcv_nxt_);
+        if (!ready) break;
         rcv_nxt_ += ready->second.size();
         rate_window_bytes_ += ready->second.size();
         deliver_data(ready->first, std::move(ready->second));
@@ -694,7 +697,8 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
     }
   }
 
-  if (fin_received_ && !fin_delivered_ && rcv_nxt_ == peer_fin_seq_) {
+  if (state_ != TcpState::kClosed && fin_received_ && !fin_delivered_ &&
+      rcv_nxt_ == peer_fin_seq_) {
     rcv_nxt_ = peer_fin_seq_ + 1;
     fin_delivered_ = true;
     on_peer_fin();

@@ -290,6 +290,95 @@ TEST(HttpRobustness, PeerSendingPastTheResponseIsResetAcrossSubflows) {
   EXPECT_GT(ooo_inserts, 0u);
 }
 
+// A server on port 80 that aborts its connection in the first on_readable
+// and leaves the socket's callbacks attached. It counts the on_readable
+// calls that come after on_closed: a closed connection must deliver
+// nothing more, even when the delivery that closed it has more in-order
+// data queued behind it.
+class AbortOnFirstRead {
+ public:
+  explicit AbortOnFirstRead(SocketFactory& ss) {
+    ss.listen(80, [this, &ss](StreamSocket& s) {
+      s.on_readable = [this, &ss, &s] {
+        ++reads_;
+        if (closed_) ++reads_after_close_;
+        if (reads_ > 1) return;
+        // What still waits out of order when the first bytes arrive.
+        if (TcpConnection* t = ss.as_tcp(s)) {
+          queued_ = t->rcv_buf_in_use() - s.readable_bytes();
+        } else {
+          queued_ = ss.as_mptcp(s)->recv_queue_stats().inserts;
+        }
+        s.abort();
+      };
+      s.on_closed = [this] { closed_ = true; };
+    });
+  }
+
+  uint64_t reads() const { return reads_; }
+  uint64_t reads_after_close() const { return reads_after_close_; }
+  bool closed() const { return closed_; }
+  /// Out-of-order bytes (TCP) or connection-level out-of-order inserts
+  /// (MPTCP) held at the first read.
+  uint64_t queued_at_first_read() const { return queued_; }
+
+ private:
+  uint64_t reads_ = 0;
+  uint64_t reads_after_close_ = 0;
+  uint64_t queued_ = 0;
+  bool closed_ = false;
+};
+
+TEST(DeliveryAfterAbort, TcpReassemblyDrainStops) {
+  // The first data segment is lost; the ones behind it wait in the
+  // server's reassembly queue until the retransmission releases them all
+  // in one drain, whose first delivery aborts the connection.
+  TwoHostRig rig({ethernet_path(1e9)});
+  DropNthDataSegment drop(1);
+  rig.splice_up(0, drop);
+  TransportConfig cfg;
+  cfg.kind = TransportKind::kTcp;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  AbortOnFirstRead server(ss);
+  StreamSocket& c = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  const std::vector<uint8_t> data(16 * 1024, 0xEE);
+  c.on_connected = [&] { ASSERT_EQ(c.write(data), data.size()); };
+  rig.loop().run_until(kSecond);
+
+  EXPECT_EQ(drop.dropped(), 1u);
+  EXPECT_TRUE(server.closed());
+  EXPECT_GT(server.queued_at_first_read(), 0u);
+  EXPECT_GE(server.reads(), 1u);
+  EXPECT_EQ(server.reads_after_close(), 0u);
+}
+
+TEST(DeliveryAfterAbort, MptcpConnectionLevelDrainStops) {
+  // The rig of PeerSendingPastTheResponseIsResetAcrossSubflows: the first
+  // 1,000 bytes leave on the slow path, the rest 10 ms later on the fast
+  // one, and wait out of order at the connection level. The slow bytes'
+  // delivery aborts the connection.
+  TwoHostRig rig({ethernet_path(1e9, 100 * kMillisecond), ethernet_path(1e9)});
+  TransportConfig cfg;
+  cfg.kind = TransportKind::kMptcp;
+  cfg.mptcp.opportunistic_retransmit = false;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  AbortOnFirstRead server(ss);
+  StreamSocket& c = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  const std::vector<uint8_t> first(1000, 0xEE);
+  const std::vector<uint8_t> rest(32 * 1024, 0xEE);
+  c.on_connected = [&] {
+    ASSERT_EQ(c.write(first), first.size());
+    rig.loop().schedule_in(10 * kMillisecond,
+                           [&] { ASSERT_EQ(c.write(rest), rest.size()); });
+  };
+  rig.loop().run_until(kSecond);
+
+  EXPECT_TRUE(server.closed());
+  EXPECT_GT(server.queued_at_first_read(), 0u);
+  EXPECT_GE(server.reads(), 1u);
+  EXPECT_EQ(server.reads_after_close(), 0u);
+}
+
 TEST(HttpRobustness, RequestArrivingInPiecesIsAnsweredOnce) {
   // The 16-byte request buffer fills across reads: a request written in
   // four pieces 10 ms apart is answered once and exactly, and nothing is
