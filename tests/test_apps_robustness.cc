@@ -379,6 +379,85 @@ TEST(DeliveryAfterAbort, MptcpConnectionLevelDrainStops) {
   EXPECT_EQ(server.reads_after_close(), 0u);
 }
 
+// Drops the first data segment it sees, once, and notes whether the end
+// of the stream -- a FIN, or a DATA_FIN on a segment without data --
+// passes before any data segment does again.
+class DropDataLetFinOvertake final : public SimpleMiddlebox {
+ public:
+  bool fin_overtook() const { return fin_overtook_; }
+
+ protected:
+  void process(TcpSegment seg) override {
+    if (!seg.payload.empty()) {
+      if (!dropped_) {
+        dropped_ = true;
+        return;
+      }
+      data_since_drop_ = true;
+    } else if (dropped_ && !data_since_drop_) {
+      const auto* dss = find_option<DssOption>(seg.options);
+      if (seg.fin || (dss != nullptr && dss->data_fin)) fin_overtook_ = true;
+    }
+    emit(std::move(seg));
+  }
+
+ private:
+  bool dropped_ = false;
+  bool data_since_drop_ = false;
+  bool fin_overtook_ = false;
+};
+
+struct AbortBeforeFin {
+  bool fin_overtook = false;  ///< the end of the stream beat the data
+  uint64_t reads = 0;
+  uint64_t reads_after_close = 0;
+  bool closed = false;
+};
+
+/// A client of `kind` writes 1,000 bytes and closes. The path loses the
+/// data segment, so the end of the stream reaches the server first and
+/// waits for the retransmission, whose delivery the server aborts in.
+AbortBeforeFin abort_with_fin_waiting(TransportKind kind) {
+  TwoHostRig rig({ethernet_path(1e9)});
+  DropDataLetFinOvertake drop;
+  rig.splice_up(0, drop);
+  TransportConfig cfg;
+  cfg.kind = kind;
+  SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
+  AbortOnFirstRead server(ss);
+  StreamSocket& c = cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  const std::vector<uint8_t> data(1000, 0xEE);
+  c.on_connected = [&] {
+    ASSERT_EQ(c.write(data), data.size());
+    c.close();
+  };
+  rig.loop().run_until(5 * kSecond);
+  return {drop.fin_overtook(), server.reads(), server.reads_after_close(),
+          server.closed()};
+}
+
+TEST(DeliveryAfterAbort, TcpFinBehindTheAbortingReadIsNotDelivered) {
+  // The FIN is already in when the retransmitted bytes arrive and their
+  // delivery aborts the connection: the closed connection must not go on
+  // to report the FIN as an EOF read.
+  const AbortBeforeFin r = abort_with_fin_waiting(TransportKind::kTcp);
+  EXPECT_TRUE(r.fin_overtook);
+  EXPECT_TRUE(r.closed);
+  EXPECT_EQ(r.reads, 1u);
+  EXPECT_EQ(r.reads_after_close, 0u);
+}
+
+TEST(DeliveryAfterAbort, MptcpDataFinBehindTheAbortingReadIsNotConsumed) {
+  // The same at the connection level: the DATA_FIN, on a segment of its
+  // own, is due the moment the aborting read returns. The closed
+  // connection must not consume it.
+  const AbortBeforeFin r = abort_with_fin_waiting(TransportKind::kMptcp);
+  EXPECT_TRUE(r.fin_overtook);
+  EXPECT_TRUE(r.closed);
+  EXPECT_EQ(r.reads, 1u);
+  EXPECT_EQ(r.reads_after_close, 0u);
+}
+
 TEST(HttpRobustness, RequestArrivingInPiecesIsAnsweredOnce) {
   // The 16-byte request buffer fills across reads: a request written in
   // four pieces 10 ms apart is answered once and exactly, and nothing is

@@ -80,6 +80,19 @@ class SeqCollector : public PacketSink {
   std::vector<uint32_t> seqs;
 };
 
+/// Records (arrival virtual time, seq) of every delivered segment.
+class TimedCollector : public PacketSink {
+ public:
+  explicit TimedCollector(EventLoop& loop) : loop_(loop) {}
+  void deliver(TcpSegment seg) override {
+    arrivals.emplace_back(loop_.now(), seg.seq);
+  }
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+
+ private:
+  EventLoop& loop_;
+};
+
 TEST(ShardChannel, DrainDeliversInOrderAtArrivalTime) {
   EventLoop loop;
   ShardChannel ch(/*src_shard=*/0, /*dst_shard=*/1, loop);
@@ -120,6 +133,109 @@ TEST(ShardChannel, ManySendsInOneEpochDrainInFifoOrder) {
   ASSERT_EQ(sink.seqs.size(), kSends);
   for (uint32_t i = 0; i < kSends; ++i) EXPECT_EQ(sink.seqs[i], i);
   EXPECT_EQ(ch.delivered(), kSends);
+}
+
+TEST(ShardChannel, DrainAppendsBehindSegmentsStillPending) {
+  // Arrivals lie a lookahead past the barrier that drains them, so the
+  // next barrier's drain can find the previous one's segments still
+  // pending. Each drain takes only what was sent since the last one, and
+  // every segment arrives once, in send order, at its own time.
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  TimedCollector sink(loop);
+  ch.set_target(&sink);
+  const auto send = [&ch](uint32_t seq, SimTime arrival) {
+    TcpSegment seg;
+    seg.seq = seq;
+    ch.send(arrival, std::move(seg));
+  };
+
+  send(0, 3 * kMillisecond);
+  send(1, 3 * kMillisecond);
+  send(2, 4 * kMillisecond);
+  EXPECT_EQ(ch.drain(), 3u);
+  loop.run_until(1 * kMillisecond);
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(ch.drain(), 0u);  // nothing sent since
+  send(3, 5 * kMillisecond);
+  send(4, 6 * kMillisecond);
+  EXPECT_EQ(ch.drain(), 2u);
+  EXPECT_EQ(ch.pushed(), 5u);
+  EXPECT_EQ(ch.delivered(), 5u);
+  loop.run_until(10 * kMillisecond);
+
+  const std::vector<std::pair<SimTime, uint32_t>> expected = {
+      {3 * kMillisecond, 0}, {3 * kMillisecond, 1}, {4 * kMillisecond, 2},
+      {5 * kMillisecond, 3}, {6 * kMillisecond, 4}};
+  EXPECT_EQ(sink.arrivals, expected);
+}
+
+/// The bytes segment `seq` carries in the cross-thread test below.
+Payload seq_bytes(uint32_t seq) {
+  return Payload(64, static_cast<uint8_t>(seq));
+}
+
+/// A TimedCollector that also counts the segments whose payload is not
+/// seq_bytes(seq).
+class CheckedCollector : public TimedCollector {
+ public:
+  using TimedCollector::TimedCollector;
+  void deliver(TcpSegment seg) override {
+    if (seg.payload != seq_bytes(seg.seq)) ++wrong_bytes;
+    TimedCollector::deliver(std::move(seg));
+  }
+  uint64_t wrong_bytes = 0;
+};
+
+TEST(ShardChannel, ProducerAppendsWhileDeliveriesFireOnAnotherThread) {
+  // The engine's protocol without the engine: each epoch the producer
+  // thread appends while the consumer thread's loop fires the deliveries
+  // the previous barrier drained, and the two barriers around each drain
+  // are the only ordering between them (TSan checks that it suffices).
+  // Every segment arrives once, in send order, at its own time, with the
+  // bytes it was sent with.
+  constexpr SimTime kEpochs = 200;
+  constexpr uint32_t kPerEpoch = 50;
+  constexpr SimTime kEpoch = kMillisecond;
+  constexpr SimTime kGap = kEpoch / kPerEpoch;
+  const auto arrival = [](uint32_t seq) {
+    return (seq / kPerEpoch + 1) * kEpoch + (seq % kPerEpoch) * kGap;
+  };
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop, /*lookahead=*/kEpoch);
+  CheckedCollector sink(loop);
+  ch.set_target(&sink);
+  EpochBarrier barrier(2);
+
+  std::thread producer([&] {
+    uint32_t seq = 0;
+    for (SimTime k = 0; k < kEpochs; ++k) {
+      for (uint32_t i = 0; i < kPerEpoch; ++i, ++seq) {
+        TcpSegment seg;
+        seg.seq = seq;
+        seg.payload = seq_bytes(seq);
+        ch.send(arrival(seq), std::move(seg));  // departs inside epoch k
+      }
+      barrier.arrive_and_wait();  // epoch k is over
+      barrier.arrive_and_wait();  // and drained
+    }
+  });
+  for (SimTime k = 0; k < kEpochs; ++k) {
+    loop.run_until((k + 1) * kEpoch);  // fires what the last drain took
+    barrier.arrive_and_wait();
+    ch.drain();
+    barrier.arrive_and_wait();
+  }
+  producer.join();
+  loop.run_until((kEpochs + 1) * kEpoch);
+
+  const uint32_t total = static_cast<uint32_t>(kEpochs) * kPerEpoch;
+  std::vector<std::pair<SimTime, uint32_t>> expected;
+  for (uint32_t s = 0; s < total; ++s) expected.emplace_back(arrival(s), s);
+  EXPECT_EQ(ch.pushed(), total);
+  EXPECT_EQ(ch.delivered(), total);
+  EXPECT_EQ(sink.arrivals, expected);
+  EXPECT_EQ(sink.wrong_bytes, 0u);
 }
 
 /// Keeps every delivered segment.
@@ -405,19 +521,6 @@ struct CrossPinger {
   }
 };
 
-/// Records (arrival virtual time, seq) of every delivered segment.
-class TimedCollector : public PacketSink {
- public:
-  explicit TimedCollector(EventLoop& loop) : loop_(loop) {}
-  void deliver(TcpSegment seg) override {
-    arrivals.emplace_back(loop_.now(), seg.seq);
-  }
-  std::vector<std::pair<SimTime, uint32_t>> arrivals;
-
- private:
-  EventLoop& loop_;
-};
-
 TEST(ShardedEngine, IdleEpochsSkipDrainsWithoutLosingSegments) {
   // Both shards stay busy with local ticks every quantum, so epochs keep
   // running at the fixed cadence; cross traffic flows one direction only,
@@ -563,6 +666,51 @@ TEST(ShardedEngine, BurstBeyondTheOldRingArrivesInOrder) {
   ASSERT_EQ(one.size(), kBurst);
   EXPECT_LT(one.back().first, 2 * kMillisecond);  // departed in epoch one
   EXPECT_EQ(one, two);
+}
+
+TEST(ShardedEngine, EqualArrivalsFromTwoChannelsKeepChannelOrder) {
+  // Hosts on shards 2 and 0 each send four segments at time 0 into one
+  // host on shard 1, over identical links, so the segments arrive in
+  // pairs at equal times. Each barrier drains a shard's inbound channels
+  // in the order they were created, so within every pair the channel
+  // created first -- from shard 2 here -- delivers first.
+  Topology topo(/*seed=*/1, /*shards=*/3);
+  const NodeId a = topo.add_host("a", 0);
+  const NodeId b = topo.add_host("b", 1);
+  const NodeId c = topo.add_host("c", 2);
+  LinkConfig lc;
+  lc.rate_bps = 1e9;
+  lc.prop_delay = 1 * kMillisecond;
+  lc.buffer_bytes = 1 << 20;
+  const size_t from_c = topo.connect(c, b, lc, lc);
+  const size_t from_a = topo.connect(a, b, lc, lc);
+  TimedCollector sink(topo.loop(1));
+  for (const auto& ch : topo.channels()) {
+    if (ch->dst_shard() == 1) ch->set_target(&sink);
+  }
+  const auto burst = [&topo](size_t shard, Link& out, uint32_t first) {
+    topo.loop(shard).schedule_at(0, [&out, first] {
+      for (uint32_t i = 0; i < 4; ++i) {
+        TcpSegment seg;
+        seg.seq = first + i;
+        out.deliver(std::move(seg));
+      }
+    });
+  };
+  burst(0, topo.link_ab(from_a), 0);
+  burst(2, topo.link_ab(from_c), 100);
+
+  ShardedEngine engine(topo);
+  engine.run_until(10 * kMillisecond);
+  EXPECT_EQ(engine.sync_groups(), 1u);
+  ASSERT_EQ(sink.arrivals.size(), 8u);
+  for (uint32_t i = 0; i < 4; ++i) {
+    const auto& first = sink.arrivals[2 * i];
+    const auto& second = sink.arrivals[2 * i + 1];
+    EXPECT_EQ(first.first, second.first);
+    EXPECT_EQ(first.second, 100 + i);
+    EXPECT_EQ(second.second, i);
+  }
 }
 
 }  // namespace
